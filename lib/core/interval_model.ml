@@ -798,3 +798,10 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
     pr_time_series = series;
     pr_activity = activity;
   }
+
+(* [predict] reads every field of the config except [name], which it only
+   copies into [pr_uarch], and [operating_point]: cycles are counted in
+   core cycles (DRAM latency and bus transfer included), so frequency and
+   voltage enter only through [Power] and the seconds/energy terms. *)
+let timing_key (u : Uarch.t) =
+  { u with name = ""; operating_point = { freq_ghz = 0.0; vdd = 0.0 } }

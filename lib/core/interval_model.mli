@@ -90,3 +90,11 @@ val cpi_stack : prediction -> Cpi_stack.t
 val dram_wait_cpi : prediction -> float
 
 val predict : ?options:options -> Uarch.t -> Profile.t -> prediction
+
+val timing_key : Uarch.t -> Uarch.t
+(** The part of a config {!predict} depends on: the config with [name]
+    and [operating_point] normalised.  Two configs with equal keys get
+    predictions that are bit-identical in every field but [pr_uarch] —
+    the model counts time in core cycles, so frequency and voltage only
+    reach the power, seconds and energy terms.  The sweep engines reuse
+    one prediction across a run of configs with equal keys. *)

@@ -483,8 +483,18 @@ let open_stream path ~(meta : stream_meta) =
       Error
         (Fault.bad_input ~context:("checkpoint " ^ path) (Unix.error_message err))
     | fd ->
-      if (Unix.fstat fd).st_size = 0 then begin
-        write_all fd (framed (stream_header_payload meta));
+      let header = framed (stream_header_payload meta) in
+      let size = (Unix.fstat fd).st_size in
+      (* A kill while the header was being written leaves a prefix of it
+         and no blocks: start the log afresh rather than refuse it. *)
+      let torn_header () =
+        size < String.length header
+        && String.starts_with ~prefix:(In_channel.with_open_bin path In_channel.input_all)
+             header
+      in
+      if size = 0 || torn_header () then begin
+        Unix.ftruncate fd 0;
+        write_all fd header;
         let t = { fd; path; width = meta.sm_stats_width;
                   last_sync = Unix.gettimeofday () } in
         register t;

@@ -236,6 +236,54 @@ let run_sweep ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going ~workload
        ~eval_point:(fun i -> eval_point i configs_a.(i))
        ())
 
+(* ---- Model evaluation with prediction reuse ----
+
+   [Interval_model.predict] depends on a config only through
+   [Interval_model.timing_key]: configs that differ in name and DVFS
+   operating point get the same prediction, bit for bit, apart from
+   [pr_uarch].  Each domain keeps its last prediction in a one-entry
+   cell and reuses it while the profile, the options (both by physical
+   identity) and the timing key stay the same.  Both engines hand a
+   domain consecutive indices in ascending order, so in a space whose
+   innermost axis is the operating point every run of DVFS siblings
+   costs one [predict].  Power, seconds, energy and [adjust] still see
+   each point's own config.  The profile is held weakly: the cell never
+   keeps an evicted profile alive. *)
+
+type last_predict = {
+  lp_profile : Profile.t Weak.t;
+  lp_options : Interval_model.options;
+  lp_key : Uarch.t;
+  lp_pred : Interval_model.prediction;
+}
+
+let last_predict : last_predict option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let predict_reusing ~options (config : Uarch.t) profile =
+  let cell = Domain.DLS.get last_predict in
+  let key = Interval_model.timing_key config in
+  match !cell with
+  | Some lp
+    when lp.lp_options == options
+         && (match Weak.get lp.lp_profile 0 with
+            | Some p -> p == profile
+            | None -> false)
+         && lp.lp_key = key ->
+    { lp.lp_pred with pr_uarch = config.name }
+  | _ ->
+    let pred = Interval_model.predict ~options config profile in
+    let weak = Weak.create 1 in
+    Weak.set weak 0 (Some profile);
+    cell :=
+      Some { lp_profile = weak; lp_options = options; lp_key = key; lp_pred = pred };
+    pred
+
+let model_eval ~options ?adjust ~profile config ~index =
+  let pred = predict_reusing ~options config profile in
+  let cycles = Option.map (fun f -> f config pred) adjust in
+  of_prediction ?cycles config ~index pred
+
 let model_sweep_result ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?resume ?checkpoint_every ?keep_going ?adjust ~profile configs =
   match Profile.validate profile with
@@ -251,9 +299,7 @@ let model_sweep_result ?(options = Interval_model.default_options) ?jobs
     run_sweep ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going
       ~workload:profile.Profile.p_workload
       ~eval_point:(fun index config ->
-        let pred = Interval_model.predict ~options config profile in
-        let cycles = Option.map (fun f -> f config pred) adjust in
-        of_prediction ?cycles config ~index pred)
+        model_eval ~options ?adjust ~profile config ~index)
       configs
 
 let sim_sweep_result ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going
@@ -587,10 +633,8 @@ let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
       ~workload:profile.Profile.p_workload
       ~n_points:(Config_space.size space) ?offset ?length
       ~eval_point:(fun i ->
-        let config = Config_space.config_of_index space i in
-        let pred = Interval_model.predict ~options config profile in
-        let cycles = Option.map (fun f -> f config pred) adjust in
-        of_prediction ?cycles config ~index:i pred)
+        model_eval ~options ?adjust ~profile
+          (Config_space.config_of_index space i) ~index:i)
       ()
 
 (* ---- Legacy raising interface ---- *)

@@ -120,10 +120,18 @@ val model_sweep_result :
     skipped ([Error], not written to the checkpoint, so a later resume
     still evaluates them).
 
+    Each worker domain calls {!Interval_model.predict} once per run of
+    consecutive configs with equal {!Interval_model.timing_key} (configs
+    differing only in name and operating point) and reuses that
+    prediction, with [pr_uarch] set to each config's own name; the
+    result is bit-identical to a predict per point.
+
     [?adjust config pred] returns a corrected cycle count for the point
     (see {!of_prediction}); it must be deterministic and thread-safe —
     it runs on the worker domains, and checkpoints store adjusted
     values, so resume an adjusted sweep only with the same adjustment.
+    [pred] may be shared with the point's timing-equivalent neighbours:
+    do not mutate it.
 
     The outer [Error] is reserved for whole-sweep failures: invalid
     profile, unreadable/mismatched checkpoint. *)
@@ -238,8 +246,8 @@ val model_sweep_stream :
 (** {!run_stream} over a generated config space with the analytical
     model: configs are built per index ({!Config_space.config_of_index})
     and dropped after evaluation — no config list is ever allocated.
-    Profile validation and StatStack preparation as in
-    {!model_sweep_result}. *)
+    Profile validation, StatStack preparation, prediction reuse and
+    [?adjust] as in {!model_sweep_result}. *)
 
 val model_sweep :
   ?options:Interval_model.options ->

@@ -329,35 +329,46 @@ let inst_stack t =
    record and reuses it mutex-free.  Keyed by the identity of the
    profile's instruction-reuse histogram ([Histogram.id] is unique per
    histogram instance, hence per loaded profile) and invalidated by
-   [clear_stack_memo]'s generation bump.  Entries go through [memo_stack],
-   so [Statstack.construction_count] still counts each structure once. *)
+   [clear_stack_memo]'s generation bump, which empties the whole table:
+   every entry of an older generation is stale, and keeping them would
+   pin each evicted profile's structures on a long-lived worker domain.
+   Entries go through [memo_stack], so [Statstack.construction_count]
+   still counts each structure once. *)
 
 type hot = {
-  hot_generation : int;
   hot_inst : Statstack.t;
   hot_load : Statstack.t array;  (* indexed by mt_index *)
   hot_store : Statstack.t array;
 }
 
-let hot_slot : (int, hot) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+type hot_table = {
+  mutable ht_generation : int;
+  ht_entries : (int, hot) Hashtbl.t;
+}
+
+let hot_slot : hot_table Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { ht_generation = Atomic.get memo_generation; ht_entries = Hashtbl.create 4 })
 
 let hot t =
-  let tbl = Domain.DLS.get hot_slot in
-  let key = Histogram.id t.p_reuse_inst in
+  let ht = Domain.DLS.get hot_slot in
   let generation = Atomic.get memo_generation in
-  match Hashtbl.find_opt tbl key with
-  | Some h when h.hot_generation = generation -> h
-  | _ ->
+  if ht.ht_generation <> generation then begin
+    Hashtbl.reset ht.ht_entries;
+    ht.ht_generation <- generation
+  end;
+  let key = Histogram.id t.p_reuse_inst in
+  match Hashtbl.find_opt ht.ht_entries key with
+  | Some h -> h
+  | None ->
     let h =
       {
-        hot_generation = generation;
         hot_inst = inst_stack t;
         hot_load = Array.map (load_stack t) t.p_microtraces;
         hot_store = Array.map (store_stack t) t.p_microtraces;
       }
     in
-    Hashtbl.replace tbl key h;
+    Hashtbl.replace ht.ht_entries key h;
     h
 
 let prepare t =

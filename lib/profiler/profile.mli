@@ -152,7 +152,6 @@ val inst_stack : t -> Statstack.t
     stack reference once per domain into this record and reads it
     mutex-free.  Arrays are indexed by [mt_index]. *)
 type hot = {
-  hot_generation : int;
   hot_inst : Statstack.t;
   hot_load : Statstack.t array;
   hot_store : Statstack.t array;

@@ -123,6 +123,60 @@ let prop_component_toggles_only_reduce =
       (* dropping bus/chaining removes penalties: cycles can only shrink *)
       | _ -> off.pr_cycles <= full.pr_cycles +. 1.0)
 
+(* ---- Operating-point invariance over the large space ---- *)
+
+(* The sweep engines reuse one prediction across configs with equal
+   [Interval_model.timing_key]; that is exact only while [predict] never
+   reads the name or the DVFS operating point.  Marshalling without
+   sharing compares every float by its bit pattern. *)
+let same_bits_except_uarch (a : Interval_model.prediction)
+    (b : Interval_model.prediction) =
+  let bits (p : Interval_model.prediction) =
+    Marshal.to_string { p with pr_uarch = "" } [ Marshal.No_sharing ]
+  in
+  bits a = bits b
+
+let finite_prediction (p : Interval_model.prediction) =
+  let c = p.pr_components in
+  let l1, l2, l3 = p.pr_load_misses in
+  let a = p.pr_activity in
+  List.for_all Float.is_finite
+    ([ p.pr_cycles; p.pr_instructions; p.pr_uops; c.c_base; c.c_branch;
+       c.c_icache; c.c_llc_hit; c.c_dram; p.pr_mlp; p.pr_branch_mispredicts;
+       l1; l2; l3; p.pr_dram_loads; a.a_cycles; a.a_uops; a.a_l1i_accesses;
+       a.a_l1d_accesses; a.a_l2_accesses; a.a_l3_accesses; a.a_dram_accesses;
+       a.a_branch_lookups; p.pr_limits.lim_width; p.pr_limits.lim_dependences;
+       p.pr_limits.lim_ports; p.pr_limits.lim_units ]
+    @ Array.to_list a.a_uops_by_class
+    @ Array.to_list (Array.map snd p.pr_time_series))
+
+let prop_operating_point_invariance =
+  let space = Config_space.large in
+  let n_dvfs = List.length Uarch.dvfs_points in
+  QCheck.Test.make
+    ~name:
+      "model: prediction bit-identical across operating points; finite, \
+       stack sums to cycles, MLP >= 1 (large space)" ~count:40
+    QCheck.(pair (int_range 0 (Config_space.size space - 1)) (int_range 1 (n_dvfs - 1)))
+    (fun (index, shift) ->
+      let digits = Config_space.digits_of_index space index in
+      let last = Array.length digits - 1 in
+      let other = Array.copy digits in
+      other.(last) <- (digits.(last) + shift) mod n_dvfs;
+      let u = Config_space.config_of_digits space digits in
+      let v = Config_space.config_of_digits space other in
+      let pu = predict u and pv = predict v in
+      let cycles = pu.pr_cycles in
+      u.operating_point <> v.operating_point
+      && u.name <> v.name
+      && Interval_model.timing_key u = Interval_model.timing_key v
+      && same_bits_except_uarch pu pv
+      && pu.pr_uarch = u.name && pv.pr_uarch = v.name
+      && finite_prediction pu
+      && Float.abs (Interval_model.components_total pu.pr_components -. cycles)
+         <= 1e-9 *. Float.max 1.0 cycles
+      && pu.pr_mlp >= 1.0)
+
 (* ---- Simulator conservation ---- *)
 
 let prop_sim_uops_conserved =
@@ -216,6 +270,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_larger_llc_never_more_misses;
           QCheck_alcotest.to_alcotest prop_faster_memory_never_slower;
           QCheck_alcotest.to_alcotest prop_component_toggles_only_reduce;
+          QCheck_alcotest.to_alcotest prop_operating_point_invariance;
         ] );
       ( "simulator",
         [

@@ -193,6 +193,38 @@ let test_stream_rejects_mismatched_checkpoint () =
       | Ok _ -> Alcotest.fail "mismatched checkpoint accepted"
       | Error _ -> ())
 
+let test_stream_torn_header_restarts () =
+  let profile = Lazy.force profile_gcc in
+  let path = Filename.temp_file "stream_torn" ".ckpt" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let run () =
+        Sweep.model_sweep_stream ~checkpoint:path ~block_size:64 ~profile
+          Config_space.default
+      in
+      let whole =
+        match run () with
+        | Ok s -> s
+        | Error ft -> Alcotest.failf "first run: %s" (Fault.to_string ft)
+      in
+      let header = List.hd (In_channel.with_open_bin path In_channel.input_lines) in
+      let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+      (* Killed mid-header: a prefix of the header and nothing else. *)
+      write (String.sub header 0 (String.length header / 2));
+      (match run () with
+      | Ok s ->
+        Alcotest.(check int) "nothing resumed" 0 s.Sweep.ss_resumed_blocks;
+        Alcotest.(check bool) "same summary" true
+          ({ s with ss_evaluated_blocks = 0 } = { whole with ss_evaluated_blocks = 0 })
+      | Error ft -> Alcotest.failf "torn header refused: %s" (Fault.to_string ft));
+      (* Bytes that are no prefix of this sweep's header are still refused. *)
+      write "garbage";
+      match run () with
+      | Ok _ -> Alcotest.fail "garbage header accepted"
+      | Error _ -> ())
+
 (* ---- sub-range sharding ---- *)
 
 let test_offset_limit_shards_cover_space () =
@@ -241,6 +273,162 @@ let test_stream_rejects_bad_range () =
   with
   | Ok _ -> Alcotest.fail "range past the end accepted"
   | Error _ -> ()
+
+(* ---- prediction reuse across operating points ----
+
+   Both model engines call [Interval_model.predict] once per run of
+   configs with equal [Interval_model.timing_key] (in [large], the six
+   DVFS siblings of a point) and reuse it.  These tests hold every
+   reused eval to the one a direct predict gives, bit for bit. *)
+
+let eval_bits_equal (a : Sweep.eval) (b : Sweep.eval) =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  a.Sweep.sw_index = b.Sweep.sw_index
+  && a.sw_config = b.sw_config
+  && same a.sw_cpi b.sw_cpi && same a.sw_cycles b.sw_cycles
+  && same a.sw_watts b.sw_watts && same a.sw_seconds b.sw_seconds
+  && same a.sw_energy_j b.sw_energy_j && same a.sw_ed2p b.sw_ed2p
+
+(* Starts mid DVFS group (offset mod 6 = 3); 8-point blocks cut groups
+   apart and [length] spans eleven blocks. *)
+let reuse_offset = (6 * 5_000) + 3
+let reuse_length = 85
+
+let direct_eval ?(options = Interval_model.default_options) profile i =
+  let u = Config_space.config_of_index Config_space.large i in
+  Sweep.of_prediction u ~index:i (Interval_model.predict ~options u profile)
+
+let stream_evals ?options ?adjust ?checkpoint ~jobs profile =
+  let got : Sweep.eval option array = Array.make reuse_length None in
+  let s =
+    match
+      Sweep.model_sweep_stream ?options ?adjust ?checkpoint ~jobs ~block_size:8
+        ~offset:reuse_offset ~length:reuse_length
+        ~on_point:(fun i r ->
+          match r with
+          | Ok e -> got.(i - reuse_offset) <- Some e
+          | Error ft -> Alcotest.failf "point %d: %s" i (Fault.to_string ft))
+        ~profile Config_space.large
+    with
+    | Ok s -> s
+    | Error ft -> Alcotest.failf "stream: %s" (Fault.to_string ft)
+  in
+  (s, got)
+
+let check_against_direct what ?options profile got =
+  Array.iteri
+    (fun k e ->
+      let i = reuse_offset + k in
+      match e with
+      | None -> Alcotest.failf "%s: point %d not observed" what i
+      | Some (e : Sweep.eval) ->
+        let own = (Config_space.config_of_index Config_space.large i).Uarch.name in
+        Alcotest.(check string) (Printf.sprintf "%s: point %d name" what i) own
+          e.sw_config.Uarch.name;
+        if not (eval_bits_equal e (direct_eval ?options profile i)) then
+          Alcotest.failf "%s: point %d differs from a direct predict" what i)
+    got
+
+let test_reuse_matches_direct_predict () =
+  let profile = Lazy.force profile_gcc in
+  List.iter
+    (fun jobs ->
+      let _, got = stream_evals ~jobs profile in
+      check_against_direct (Printf.sprintf "stream jobs %d" jobs) profile got)
+    [ 1; 2 ];
+  (* The per-point engine over the same configs. *)
+  let configs =
+    List.init reuse_length (fun k ->
+        Config_space.config_of_index Config_space.large (reuse_offset + k))
+  in
+  let evals = Sweep.model_sweep ~jobs:2 ~profile configs in
+  List.iteri
+    (fun k (e : Sweep.eval) ->
+      let d = direct_eval profile (reuse_offset + k) in
+      if not (eval_bits_equal e { d with sw_index = k }) then
+        Alcotest.failf "model_sweep: point %d differs from a direct predict" k)
+    evals;
+  (* One-point sweeps over DVFS siblings, each on the calling domain, so
+     every sweep starts with the previous one's prediction in the cell:
+     a change of options or of profile must still miss it. *)
+  let one ?options profile i =
+    let got = ref None in
+    (match
+       Sweep.model_sweep_stream ?options ~offset:i ~length:1
+         ~on_point:(fun _ r -> got := Result.to_option r)
+         ~profile Config_space.large
+     with
+    | Ok _ -> ()
+    | Error ft -> Alcotest.failf "stream: %s" (Fault.to_string ft));
+    match !got with
+    | Some e -> e
+    | None -> Alcotest.failf "point %d faulted" i
+  in
+  let options = { Interval_model.default_options with model_mlp = false } in
+  let other =
+    Profiler.profile (Benchmarks.find "mcf") ~seed:2 ~n_instructions:20_000
+  in
+  let i = 6 * 7_000 in
+  ignore (one profile i);
+  Alcotest.(check bool) "other profile misses the cell" true
+    (eval_bits_equal (one other (i + 1)) (direct_eval other (i + 1)));
+  Alcotest.(check bool) "other options miss the cell" true
+    (eval_bits_equal (one ~options other (i + 2)) (direct_eval ~options other (i + 2)))
+
+let test_reuse_adjust_sees_own_config () =
+  let profile = Lazy.force profile_gcc in
+  let adjust (u : Uarch.t) (p : Interval_model.prediction) =
+    if p.pr_uarch <> u.name then
+      failwith (Printf.sprintf "prediction for %s handed to %s" p.pr_uarch u.name);
+    p.pr_cycles *. u.operating_point.freq_ghz
+  in
+  let _, got = stream_evals ~adjust ~jobs:2 profile in
+  let cycles =
+    Array.mapi
+      (fun k e ->
+        let i = reuse_offset + k in
+        let u = Config_space.config_of_index Config_space.large i in
+        let e = Option.get e in
+        let want =
+          Sweep.of_prediction ~cycles:(adjust u (Interval_model.predict u profile))
+            u ~index:i (Interval_model.predict u profile)
+        in
+        if not (eval_bits_equal e want) then
+          Alcotest.failf "adjusted point %d differs from a direct predict" i;
+        e.Sweep.sw_cycles)
+      got
+  in
+  (* The six DVFS siblings of one timing-equivalent config. *)
+  let first = 3 in
+  let group = Array.sub cycles first 6 in
+  Alcotest.(check int) "distinct adjusted cycles across the DVFS group" 6
+    (List.length (List.sort_uniq compare (Array.to_list group)))
+
+let test_reuse_kill_and_resume () =
+  let profile = Lazy.force profile_gcc in
+  let path = Filename.temp_file "stream_reuse" ".ckpt" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let whole, _ = stream_evals ~jobs:1 profile in
+      ignore (stream_evals ~checkpoint:path ~jobs:2 profile);
+      let len = (Unix.stat path).Unix.st_size in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      Unix.ftruncate fd (len / 2);
+      Unix.close fd;
+      let resumed, _ = stream_evals ~checkpoint:path ~jobs:1 profile in
+      Alcotest.(check bool) "some blocks resumed" true
+        (resumed.Sweep.ss_resumed_blocks > 0);
+      let strip (s : Sweep.stream_summary) =
+        { s with ss_resumed_blocks = 0; ss_evaluated_blocks = 0;
+                 ss_front_evals = [] }
+      in
+      Alcotest.(check bool) "summary bit-identical" true
+        (Marshal.to_string (strip whole) [ Marshal.No_sharing ]
+        = Marshal.to_string (strip resumed) [ Marshal.No_sharing ]);
+      Alcotest.(check bool) "front evals bit-identical" true
+        (List.equal eval_bits_equal whole.ss_front_evals resumed.ss_front_evals))
 
 (* ---- fault isolation in the stream ---- *)
 
@@ -353,10 +541,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_kill_and_resume_bit_identical;
           Alcotest.test_case "mismatched checkpoint rejected" `Quick
             test_stream_rejects_mismatched_checkpoint;
+          Alcotest.test_case "torn checkpoint header restarts the log" `Quick
+            test_stream_torn_header_restarts;
           Alcotest.test_case "offset/limit shards cover the space" `Quick
             test_offset_limit_shards_cover_space;
           Alcotest.test_case "bad range rejected" `Quick
             test_stream_rejects_bad_range;
+          Alcotest.test_case "reused predictions equal direct predicts" `Quick
+            test_reuse_matches_direct_predict;
+          Alcotest.test_case "adjust sees each point's own config" `Quick
+            test_reuse_adjust_sees_own_config;
+          Alcotest.test_case "reuse: kill-and-resume bit-identical" `Quick
+            test_reuse_kill_and_resume;
           Alcotest.test_case "poisoned point isolated" `Quick
             test_stream_isolates_poisoned_point;
           Alcotest.test_case "stop without keep-going" `Quick
