@@ -188,18 +188,11 @@ let apply_stack m ~stats u (model_stack, model_cpi) =
   let x = Features.of_point ~stats u ~model_stack ~model_cpi in
   apply_components m.c_components x ~model_stack ~model_cpi
 
-let calibrator m : Validate.calibrator =
- fun ~stats u model -> apply_stack m ~stats u model
-
 let calibrated_cycles m ~stats u (pred : Interval_model.prediction) =
   let model_stack = Interval_model.cpi_stack pred in
   let model_cpi = Interval_model.cpi pred in
   let _, cal_cpi = apply_stack m ~stats u (model_stack, model_cpi) in
   cal_cpi *. pred.pr_instructions
-
-let sweep_adjust m ~profile =
-  let stats = Validate.profile_stats profile in
-  fun u pred -> calibrated_cycles m ~stats u pred
 
 (* ---- Evaluation ---- *)
 
@@ -652,3 +645,14 @@ let load path =
   with
   | Error _ as e -> e
   | Ok text -> of_string text
+
+(* ---- Engine hooks, keyed by the model's encoding ---- *)
+
+let key m = Digest.to_hex (Digest.string (to_string m))
+
+let calibrator m : Validate.calibrator =
+  (key m, fun ~stats u model -> apply_stack m ~stats u model)
+
+let sweep_adjust m ~profile : Sweep.adjust =
+  let stats = Validate.profile_stats profile in
+  (key m, fun u pred -> calibrated_cycles m ~stats u pred)

@@ -129,7 +129,8 @@ val apply_stack :
     whenever the input is. *)
 
 val calibrator : t -> Validate.calibrator
-(** {!apply_stack} in the shape {!Validate.run_workload} consumes. *)
+(** {!apply_stack} in the shape {!Validate.run_workload} consumes, keyed
+    by the MD5 digest of the model's {!to_string} encoding. *)
 
 val calibrated_cycles :
   t ->
@@ -140,11 +141,10 @@ val calibrated_cycles :
 (** The calibrated cycle count for a prediction (calibrated CPI times
     instructions) — the {!Sweep.of_prediction} [?cycles] override. *)
 
-val sweep_adjust :
-  t -> profile:Profile.t -> Uarch.t -> Interval_model.prediction -> float
+val sweep_adjust : t -> profile:Profile.t -> Sweep.adjust
 (** [calibrated_cycles] with the profile statistics computed once up
-    front — the [?adjust] hook for {!Sweep.model_sweep_result} and
-    friends.  Partially apply to the profile before fanning out. *)
+    front, keyed like {!calibrator} — the [?adjust] hook for
+    {!Sweep.model_sweep_result} and friends. *)
 
 (** {1 Active-learning sampler} *)
 

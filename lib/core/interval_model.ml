@@ -805,3 +805,27 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
    voltage enter only through [Power] and the seconds/energy terms. *)
 let timing_key (u : Uarch.t) =
   { u with name = ""; operating_point = { freq_ghz = 0.0; vdd = 0.0 } }
+
+(* A full record pattern: a new option field fails to compile here until
+   it is added to the key. *)
+let options_key
+    {
+      combine;
+      mlp_model;
+      branch_missrate;
+      use_uops;
+      use_critical_path;
+      use_port_contention;
+      model_mlp;
+      model_mshr;
+      model_bus;
+      model_llc_chain;
+      model_prefetch;
+      overrides;
+    } (profile : Profile.t) =
+  Marshal.to_string
+    ( (combine, mlp_model, use_uops, use_critical_path, use_port_contention),
+      (model_mlp, model_mshr, model_bus, model_llc_chain, model_prefetch),
+      overrides,
+      branch_missrate ~entropy:profile.p_entropy )
+    [ Marshal.No_sharing ]

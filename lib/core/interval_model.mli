@@ -98,3 +98,10 @@ val timing_key : Uarch.t -> Uarch.t
     the model counts time in core cycles, so frequency and voltage only
     reach the power, seconds and energy terms.  The sweep engines reuse
     one prediction across a run of configs with equal keys. *)
+
+val options_key : options -> Profile.t -> string
+(** Everything {!predict} reads from [options] when predicting for this
+    profile, as a string: every data field, and [branch_missrate] at the
+    profile's branch entropy (the only point it is evaluated at).  Two
+    option sets with equal keys predict alike on the profile; the sweep
+    engines digest the key into their checkpoint headers. *)

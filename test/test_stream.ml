@@ -193,6 +193,48 @@ let test_stream_rejects_mismatched_checkpoint () =
       | Ok _ -> Alcotest.fail "mismatched checkpoint accepted"
       | Error _ -> ())
 
+let test_stream_refuses_changed_inputs () =
+  let profile = Lazy.force profile_gcc in
+  let path = Filename.temp_file "stream_inputs" ".ckpt" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      (* Entropy-blind, so another profile shows only through its digest. *)
+      let options =
+        { Interval_model.default_options with
+          branch_missrate = (fun ~entropy:_ -> 0.05) }
+      in
+      let run ?adjust ?(profile = profile) () =
+        Sweep.model_sweep_stream ~checkpoint:path ~block_size:64 ~options ?adjust
+          ~profile Config_space.default
+      in
+      let calibrated : Sweep.adjust =
+        ("k", fun _ (p : Interval_model.prediction) -> p.pr_cycles)
+      in
+      (match run ~adjust:calibrated () with
+      | Ok _ -> ()
+      | Error ft -> Alcotest.failf "first run: %s" (Fault.to_string ft));
+      let refused what r =
+        match r with
+        | Error (Fault.Bad_input _) -> ()
+        | Error ft -> Alcotest.failf "%s: wrong fault: %s" what (Fault.to_string ft)
+        | Ok _ -> Alcotest.failf "%s: resumed from another sweep's log" what
+      in
+      refused "no adjustment" (run ());
+      refused "another adjustment" (run ~adjust:("other", snd calibrated) ());
+      refused "another profile"
+        (run ~adjust:calibrated
+           ~profile:
+             (Profiler.profile (Benchmarks.find "gcc") ~seed:2
+                ~n_instructions:30_000)
+           ());
+      match run ~adjust:calibrated () with
+      | Ok s ->
+        Alcotest.(check int) "same inputs resume" s.ss_n_blocks
+          s.ss_resumed_blocks
+      | Error ft -> Alcotest.failf "resume: %s" (Fault.to_string ft))
+
 let test_stream_torn_header_restarts () =
   let profile = Lazy.force profile_gcc in
   let path = Filename.temp_file "stream_torn" ".ckpt" in
@@ -382,7 +424,7 @@ let test_reuse_adjust_sees_own_config () =
       failwith (Printf.sprintf "prediction for %s handed to %s" p.pr_uarch u.name);
     p.pr_cycles *. u.operating_point.freq_ghz
   in
-  let _, got = stream_evals ~adjust ~jobs:2 profile in
+  let _, got = stream_evals ~adjust:("freq", adjust) ~jobs:2 profile in
   let cycles =
     Array.mapi
       (fun k e ->
@@ -541,6 +583,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_kill_and_resume_bit_identical;
           Alcotest.test_case "mismatched checkpoint rejected" `Quick
             test_stream_rejects_mismatched_checkpoint;
+          Alcotest.test_case "changed inputs refused" `Quick
+            test_stream_refuses_changed_inputs;
           Alcotest.test_case "torn checkpoint header restarts the log" `Quick
             test_stream_torn_header_restarts;
           Alcotest.test_case "offset/limit shards cover the space" `Quick
