@@ -9,7 +9,10 @@ type t
 
 type outcome = Hit | Miss_cold | Miss_capacity
 
-val create : Uarch.cache_level -> t
+val create : ?name:string -> Uarch.cache_level -> t
+(** Raises [Invalid_argument], naming the level by [name], when the
+    geometry gives a set count that is not a power of two (set selection
+    masks the line hash with [n_sets - 1]). *)
 
 val access : t -> int -> outcome
 (** [access t addr] looks the line of [addr] up and updates LRU state;

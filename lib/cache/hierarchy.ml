@@ -27,14 +27,14 @@ type t = {
   inst : int array;  (* instruction misses at L1I, L2, L3 *)
 }
 
-let make_l3 (c : Uarch.caches) = Cache.create c.l3
+let make_l3 (c : Uarch.caches) = Cache.create ~name:"L3" c.l3
 
 let create ?shared_l3 (c : Uarch.caches) =
   {
-    l1i = Cache.create c.l1i;
-    l1d = Cache.create c.l1d;
-    l2 = Cache.create c.l2;
-    l3 = (match shared_l3 with Some l3 -> l3 | None -> Cache.create c.l3);
+    l1i = Cache.create ~name:"L1I" c.l1i;
+    l1d = Cache.create ~name:"L1D" c.l1d;
+    l2 = Cache.create ~name:"L2" c.l2;
+    l3 = (match shared_l3 with Some l3 -> l3 | None -> make_l3 c);
     data = Array.init 3 (fun _ -> new_counters ());
     inst = Array.make 3 0;
   }

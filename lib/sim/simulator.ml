@@ -27,18 +27,26 @@ type state = {
   e_cls : int array;
   e_done : int array;
   e_issued : bool array;
-  e_dep1 : int array;  (* global producer index, -1 when none *)
-  e_dep2 : int array;
+  e_pending : int array;  (* producers not yet issued *)
+  e_ready_at : int array;  (* latest completion among issued producers *)
+  waiters : int list array;  (* consumers (global indices) of this slot *)
   e_addr : int array;
   e_static : int array;
   e_begins : bool array;
   e_level : int array;  (* 0 L1, 1 L2, 2 L3, 3 DRAM; -1 non-load *)
   mutable head : int;  (* oldest in-flight global index *)
   mutable tail : int;  (* next global index to allocate *)
-  (* Issue queue: global indices of dispatched-but-not-issued micro-ops. *)
-  mutable iq : int array;
-  mutable iq_len : int;
-  (* Per-cycle port/FU arbitration (stamp = cycle of last use). *)
+  (* Issue queue, as wakeup/select.  A micro-op whose producers have all
+     issued waits in [wake_heap] (key [ready_at * cap + slot]) until its
+     operands are ready, then in [ready_heap] (key: global index, i.e. age
+     order) until select finds it a port and unit. *)
+  mutable iq_count : int;
+  wake_heap : Int_heap.t;
+  ready_heap : Int_heap.t;
+  (* Per-class unit and ports; per-cycle port/FU arbitration (stamp = cycle
+     of last use). *)
+  fu_of : Uarch.functional_unit option array;
+  ports_of : int array array;
   port_stamp : int array;
   class_issue_stamp : int array;  (* per class: cycle of last counting *)
   class_issue_count : int array;
@@ -89,6 +97,13 @@ let reason_index = function
 let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
   let cap = cfg.Uarch.core.rob_size in
   let n_class = Isa.n_classes in
+  let fu_of =
+    Array.map
+      (fun cls ->
+        List.find_opt (fun (fu : Uarch.functional_unit) -> fu.serves = cls)
+          cfg.core.functional_units)
+      classes
+  in
   {
     cfg;
     idl;
@@ -102,27 +117,35 @@ let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
     e_cls = Array.make cap 0;
     e_done = Array.make cap not_done;
     e_issued = Array.make cap false;
-    e_dep1 = Array.make cap (-1);
-    e_dep2 = Array.make cap (-1);
+    e_pending = Array.make cap 0;
+    e_ready_at = Array.make cap 0;
+    waiters = Array.make cap [];
     e_addr = Array.make cap 0;
     e_static = Array.make cap 0;
     e_begins = Array.make cap false;
     e_level = Array.make cap (-1);
     head = 0;
     tail = 0;
-    iq = Array.make cap 0;
-    iq_len = 0;
+    iq_count = 0;
+    wake_heap = Int_heap.create ();
+    ready_heap = Int_heap.create ();
+    fu_of;
+    ports_of =
+      Array.map
+        (function
+          | Some (fu : Uarch.functional_unit) -> Array.of_list fu.usable_ports
+          | None -> [||])
+        fu_of;
     port_stamp = Array.make cfg.core.n_ports (-1);
     class_issue_stamp = Array.make n_class (-1);
     class_issue_count = Array.make n_class 0;
     fu_busy =
-      Array.init n_class (fun ci ->
-          let cls = classes.(ci) in
-          match List.find_opt (fun (fu : Uarch.functional_unit) -> fu.serves = cls)
-                  cfg.core.functional_units
-          with
-          | Some fu when not fu.pipelined -> Array.make fu.unit_count (-1)
-          | _ -> [||]);
+      Array.map
+        (function
+          | Some (fu : Uarch.functional_unit) when not fu.pipelined ->
+            Array.make fu.unit_count (-1)
+          | _ -> [||])
+        fu_of;
     fetch_resume_at = 0;
     resume_reason = R_base;
     blocking_branch = -1;
@@ -156,13 +179,8 @@ let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
 
 let slot t g = g mod t.cap
 
-let producer_ready t g =
-  g < t.head || (let s = slot t g in t.e_issued.(s) && t.e_done.(s) <= t.cycle)
-
-let entry_ready t g =
-  let ok d = d < 0 || producer_ready t d in
-  let s = slot t g in
-  ok t.e_dep1.(s) && ok t.e_dep2.(s)
+(* The global index of an in-flight slot: the one in [head, head + cap). *)
+let global_of_slot t s = t.head + ((s - slot t t.head + t.cap) mod t.cap)
 
 (* ---- Front-end ---- *)
 
@@ -235,12 +253,14 @@ let load_completion t ~addr ~static_id =
     let line = addr asr 6 in
     (* Coalesce with an in-flight prefetch of the same line. *)
     let prefetch_bonus =
-      match Hashtbl.find_opt t.pending_fills line with
-      | Some ready ->
-        Hashtbl.remove t.pending_fills line;
-        Hierarchy.prefetch_fill t.hier addr;
-        Some ready
-      | None -> None
+      if Hashtbl.length t.pending_fills = 0 then None
+      else
+        match Hashtbl.find_opt t.pending_fills line with
+        | Some ready ->
+          Hashtbl.remove t.pending_fills line;
+          Hierarchy.prefetch_fill t.hier addr;
+          Some ready
+        | None -> None
     in
     let level = Hierarchy.access_data t.hier addr ~write:false in
     (* Train the prefetcher on every demand load. *)
@@ -294,84 +314,101 @@ let store_side_effects t ~addr =
 
 (* ---- Issue ---- *)
 
+(* Claims a free port and unit for class [cls_idx] this cycle; returns the
+   unit latency, or -1 when none is free. *)
 let try_allocate_fu t cls_idx =
-  let cls = classes.(cls_idx) in
-  match
-    List.find_opt (fun (fu : Uarch.functional_unit) -> fu.serves = cls)
-      t.cfg.Uarch.core.functional_units
-  with
-  | None -> None
+  match t.fu_of.(cls_idx) with
+  | None -> -1
   | Some fu ->
-    let port =
-      List.find_opt (fun p -> t.port_stamp.(p) < t.cycle) fu.usable_ports
+    let ports = t.ports_of.(cls_idx) in
+    let rec free_port i =
+      if i = Array.length ports then -1
+      else if t.port_stamp.(ports.(i)) < t.cycle then ports.(i)
+      else free_port (i + 1)
     in
-    (match port with
-    | None -> None
-    | Some p ->
-      if fu.pipelined then begin
-        if t.class_issue_stamp.(cls_idx) < t.cycle then begin
-          t.class_issue_stamp.(cls_idx) <- t.cycle;
-          t.class_issue_count.(cls_idx) <- 0
-        end;
-        if t.class_issue_count.(cls_idx) >= fu.unit_count then None
-        else begin
-          t.class_issue_count.(cls_idx) <- t.class_issue_count.(cls_idx) + 1;
-          t.port_stamp.(p) <- t.cycle;
-          Some fu.unit_latency
-        end
-      end
+    let p = free_port 0 in
+    if p < 0 then -1
+    else if fu.pipelined then begin
+      if t.class_issue_stamp.(cls_idx) < t.cycle then begin
+        t.class_issue_stamp.(cls_idx) <- t.cycle;
+        t.class_issue_count.(cls_idx) <- 0
+      end;
+      if t.class_issue_count.(cls_idx) >= fu.unit_count then -1
       else begin
-        (* Non-pipelined: need an instance that is free right now. *)
-        let busy = t.fu_busy.(cls_idx) in
-        let rec find i = if i >= Array.length busy then -1
-          else if busy.(i) <= t.cycle then i
-          else find (i + 1)
-        in
-        let inst = find 0 in
-        if inst < 0 then None
-        else begin
-          busy.(inst) <- t.cycle + fu.unit_latency;
-          t.port_stamp.(p) <- t.cycle;
-          Some fu.unit_latency
-        end
-      end)
-
-let issue_stage t =
-  let issued_any = ref false in
-  let keep = ref 0 in
-  for i = 0 to t.iq_len - 1 do
-    let g = t.iq.(i) in
-    let s = slot t g in
-    let issued =
-      if entry_ready t g then begin
-        let cls_idx = t.e_cls.(s) in
-        match try_allocate_fu t cls_idx with
-        | None -> false
-        | Some fu_latency ->
-          let finish, level =
-            match classes.(cls_idx) with
-            | Isa.Load ->
-              load_completion t ~addr:t.e_addr.(s) ~static_id:t.e_static.(s)
-            | Isa.Store ->
-              store_side_effects t ~addr:t.e_addr.(s);
-              (t.cycle + fu_latency, -1)
-            | _ -> (t.cycle + fu_latency, -1)
-          in
-          t.e_issued.(s) <- true;
-          t.e_done.(s) <- finish;
-          t.e_level.(s) <- level;
-          Int_heap.push t.completion_heap finish;
-          true
+        t.class_issue_count.(cls_idx) <- t.class_issue_count.(cls_idx) + 1;
+        t.port_stamp.(p) <- t.cycle;
+        fu.unit_latency
       end
-      else false
-    in
-    if issued then issued_any := true
+    end
     else begin
-      t.iq.(!keep) <- g;
-      incr keep
+      (* Non-pipelined: need an instance that is free right now. *)
+      let busy = t.fu_busy.(cls_idx) in
+      let rec find i = if i >= Array.length busy then -1
+        else if busy.(i) <= t.cycle then i
+        else find (i + 1)
+      in
+      let inst = find 0 in
+      if inst < 0 then -1
+      else begin
+        busy.(inst) <- t.cycle + fu.unit_latency;
+        t.port_stamp.(p) <- t.cycle;
+        fu.unit_latency
+      end
+    end
+
+(* Slot [s]'s producers have all issued; its operands are ready at
+   [ready_at].  One ready by now goes straight to select: woken during
+   select it is younger than the producer being issued, so select still
+   reaches it this cycle, as an age-ordered scan would. *)
+let wake t s ready_at =
+  if ready_at <= t.cycle then Int_heap.push t.ready_heap (global_of_slot t s)
+  else Int_heap.push t.wake_heap ((ready_at * t.cap) + s)
+
+let issue t s finish level =
+  t.e_issued.(s) <- true;
+  t.e_done.(s) <- finish;
+  t.e_level.(s) <- level;
+  Int_heap.push t.completion_heap finish;
+  t.iq_count <- t.iq_count - 1;
+  List.iter
+    (fun c ->
+      let cs = slot t c in
+      t.e_ready_at.(cs) <- max t.e_ready_at.(cs) finish;
+      t.e_pending.(cs) <- t.e_pending.(cs) - 1;
+      if t.e_pending.(cs) = 0 then wake t cs t.e_ready_at.(cs))
+    t.waiters.(s);
+  t.waiters.(s) <- []
+
+(* Select: every ready micro-op, oldest first, tries for a port and unit;
+   the ones that get none wait for the next cycle. *)
+let issue_stage t =
+  let ready_by = (t.cycle + 1) * t.cap in
+  while (not (Int_heap.is_empty t.wake_heap)) && Int_heap.min_elt t.wake_heap < ready_by do
+    let s = Int_heap.pop t.wake_heap mod t.cap in
+    Int_heap.push t.ready_heap (global_of_slot t s)
+  done;
+  let issued_any = ref false in
+  let deferred = ref [] in
+  while not (Int_heap.is_empty t.ready_heap) do
+    let g = Int_heap.pop t.ready_heap in
+    let s = slot t g in
+    let cls_idx = t.e_cls.(s) in
+    let fu_latency = try_allocate_fu t cls_idx in
+    if fu_latency < 0 then deferred := g :: !deferred
+    else begin
+      let finish, level =
+        match classes.(cls_idx) with
+        | Isa.Load -> load_completion t ~addr:t.e_addr.(s) ~static_id:t.e_static.(s)
+        | Isa.Store ->
+          store_side_effects t ~addr:t.e_addr.(s);
+          (t.cycle + fu_latency, -1)
+        | _ -> (t.cycle + fu_latency, -1)
+      in
+      issue t s finish level;
+      issued_any := true
     end
   done;
-  t.iq_len <- !keep;
+  List.iter (Int_heap.push t.ready_heap) !deferred;
   !issued_any
 
 (* ---- Dispatch ---- *)
@@ -400,7 +437,7 @@ let dispatch_stage t =
          else R_base);
       blocked := true
     end
-    else if t.iq_len >= core.issue_queue_size then begin
+    else if t.iq_count >= core.issue_queue_size then begin
       stall := R_base;
       blocked := true
     end
@@ -441,15 +478,28 @@ let dispatch_stage t =
           t.e_cls.(s) <- cls_idx;
           t.e_done.(s) <- not_done;
           t.e_issued.(s) <- false;
-          t.e_dep1.(s) <- (if u.dep1 > 0 then g - u.dep1 else -1);
-          t.e_dep2.(s) <- (if u.dep2 > 0 then g - u.dep2 else -1);
           t.e_addr.(s) <- u.addr;
           t.e_static.(s) <- u.static_id;
           t.e_begins.(s) <- u.begins_instruction;
           t.e_level.(s) <- -1;
           t.tail <- t.tail + 1;
-          t.iq.(t.iq_len) <- g;
-          t.iq_len <- t.iq_len + 1;
+          (* Wakeup: wait on every in-flight producer not yet issued. *)
+          t.e_pending.(s) <- 0;
+          t.e_ready_at.(s) <- 0;
+          let depend d =
+            if d >= t.head then begin
+              let ds = slot t d in
+              if t.e_issued.(ds) then t.e_ready_at.(s) <- max t.e_ready_at.(s) t.e_done.(ds)
+              else begin
+                t.e_pending.(s) <- t.e_pending.(s) + 1;
+                t.waiters.(ds) <- g :: t.waiters.(ds)
+              end
+            end
+          in
+          if u.dep1 > 0 then depend (g - u.dep1);
+          if u.dep2 > 0 && u.dep2 <> u.dep1 then depend (g - u.dep2);
+          if t.e_pending.(s) = 0 then wake t s t.e_ready_at.(s);
+          t.iq_count <- t.iq_count + 1;
           t.uops_by_class.(cls_idx) <- t.uops_by_class.(cls_idx) + 1;
           incr dispatched;
           if u.cls = Isa.Branch then begin

@@ -12,19 +12,23 @@ let test_hit_after_fill () =
 
 let test_cold_vs_capacity () =
   (* 2-way, 2-set cache: three lines mapping anywhere will eventually
-     evict; a re-touch of an evicted line must be Miss_capacity. *)
-  let c = Cache.create small_level in
-  let addrs = List.init 16 (fun i -> i * 64) in
-  List.iter (fun a -> ignore (Cache.access c a)) addrs;
-  (* all 16 lines seen; re-walk: misses now must be capacity, not cold *)
+     evict; a re-touch of an evicted line must be Miss_capacity.  The
+     larger walk outgrows the cold-miss set's initial capacity. *)
   List.iter
-    (fun a ->
-      match Cache.access c a with
-      | Cache.Miss_cold -> Alcotest.fail "revisited line classified cold"
-      | Cache.Hit | Cache.Miss_capacity -> ())
-    addrs;
-  Alcotest.(check bool) "some capacity misses happened" true (Cache.misses c > 16);
-  Alcotest.(check int) "cold misses = distinct lines" 16 (Cache.cold_misses c)
+    (fun n ->
+      let c = Cache.create small_level in
+      let addrs = List.init n (fun i -> i * 64) in
+      List.iter (fun a -> ignore (Cache.access c a)) addrs;
+      (* all n lines seen; re-walk: misses now must be capacity, not cold *)
+      List.iter
+        (fun a ->
+          match Cache.access c a with
+          | Cache.Miss_cold -> Alcotest.fail "revisited line classified cold"
+          | Cache.Hit | Cache.Miss_capacity -> ())
+        addrs;
+      Alcotest.(check bool) "some capacity misses happened" true (Cache.misses c > n);
+      Alcotest.(check int) "cold misses = distinct lines" n (Cache.cold_misses c))
+    [ 16; 20_000 ]
 
 let test_lru_eviction_order () =
   (* Hammer far more lines than the 4-line cache holds: the oldest,
@@ -47,7 +51,13 @@ let test_fill_installs () =
   let c = Cache.create small_level in
   Cache.fill c 128;
   Alcotest.(check bool) "filled" true (Cache.probe c 128);
-  Alcotest.(check int) "fill not an access" 0 (Cache.accesses c)
+  Alcotest.(check int) "fill not an access" 0 (Cache.accesses c);
+  (* A filled line was in the cache: once evicted, its miss is not cold. *)
+  for k = 10 to 100 do
+    ignore (Cache.access c (k * 64))
+  done;
+  Alcotest.(check bool) "evicted" false (Cache.probe c 128);
+  Alcotest.(check bool) "filled line is not cold" true (Cache.access c 128 = Cache.Miss_capacity)
 
 let test_reset_stats () =
   let c = Cache.create small_level in
@@ -55,6 +65,27 @@ let test_reset_stats () =
   Cache.reset_stats c;
   Alcotest.(check int) "accesses cleared" 0 (Cache.accesses c);
   Alcotest.(check int) "misses cleared" 0 (Cache.misses c)
+
+let test_set_count_power_of_two () =
+  (* 48 KB, 8-way, 64-byte lines: 96 sets, which the set mask cannot
+     index uniformly. *)
+  let caches =
+    { Uarch.reference.caches with
+      l1d = { Uarch.reference.caches.l1d with size_bytes = 48 * 1024 } }
+  in
+  (match Hierarchy.create caches with
+  | _ -> Alcotest.fail "a 96-set cache was accepted"
+  | exception Invalid_argument msg ->
+    let mentions sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool) ("names the level: " ^ msg) true (mentions "L1D");
+    Alcotest.(check bool) ("gives the set count: " ^ msg) true (mentions "96 sets"));
+  ignore (Hierarchy.create Uarch.reference.caches)
 
 let prop_miss_rate_monotone_in_size =
   QCheck.Test.make ~name:"bigger cache never misses more on the same trace"
@@ -304,6 +335,8 @@ let () =
           Alcotest.test_case "probe does not touch" `Quick test_probe_does_not_touch;
           Alcotest.test_case "fill installs" `Quick test_fill_installs;
           Alcotest.test_case "reset stats" `Quick test_reset_stats;
+          Alcotest.test_case "set count must be a power of two" `Quick
+            test_set_count_power_of_two;
           QCheck_alcotest.to_alcotest prop_miss_rate_monotone_in_size;
           QCheck_alcotest.to_alcotest prop_fully_associative_matches_oracle;
         ] );
