@@ -1556,7 +1556,7 @@ let profile_shards () =
   let profile_stats f =
     Gc.compact ();
     let p, s = time f in
-    (Profile_io.to_string p, Profile.cold_miss_rate p, s)
+    (Profile_io.to_binary_string p, Profile.cold_miss_rate p, s)
   in
   let s_legacy, legacy_cold, legacy_s =
     profile_stats (fun () -> Profiler.profile_legacy spec ~seed ~n_instructions:n)
@@ -2140,7 +2140,7 @@ let serve_bench () =
   let profile =
     Profiler.profile (Benchmarks.find "gcc") ~seed:1 ~n_instructions:50_000
   in
-  let bytes = Profile_io.to_string profile in
+  let bytes = Profile_io.to_binary_string profile in
   let key = with_client (fun c -> ok "load" (Client.load c bytes)) in
 
   (* -- sustained throughput, concurrent clients -- *)

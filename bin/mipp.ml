@@ -150,24 +150,16 @@ let warmup_arg =
   Arg.(
     value & opt int Profiler.default_warmup & info [ "warmup" ] ~docv:"N" ~doc)
 
-let binary_arg =
-  let doc =
-    "Write the profile in the compact binary format (version 3, about a \
-     quarter the size of the text form; `mipp` reads both transparently)."
-  in
-  Arg.(value & flag & info [ "binary" ] ~doc)
-
 let profile_cmd =
-  let run bench n seed output spec_file jobs warmup binary =
+  let run bench n seed output spec_file jobs warmup =
     let spec = find_workload bench spec_file in
     let t0 = Unix.gettimeofday () in
     let p = Profiler.profile spec ~jobs ~warmup ~seed ~n_instructions:n in
     let dt = Unix.gettimeofday () -. t0 in
     (match output with
     | Some path ->
-      Profile_io.save ~binary path p;
-      Printf.printf "profile written to %s%s\n" path
-        (if binary then " (binary)" else "")
+      Profile_io.save path p;
+      Printf.printf "profile written to %s\n" path
     | None -> ());
     Table.section
       (Printf.sprintf "Profile of %s (%d instructions, %.2fs)"
@@ -200,7 +192,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc:"Profile a workload (micro-architecture independent)")
     Term.(const run $ bench_arg $ instructions_arg $ seed_arg $ output_arg
-          $ spec_file_arg $ profile_jobs_arg $ warmup_arg $ binary_arg)
+          $ spec_file_arg $ profile_jobs_arg $ warmup_arg)
 
 (* ---- predict / simulate / compare ---- *)
 

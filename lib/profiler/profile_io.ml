@@ -1,283 +1,13 @@
-let format_version = 2
+(* The profile file format (version 3), the only one mipp reads or writes.
 
-(* Line-oriented, self-describing text format.  Floats are written as hex
-   float literals so save/load round-trips exactly.  Version 2 appends a
-   trailing whole-file CRC-32 line, written on save and verified before
-   parsing on load, so truncation, torn writes and byte flips are caught
-   up front with one structured error instead of a parse crash deep in
-   the body. *)
-
-let bprintf = Printf.bprintf
-
-let write_hist buf name h =
-  bprintf buf "hist %s %d" name (Histogram.distinct h);
-  Histogram.iter h (fun k c -> bprintf buf " %d:%d" k c);
-  bprintf buf "\n"
-
-let write_float_array buf name a =
-  bprintf buf "%s %d" name (Array.length a);
-  Array.iter (fun v -> bprintf buf " %h" v) a;
-  bprintf buf "\n"
-
-let write_int_array buf name a =
-  bprintf buf "%s %d" name (Array.length a);
-  Array.iter (fun v -> bprintf buf " %d" v) a;
-  bprintf buf "\n"
-
-let to_string (p : Profile.t) =
-  let buf = Buffer.create 65536 in
-  bprintf buf "mipp-profile %d\n" format_version;
-  bprintf buf "workload %s\n" p.p_workload;
-  bprintf buf "params %d %d %d %d\n" p.p_window_instructions
-    p.p_microtrace_instructions p.p_total_instructions p.p_line_bytes;
-  bprintf buf "scalars %h %h %h %h\n" p.p_entropy p.p_branch_fraction
-    p.p_uops_per_instruction p.p_inst_cold_fraction;
-  bprintf buf "counters %d %d %d\n" p.p_inst_samples p.p_data_accesses p.p_data_cold;
-  write_hist buf "reuse_inst" p.p_reuse_inst;
-  bprintf buf "microtraces %d\n" (Array.length p.p_microtraces);
-  Array.iter
-    (fun (mt : Profile.microtrace) ->
-      bprintf buf "mt %d %d %d %d %d %d %d %d\n" mt.mt_index
-        mt.mt_start_instruction mt.mt_instructions mt.mt_uops mt.mt_branches
-        mt.mt_mem_samples mt.mt_mem_cold mt.mt_store_cold;
-      write_int_array buf "mix"
-        (Array.of_list (List.map snd (Isa.Class_counts.to_list mt.mt_mix)));
-      write_int_array buf "rob_sizes" mt.mt_chains.rob_sizes;
-      write_float_array buf "ap" mt.mt_chains.ap;
-      write_float_array buf "abp" mt.mt_chains.abp;
-      write_float_array buf "cp" mt.mt_chains.cp;
-      write_int_array buf "abp_windows" mt.mt_chains.abp_windows;
-      write_hist buf "load_depth" mt.mt_load_depth;
-      write_hist buf "reuse_load" mt.mt_reuse_load;
-      write_hist buf "reuse_store" mt.mt_reuse_store;
-      write_int_array buf "cold_rob_sizes" mt.mt_cold.cold_rob_sizes;
-      write_int_array buf "cold_windows" mt.mt_cold.cold_windows;
-      write_int_array buf "cold_windows_hit" mt.mt_cold.cold_windows_hit;
-      write_int_array buf "cold_total" mt.mt_cold.cold_total;
-      bprintf buf "statics %d\n" (List.length mt.mt_static_loads);
-      List.iter
-        (fun (sl : Profile.static_load) ->
-          bprintf buf "sl %d %d %d %d\n" sl.sl_static_id sl.sl_first_pos
-            sl.sl_count sl.sl_cold;
-          write_hist buf "spacing" sl.sl_spacing;
-          write_hist buf "strides" sl.sl_strides;
-          write_hist buf "reuse" sl.sl_reuse)
-        mt.mt_static_loads)
-    p.p_microtraces;
-  bprintf buf "end\n";
-  (* The checksum covers every byte written so far (the body never
-     contains empty lines, so the loader can reconstruct the exact
-     checksummed bytes from its filtered line view). *)
-  let body = Buffer.contents buf in
-  body ^ "checksum " ^ Crc32.to_hex (Crc32.string body) ^ "\n"
-
-(* ---- Parsing ---- *)
-
-type reader = { lines : string array; mutable pos : int }
-
-let fail_at r msg =
-  Fault.raise_error
-    (Fault.bad_input ~line:(r.pos + 1) ~context:"profile"
-       (msg
-       ^ if r.pos < Array.length r.lines then ": " ^ r.lines.(r.pos) else ""))
-
-let next_line r =
-  if r.pos >= Array.length r.lines then fail_at r "unexpected end of file";
-  let l = r.lines.(r.pos) in
-  r.pos <- r.pos + 1;
-  l
-
-let tokens_of r ~tag =
-  let l = next_line r in
-  match String.split_on_char ' ' l with
-  | t :: rest when t = tag -> rest
-  | _ ->
-    r.pos <- r.pos - 1;
-    fail_at r (Printf.sprintf "expected %S" tag)
-
-let parse_int r s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail_at r (Printf.sprintf "bad integer %S" s)
-
-let parse_float r s =
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> fail_at r (Printf.sprintf "bad float %S" s)
-
-let read_ints r ~tag ~count =
-  let toks = tokens_of r ~tag in
-  match toks with
-  | n :: rest when parse_int r n = List.length rest ->
-    (match count with
-    | Some c when parse_int r n <> c -> fail_at r (tag ^ ": wrong element count")
-    | _ -> Array.of_list (List.map (parse_int r) rest))
-  | _ -> fail_at r (tag ^ ": malformed array")
-
-let read_floats r ~tag =
-  let toks = tokens_of r ~tag in
-  match toks with
-  | n :: rest when parse_int r n = List.length rest ->
-    Array.of_list (List.map (parse_float r) rest)
-  | _ -> fail_at r (tag ^ ": malformed array")
-
-let read_hist r ~tag =
-  let toks = tokens_of r ~tag:"hist" in
-  match toks with
-  | name :: n :: pairs when name = tag && parse_int r n = List.length pairs ->
-    let h = Histogram.create () in
-    List.iter
-      (fun pair ->
-        match String.split_on_char ':' pair with
-        | [ k; c ] ->
-          let count = parse_int r c in
-          if count < 0 then fail_at r ("negative histogram count " ^ pair);
-          Histogram.add h ~count (parse_int r k)
-        | _ -> fail_at r ("bad histogram pair " ^ pair))
-      pairs;
-    h
-  | _ -> fail_at r ("expected histogram " ^ tag)
-
-let read_static r : Profile.static_load =
-  match tokens_of r ~tag:"sl" with
-  | [ id; first; count; cold ] ->
-    let sl_count = parse_int r count in
-    let sl_cold = parse_int r cold in
-    let spacing = read_hist r ~tag:"spacing" in
-    let strides = read_hist r ~tag:"strides" in
-    let reuse = read_hist r ~tag:"reuse" in
-    let cold_fraction =
-      if sl_count = 0 then 0.0 else float_of_int sl_cold /. float_of_int sl_count
-    in
-    {
-      sl_static_id = parse_int r id;
-      sl_first_pos = parse_int r first;
-      sl_count;
-      sl_spacing = spacing;
-      sl_strides = strides;
-      sl_reuse = reuse;
-      sl_cold;
-      sl_stack = lazy (Statstack.of_reuse_histogram ~cold_fraction reuse);
-    }
-  | _ -> fail_at r "malformed static load"
-
-let read_microtrace r : Profile.microtrace =
-  match tokens_of r ~tag:"mt" with
-  | [ index; start; instructions; uops; branches; mem_samples; mem_cold; store_cold ]
-    ->
-    let mix_counts = read_ints r ~tag:"mix" ~count:(Some Isa.n_classes) in
-    let mix = Isa.Class_counts.create () in
-    List.iteri
-      (fun i cls -> Isa.Class_counts.add mix cls mix_counts.(i))
-      Isa.all_classes;
-    let rob_sizes = read_ints r ~tag:"rob_sizes" ~count:None in
-    let ap = read_floats r ~tag:"ap" in
-    let abp = read_floats r ~tag:"abp" in
-    let cp = read_floats r ~tag:"cp" in
-    let abp_windows = read_ints r ~tag:"abp_windows" ~count:None in
-    let load_depth = read_hist r ~tag:"load_depth" in
-    let reuse_load = read_hist r ~tag:"reuse_load" in
-    let reuse_store = read_hist r ~tag:"reuse_store" in
-    let cold_rob_sizes = read_ints r ~tag:"cold_rob_sizes" ~count:None in
-    let cold_windows = read_ints r ~tag:"cold_windows" ~count:None in
-    let cold_windows_hit = read_ints r ~tag:"cold_windows_hit" ~count:None in
-    let cold_total = read_ints r ~tag:"cold_total" ~count:None in
-    let n_statics =
-      match tokens_of r ~tag:"statics" with
-      | [ n ] -> parse_int r n
-      | _ -> fail_at r "malformed statics count"
-    in
-    if n_statics < 0 then fail_at r "negative statics count";
-    let statics = List.init n_statics (fun _ -> read_static r) in
-    {
-      mt_index = parse_int r index;
-      mt_start_instruction = parse_int r start;
-      mt_instructions = parse_int r instructions;
-      mt_uops = parse_int r uops;
-      mt_mix = mix;
-      mt_chains = { rob_sizes; ap; abp; cp; abp_windows };
-      mt_load_depth = load_depth;
-      mt_reuse_load = reuse_load;
-      mt_reuse_store = reuse_store;
-      mt_mem_samples = parse_int r mem_samples;
-      mt_mem_cold = parse_int r mem_cold;
-      mt_store_cold = parse_int r store_cold;
-      mt_cold = { cold_rob_sizes; cold_windows; cold_windows_hit; cold_total };
-      mt_static_loads = statics;
-      mt_branches = parse_int r branches;
-    }
-  | _ -> fail_at r "malformed microtrace header"
-
-(* The version this reader understands, checked before anything else so a
-   file written by a future mipp yields a clean "newer version" error,
-   never a crash on an unknown directive. *)
-let parse_version r =
-  match tokens_of r ~tag:"mipp-profile" with
-  | [ v ] -> (
-    match int_of_string_opt v with
-    | Some version when version >= 1 && version <= format_version -> version
-    | Some version ->
-      Fault.raise_error
-        (Fault.bad_input ~line:1 ~context:"profile"
-           (Printf.sprintf
-              "format version %d is newer than this build supports (max %d); \
-               upgrade mipp to read this profile"
-              version format_version))
-    | None -> fail_at r "bad version"
-  )
-  | _ -> fail_at r "bad header"
-
-(* Verify the trailing whole-file checksum.  The body is reconstructed
-   from the retained lines (joined by '\n', trailing '\n'), which is
-   byte-identical to what [to_string] checksummed because the writer
-   never emits empty lines.  Returns the reader restricted to the body. *)
-let verify_checksum ~version (lines : string array) =
-  let n = Array.length lines in
-  let has_checksum = n > 0 && String.length lines.(n - 1) >= 9
-                     && String.sub lines.(n - 1) 0 9 = "checksum " in
-  if not has_checksum then begin
-    if version >= 2 then
-      Fault.raise_error
-        (Fault.bad_input ~context:"profile"
-           "missing trailing checksum (file truncated?)");
-    lines
-  end
-  else begin
-    let body = Array.sub lines 0 (n - 1) in
-    let expected =
-      match Crc32.of_hex (String.sub lines.(n - 1) 9 (String.length lines.(n - 1) - 9)) with
-      | Some crc -> crc
-      | None ->
-        Fault.raise_error
-          (Fault.bad_input ~line:n ~context:"profile" "malformed checksum line")
-    in
-    let crc =
-      Array.fold_left
-        (fun crc l ->
-          Crc32.update (Crc32.update crc l ~pos:0 ~len:(String.length l)) "\n" ~pos:0
-            ~len:1)
-        0 body
-    in
-    if crc <> expected then
-      Fault.raise_error
-        (Fault.bad_input ~context:"profile"
-           (Printf.sprintf
-              "checksum mismatch (stored %s, computed %s): file corrupt or truncated"
-              (Crc32.to_hex expected) (Crc32.to_hex crc)));
-    body
-  end
-
-(* ---- Binary format (version 3) ----
-
-   Same field order as the text format, fixed-width little-endian
-   encoding: every integer is an int64, every float its IEEE-754 bit
-   pattern, strings and arrays length-prefixed, histograms as sorted
-   (key, count) pairs.  A third the size of the text form (hex float
-   literals dominate there) and parsed in one pass with no tokenizing.
-   The whole file ends with a CRC-32 of everything before it, giving the
-   same torn-write/corruption detection as the text trailer.  Detection
-   is by magic prefix, so [load]/[of_string] accept both formats
-   transparently; versions 1 and 2 remain text-only. *)
+   Fields in a fixed order: integers as zigzag LEB128 varints, floats as
+   their 8-byte little-endian IEEE-754 bit patterns (exact round-trip),
+   strings and arrays length-prefixed, histograms as sorted (key, count)
+   pairs.  The file starts with the magic [MIPB] and the version, and
+   ends with a CRC-32 of everything before it, verified before parsing so
+   truncation, torn writes and byte flips surface as one structured error
+   up front.  Versions 1 and 2 were line-oriented text; they are refused
+   with a message saying so. *)
 
 let binary_magic = "MIPB"
 let binary_version = 3
@@ -285,10 +15,7 @@ let binary_version = 3
 let to_binary_string (p : Profile.t) =
   let buf = Buffer.create 65536 in
   (* Integers are zigzag LEB128 varints: profile counters are mostly
-     small, so one or two bytes each instead of a fixed eight — this is
-     where the size win over the text format comes from.  Floats stay
-     fixed 8-byte IEEE-754 (exact round-trip, and shorter than their
-     decimal text form). *)
+     small, so one or two bytes each instead of a fixed eight. *)
   let vint v =
     let u = ref ((v lsl 1) lxor (v asr (Sys.int_size - 1))) in
     let continue = ref true in
@@ -521,9 +248,15 @@ let b_microtrace rb : Profile.microtrace =
     mt_branches;
   }
 
-let of_binary_string s =
+let of_string s =
   Fault.protect ~context:"profile" (fun () ->
       let len = String.length s in
+      if not (String.starts_with ~prefix:binary_magic s) then
+        Fault.raise_error
+          (Fault.bad_input ~context:"profile"
+             "not a binary profile (no MIPB magic); text profiles (format \
+              versions 1-2) are no longer read: re-run `mipp profile` to \
+              write it again");
       if len < String.length binary_magic + 5 then bfail "truncated file";
       let body_len = len - 4 in
       let stored = Int32.to_int (String.get_int32_le s body_len) land 0xFFFFFFFF in
@@ -536,13 +269,15 @@ let of_binary_string s =
              (Crc32.to_hex stored) (Crc32.to_hex crc));
       let rb = { b_data = s; b_pos = String.length binary_magic; b_len = body_len } in
       let version = b_vint rb in
-      if version <> binary_version then
+      if version > binary_version then
         Fault.raise_error
           (Fault.bad_input ~context:"profile"
              (Printf.sprintf
                 "binary format version %d is newer than this build supports \
                  (max %d); upgrade mipp to read this profile"
-                version binary_version));
+                version binary_version))
+      else if version <> binary_version then
+        bfail (Printf.sprintf "unsupported version %d" version);
       let p_workload = b_str rb in
       let p_window_instructions = b_vint rb in
       let p_microtrace_instructions = b_vint rb in
@@ -583,83 +318,19 @@ let of_binary_string s =
           p_data_cold;
         }
       in
-      Fault.or_raise (Result.map (fun () -> profile) (Profile.validate profile)))
-
-let is_binary s =
-  String.length s >= String.length binary_magic
-  && String.sub s 0 (String.length binary_magic) = binary_magic
-
-let of_text_string s =
-  Fault.protect ~context:"profile" (fun () ->
-      let lines =
-        String.split_on_char '\n' s |> List.filter (fun l -> l <> "") |> Array.of_list
-      in
-      let r = { lines; pos = 0 } in
-      let version = parse_version r in
-      let body = verify_checksum ~version lines in
-      let r = { lines = body; pos = r.pos } in
-      let workload = String.concat " " (tokens_of r ~tag:"workload") in
-      let window, microtrace, total, line_bytes =
-        match tokens_of r ~tag:"params" with
-        | [ a; b; c; d ] -> (parse_int r a, parse_int r b, parse_int r c, parse_int r d)
-        | _ -> fail_at r "malformed params"
-      in
-      let entropy, branch_fraction, upi, inst_cold =
-        match tokens_of r ~tag:"scalars" with
-        | [ a; b; c; d ] ->
-          (parse_float r a, parse_float r b, parse_float r c, parse_float r d)
-        | _ -> fail_at r "malformed scalars"
-      in
-      let inst_samples, data_accesses, data_cold =
-        match tokens_of r ~tag:"counters" with
-        | [ a; b; c ] -> (parse_int r a, parse_int r b, parse_int r c)
-        | _ -> fail_at r "malformed counters"
-      in
-      let reuse_inst = read_hist r ~tag:"reuse_inst" in
-      let n_mts =
-        match tokens_of r ~tag:"microtraces" with
-        | [ n ] -> parse_int r n
-        | _ -> fail_at r "malformed microtraces count"
-      in
-      if n_mts < 0 then fail_at r "negative microtraces count";
-      let mts = Array.init n_mts (fun _ -> read_microtrace r) in
-      (match tokens_of r ~tag:"end" with
-      | [] -> ()
-      | _ -> fail_at r "trailing content after end marker");
-      if r.pos <> Array.length body then fail_at r "trailing content after end marker";
-      let profile =
-        {
-          Profile.p_workload = workload;
-          p_window_instructions = window;
-          p_microtrace_instructions = microtrace;
-          p_total_instructions = total;
-          p_line_bytes = line_bytes;
-          p_microtraces = mts;
-          p_entropy = entropy;
-          p_branch_fraction = branch_fraction;
-          p_uops_per_instruction = upi;
-          p_reuse_inst = reuse_inst;
-          p_inst_cold_fraction = inst_cold;
-          p_inst_samples = inst_samples;
-          p_data_accesses = data_accesses;
-          p_data_cold = data_cold;
-        }
-      in
       (* Structural parse succeeded; now enforce the semantic invariants
          so a well-formed-but-nonsensical file (negative counters, NaN
          scalars, inconsistent histogram mass) is rejected here rather
          than poisoning a later sweep. *)
       Fault.or_raise (Result.map (fun () -> profile) (Profile.validate profile)))
 
-let of_string s = if is_binary s then of_binary_string s else of_text_string s
-
 (* Saves go through raw descriptors with the bounded-retry layer
    (EINTR/EAGAIN on write and fsync) and an fsync before close: a profile
    is the expensive artifact of a long profiling run, so an operator
    signal or a momentary transient must not leave a torn file whose only
    diagnosis is a checksum mismatch at the next load. *)
-let save ?(binary = false) path profile =
-  let body = (if binary then to_binary_string else to_string) profile in
+let save path profile =
+  let body = to_binary_string profile in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)

@@ -211,7 +211,7 @@ let prop_fuzz_random_mutations =
 let profile =
   lazy (Profiler.profile (Benchmarks.find "gcc") ~seed:1 ~n_instructions:50_000)
 
-let profile_bytes = lazy (Profile_io.to_string (Lazy.force profile))
+let profile_bytes = lazy (Profile_io.to_binary_string (Lazy.force profile))
 
 let sock_counter = ref 0
 
