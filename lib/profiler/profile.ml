@@ -18,13 +18,17 @@ let chain_at cs ~which rob =
   else if n = 1 then values.(0)
   else begin
     (* Piecewise log interpolation between adjacent profiled sizes (§5.2);
-       clamp to the end segments outside the profiled range. *)
+       clamp to the end segments outside the profiled range.  Below the
+       smallest profiled size the end segment's log fit can fall under 1
+       (or below 0), but a dependence path includes at least the µop
+       itself. *)
     let rec find i = if i >= n - 2 || sizes.(i + 1) >= rob then i else find (i + 1) in
     let i = if rob <= sizes.(0) then 0 else find 0 in
-    Fit.interpolate_log
-      (float_of_int sizes.(i), values.(i))
-      (float_of_int sizes.(i + 1), values.(i + 1))
-      (float_of_int rob)
+    Float.max 1.0
+      (Fit.interpolate_log
+         (float_of_int sizes.(i), values.(i))
+         (float_of_int sizes.(i + 1), values.(i + 1))
+         (float_of_int rob))
   end
 
 type cold_stats = {

@@ -18,7 +18,8 @@ type chain_stats = {
 val chain_at : chain_stats -> which:[ `Ap | `Abp | `Cp ] -> int -> float
 (** Chain length for an arbitrary ROB size by piecewise logarithmic
     interpolation between profiled sizes (Eq 5.2-5.4); clamps outside the
-    profiled range using the two nearest sizes. *)
+    profiled range using the two nearest sizes.  With two or more profiled
+    sizes the result is at least 1.0: a path includes the µop itself. *)
 
 type cold_stats = {
   cold_rob_sizes : int array;

@@ -290,21 +290,26 @@ let test_cold_stats_consistency () =
         c.cold_rob_sizes)
     p.p_microtraces
 
-let prop_chain_at_positive =
-  QCheck.Test.make ~name:"interpolated chains stay positive" ~count:50
-    QCheck.(int_range 2 512)
-    (fun rob ->
-      let cs =
-        {
-          Profile.rob_sizes = [| 16; 32; 64; 128; 256 |];
-          ap = [| 1.5; 1.8; 2.2; 2.5; 2.9 |];
-          abp = [| 1.2; 1.5; 1.9; 2.2; 2.4 |];
-          cp = [| 3.0; 4.1; 5.5; 7.2; 9.0 |];
-          abp_windows = [| 1; 1; 1; 1; 1 |];
-        }
-      in
-      Profile.chain_at cs ~which:`Cp rob > 0.0
-      && Profile.chain_at cs ~which:`Ap rob > 0.0)
+let test_chain_at_positive () =
+  (* Every ROB size the model can ask for, including those below the
+     smallest profiled one, where the log fit extrapolates downwards
+     (CP at ROB 2 would be 3.0 + 1.1 * log2(2/16) = -0.3 unclamped). *)
+  let cs =
+    {
+      Profile.rob_sizes = [| 16; 32; 64; 128; 256 |];
+      ap = [| 1.5; 1.8; 2.2; 2.5; 2.9 |];
+      abp = [| 1.2; 1.5; 1.9; 2.2; 2.4 |];
+      cp = [| 3.0; 4.1; 5.5; 7.2; 9.0 |];
+      abp_windows = [| 1; 1; 1; 1; 1 |];
+    }
+  in
+  for rob = 1 to 512 do
+    List.iter
+      (fun which ->
+        let v = Profile.chain_at cs ~which rob in
+        if not (v >= 1.0) then Alcotest.failf "chain length %g < 1 at rob %d" v rob)
+      [ `Ap; `Abp; `Cp ]
+  done
 
 (* ---- Profile serialization ---- *)
 
@@ -593,7 +598,8 @@ let () =
             test_load_depth_distribution;
           Alcotest.test_case "log interpolation" `Quick
             test_chain_interpolation_matches_log;
-          QCheck_alcotest.to_alcotest prop_chain_at_positive;
+          Alcotest.test_case "interpolated chains stay positive" `Quick
+            test_chain_at_positive;
         ] );
       ( "stride_class",
         [
