@@ -269,15 +269,19 @@ let of_string s =
              (Crc32.to_hex stored) (Crc32.to_hex crc));
       let rb = { b_data = s; b_pos = String.length binary_magic; b_len = body_len } in
       let version = b_vint rb in
-      if version > binary_version then
+      if version <> binary_version then
         Fault.raise_error
           (Fault.bad_input ~context:"profile"
-             (Printf.sprintf
-                "binary format version %d is newer than this build supports \
-                 (max %d); upgrade mipp to read this profile"
-                version binary_version))
-      else if version <> binary_version then
-        bfail (Printf.sprintf "unsupported version %d" version);
+             (if version > binary_version then
+                Printf.sprintf
+                  "binary format version %d is newer than this build supports \
+                   (max %d); upgrade mipp to read this profile"
+                  version binary_version
+              else
+                Printf.sprintf
+                  "unsupported binary format version %d (this build reads \
+                   version %d)"
+                  version binary_version));
       let p_workload = b_str rb in
       let p_window_instructions = b_vint rb in
       let p_microtrace_instructions = b_vint rb in

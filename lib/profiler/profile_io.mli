@@ -22,7 +22,7 @@
       cannot trigger giant allocations.
     - A file declaring a version newer than [binary_version] is rejected
       with a clean "newer version" error, and any other version with an
-      "unsupported version" one, never a parse crash.
+      "unsupported binary format version" one, never a parse crash.
     - Text profiles (versions 1 and 2, no [MIPB] magic) are refused with
       one error saying so; re-run [mipp profile] to write them again.
     - A structurally valid profile is additionally run through

@@ -405,7 +405,7 @@ let test_profile_io_version_errors () =
   let older = rejection "version 2" (Profile_io.of_string (with_version s 2)) in
   Alcotest.(check bool) "version 2 is not newer" false (contains older "newer");
   Alcotest.(check bool) "version 2 is unsupported" true
-    (contains older "unsupported version 2")
+    (contains older "unsupported binary format version 2")
 
 let test_profile_io_validates_semantics () =
   (* A structurally well-formed file with impossible numbers must be
