@@ -151,3 +151,15 @@ let pearson xs ys =
   in
   let sx = Stats.stdev xs and sy = Stats.stdev ys in
   if sx = 0.0 || sy = 0.0 then 1.0 else cov /. (sx *. sy)
+
+(* ---- Machine-readable reports ---- *)
+
+(* A number that may not exist on this run (e.g. a parallel timing with one
+   core): [null] rather than a stand-in value. *)
+let num_opt = function Some v -> Minijson.Num v | None -> Minijson.Null
+
+(* Write one BENCH_*.json report to the current directory. *)
+let write_report path members =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Minijson.print (Minijson.Obj members)));
+  print_endline ("wrote " ^ path)

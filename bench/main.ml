@@ -1372,21 +1372,21 @@ let dse_sweep () =
         && strip s_cold = strip s1)
   in
   let peak_rss_mb =
-    (* Linux: VmHWM is the process high-water mark in kB. *)
+    (* Linux: VmHWM is the process high-water mark in kB.  Elsewhere, or
+       unreadable, the peak is unmeasured: None, reported as null. *)
     try
-      let ic = open_in "/proc/self/status" in
-      let rec scan () =
-        match input_line ic with
-        | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
-          Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d"
-            (fun kb -> float_of_int kb /. 1024.0)
-        | _ -> scan ()
-        | exception End_of_file -> 0.0
-      in
-      let v = scan () in
-      close_in ic;
-      v
-    with _ -> 0.0
+      In_channel.with_open_text "/proc/self/status" (fun ic ->
+          let rec scan () =
+            match In_channel.input_line ic with
+            | Some line
+              when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
+              Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d"
+                (fun kb -> Some (float_of_int kb /. 1024.0))
+            | Some _ -> scan ()
+            | None -> None
+          in
+          scan ())
+    with _ -> None
   in
   Table.print ~header:[ "streaming sweep"; "value" ]
     ~rows:
@@ -1398,50 +1398,38 @@ let dse_sweep () =
         [ "points/sec"; Table.fmt_f ~decimals:0 stream_pps ];
         [ "Pareto front"; string_of_int (List.length s_cold.Sweep.ss_front) ];
         [ "kill-and-resume bit-identical"; string_of_bool resume_identical ];
-        [ "peak RSS (MB)"; Table.fmt_f ~decimals:1 peak_rss_mb ];
+        [ "peak RSS (MB)";
+          Option.fold ~none:"-" ~some:(Table.fmt_f ~decimals:1) peak_rss_mb ];
       ];
-  (* Machine-readable trajectory for future PRs. *)
-  let oc = open_out "BENCH_sweep.json" in
-  let json_f = Printf.sprintf "%.1f" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": %S,\n\
-    \  \"configs\": %d,\n\
-    \  \"jobs_requested\": %d,\n\
-    \  \"jobs_effective\": %d,\n\
-    \  \"cores_available\": %d,\n\
-    \  \"rebuild_seconds\": %.6f,\n\
-    \  \"seq_seconds\": %.6f,\n\
-    \  \"par_seconds\": %s,\n\
-    \  \"points_per_sec_seq\": %.1f,\n\
-    \  \"points_per_sec_par\": %s,\n\
-    \  \"memo_speedup\": %.3f,\n\
-    \  \"parallel_speedup\": %s,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"stacks_built_per_sweep\": %d,\n\
-    \  \"stream_space\": %S,\n\
-    \  \"stream_points\": %d,\n\
-    \  \"stream_block_size\": %d,\n\
-    \  \"stream_seconds\": %.6f,\n\
-    \  \"stream_points_per_sec\": %.1f,\n\
-    \  \"stream_front_points\": %d,\n\
-    \  \"stream_resume_identical\": %b,\n\
-    \  \"peak_rss_mb\": %.1f\n\
-     }\n"
-    bench n_configs jobs_requested jobs
-    (Domain.recommended_domain_count ())
-    rebuild_s seq_s
-    (match par with Some (_, s) -> Printf.sprintf "%.6f" s | None -> "null")
-    (pps seq_s)
-    (match par with Some (_, s) -> json_f (pps s) | None -> "null")
-    memo_speedup
-    (match par with Some (_, s) -> Printf.sprintf "%.3f" (seq_s /. s) | None -> "null")
-    identical built_seq (Config_space.name space) stream_points
-    Sweep.default_block_size stream_s stream_pps
-    (List.length s_cold.Sweep.ss_front)
-    resume_identical peak_rss_mb;
-  close_out oc;
-  print_endline "wrote BENCH_sweep.json"
+  (* Machine-readable trajectory for future changes. *)
+  let par_s = Option.map snd par in
+  Harness.write_report "BENCH_sweep.json"
+    Minijson.
+      [
+        ("benchmark", Str bench);
+        ("configs", int n_configs);
+        ("jobs_requested", int jobs_requested);
+        ("jobs_effective", int jobs);
+        ("cores_available", int (Domain.recommended_domain_count ()));
+        ("rebuild_seconds", Num rebuild_s);
+        ("seq_seconds", Num seq_s);
+        ("par_seconds", Harness.num_opt par_s);
+        ("points_per_sec_seq", Num (pps seq_s));
+        ("points_per_sec_par", Harness.num_opt (Option.map pps par_s));
+        ("memo_speedup", Num memo_speedup);
+        ( "parallel_speedup",
+          Harness.num_opt (Option.map (fun s -> seq_s /. s) par_s) );
+        ("bit_identical", Bool identical);
+        ("stacks_built_per_sweep", int built_seq);
+        ("stream_space", Str (Config_space.name space));
+        ("stream_points", int stream_points);
+        ("stream_block_size", int Sweep.default_block_size);
+        ("stream_seconds", Num stream_s);
+        ("stream_points_per_sec", Num stream_pps);
+        ("stream_front_points", int (List.length s_cold.Sweep.ss_front));
+        ("stream_resume_identical", Bool resume_identical);
+        ("peak_rss_mb", Harness.num_opt peak_rss_mb);
+      ]
 
 (* ============ Sharded profiling pipeline (this repo's scaling work) ==== *)
 
@@ -1599,7 +1587,7 @@ let profile_shards () =
      own jobs:1 run over its jobs:N run is a parallel speedup, and with
      one effective job there is none to report. *)
   let parallel_speedup =
-    if jobs = 1 then "null" else Printf.sprintf "%.3f" (seq1_s /. sharded_s)
+    if jobs = 1 then None else Some (seq1_s /. sharded_s)
   in
   Table.print ~header:[ "variant"; "seconds"; "instr/sec"; "speedup" ]
     ~rows:
@@ -1624,39 +1612,37 @@ let profile_shards () =
     hist_fastpath_speedup (n_keys * hist_rounds) quantile_cached_speedup
     q_calls jobs1_identical exact_identical Profiler.default_warmup
     boundary_cold_error;
-  let oc = open_out "BENCH_profile.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": %S,\n\
-    \  \"n_instructions\": %d,\n\
-    \  \"jobs_requested\": %d,\n\
-    \  \"jobs_effective\": %d,\n\
-    \  \"warmup_instructions\": %d,\n\
-    \  \"cores_available\": %d,\n\
-    \  \"legacy_seconds\": %.6f,\n\
-    \  \"sharded_jobs1_seconds\": %.6f,\n\
-    \  \"sharded_seconds\": %.6f,\n\
-    \  \"instr_per_sec_seq\": %.1f,\n\
-    \  \"instr_per_sec_sharded\": %.1f,\n\
-    \  \"sharded_vs_legacy_speedup\": %.3f,\n\
-    \  \"parallel_speedup\": %s,\n\
-    \  \"hist_fastpath_speedup\": %.3f,\n\
-    \  \"quantile_cached_speedup\": %.3f,\n\
-    \  \"cold_rate_seq\": %.6f,\n\
-    \  \"cold_rate_sharded\": %.6f,\n\
-    \  \"boundary_cold_error\": %.6f,\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    bench n jobs_requested jobs Profiler.default_warmup
-    (Domain.recommended_domain_count ())
-    legacy_s seq1_s sharded_s (ips seq1_s) (ips sharded_s)
-    (legacy_s /. sharded_s) parallel_speedup hist_fastpath_speedup quantile_cached_speedup
-    legacy_cold warm_cold boundary_cold_error
-    (jobs1_identical && exact_identical);
-  close_out oc;
-  print_endline "wrote BENCH_profile.json"
+  Harness.write_report "BENCH_profile.json"
+    Minijson.
+      [
+        ("benchmark", Str bench);
+        ("n_instructions", int n);
+        ("jobs_requested", int jobs_requested);
+        ("jobs_effective", int jobs);
+        ("warmup_instructions", int Profiler.default_warmup);
+        ("cores_available", int (Domain.recommended_domain_count ()));
+        ("legacy_seconds", Num legacy_s);
+        ("sharded_jobs1_seconds", Num seq1_s);
+        ("sharded_seconds", Num sharded_s);
+        ("instr_per_sec_seq", Num (ips seq1_s));
+        ("instr_per_sec_sharded", Num (ips sharded_s));
+        ("sharded_vs_legacy_speedup", Num (legacy_s /. sharded_s));
+        ("parallel_speedup", Harness.num_opt parallel_speedup);
+        ("hist_fastpath_speedup", Num hist_fastpath_speedup);
+        ("quantile_cached_speedup", Num quantile_cached_speedup);
+        ("cold_rate_seq", Num legacy_cold);
+        ("cold_rate_sharded", Num warm_cold);
+        ("boundary_cold_error", Num boundary_cold_error);
+        ("bit_identical", Bool (jobs1_identical && exact_identical));
+      ]
 
 (* ====== Fault-isolated, checkpointed sweeps (this repo's robustness work) *)
+
+(* Checkpoint-overhead gates, checked and reported by [sweep_faults]:
+   absolute cost per point on the small sweep, and the checkpointed /
+   plain time ratio minus one at streaming scale. *)
+let per_point_gate_us = 25.0
+let stream_overhead_gate = 0.10
 
 let sweep_faults () =
   Table.section
@@ -1849,131 +1835,59 @@ let sweep_faults () =
          poisoned config isolated (1 fault, %d points still evaluated): %b\n"
         prefix n_configs recovery_ok n_configs isolation_ok;
       (* Hard acceptance gates: checkpointing must cost bounded absolute
-         time per point on small sweeps, stay within 10%% at streaming
-         scale, and recovery and isolation must actually work. *)
-      if per_point_us > 25.0 then
+         time per point on small sweeps, stay within the overhead gate at
+         streaming scale, and recovery and isolation must actually work. *)
+      if per_point_us > per_point_gate_us then
         failwith
           (Printf.sprintf
              "sweep_faults: checkpoint overhead %.1f us/point exceeds the \
-              25 us gate"
-             per_point_us);
-      if stream_overhead > 0.10 then
+              %.0f us gate"
+             per_point_us per_point_gate_us);
+      if stream_overhead > stream_overhead_gate then
         failwith
           (Printf.sprintf
              "sweep_faults: streaming checkpoint overhead %.1f%% exceeds the \
-              10%% gate"
-             (100.0 *. stream_overhead));
+              %.0f%% gate"
+             (100.0 *. stream_overhead)
+             (100.0 *. stream_overhead_gate));
       if not recovery_ok then
         failwith "sweep_faults: kill-and-resume results differ from \
                   an uninterrupted sweep";
       if not isolation_ok then
         failwith "sweep_faults: poisoned config was not isolated";
-      let oc = open_out "BENCH_faults.json" in
-      Printf.fprintf oc
-        "{\n\
-        \  \"benchmark\": %S,\n\
-        \  \"configs\": %d,\n\
-        \  \"cores_available\": %d,\n\
-        \  \"block_size\": %d,\n\
-        \  \"appends_per_sweep\": %d,\n\
-        \  \"rounds\": %d,\n\
-        \  \"plain_seconds\": %.6f,\n\
-        \  \"checkpointed_seconds\": %.6f,\n\
-        \  \"round_overhead_p10\": %.4f,\n\
-        \  \"round_overhead_median\": %.4f,\n\
-        \  \"round_overhead_p90\": %.4f,\n\
-        \  \"checkpoint_us_per_point\": %.2f,\n\
-        \  \"per_point_gate_us\": 25.0,\n\
-        \  \"stream_points\": %d,\n\
-        \  \"stream_plain_seconds\": %.6f,\n\
-        \  \"stream_checkpointed_seconds\": %.6f,\n\
-        \  \"stream_checkpoint_overhead\": %.4f,\n\
-        \  \"stream_overhead_gate\": 0.10,\n\
-        \  \"resumed_points\": %d,\n\
-        \  \"recovery_bit_identical\": %b,\n\
-        \  \"poisoned_config_isolated\": %b\n\
-         }\n"
-        bench n_configs (Domain.recommended_domain_count ())
-        Sweep.default_point_block_size blocks rounds plain_s ckpt_s
-        overhead_p10 overhead overhead_p90 per_point_us stream_points
-        stream_plain_s stream_ckpt_s stream_overhead prefix recovery_ok
-        isolation_ok;
-      close_out oc;
-      print_endline "wrote BENCH_faults.json")
-
-(* ================= validate_accuracy: model-vs-simulator error ========= *)
-
-(* The standing accuracy regression: both engines over the simulation
-   subspace for the three checked-in workload files, per-component error
-   tables, and a hard gate on the aggregate mean absolute CPI error.
-   This is the bench-side twin of `mipp validate` (same library, same
-   JSON schema), so CI can gate on either. *)
-let validate_accuracy () =
-  Table.section "Model-vs-simulator accuracy (validation harness)";
-  let workload_dir =
-    match
-      List.find_opt
-        (fun d -> Sys.file_exists (Filename.concat d "streaming_fp.workload"))
-        [ "workloads"; "../workloads"; "../../workloads" ]
-    with
-    | Some d -> d
-    | None -> failwith "validate_accuracy: cannot locate the workloads/ directory"
-  in
-  let specs =
-    List.map
-      (fun name ->
-        match Workload_parser.load (Filename.concat workload_dir name) with
-        | Ok spec -> spec
-        | Error ft -> failwith ("validate_accuracy: " ^ Fault.to_string ft))
-      [ "branchy_interpreter.workload"; "pointer_soup.workload";
-        "streaming_fp.workload" ]
-  in
-  let configs = Validate.matrix_configs `Sim in
-  let reports =
-    List.map
-      (fun spec ->
-        match
-          Validate.run_workload ~jobs:Harness.jobs ~seed:Harness.seed
-            ~n_instructions:Harness.n_space ~spec configs
-        with
-        | Ok wr -> wr
-        | Error ft -> failwith ("validate_accuracy: " ^ Fault.to_string ft))
-      specs
-  in
-  let report = Validate.summarize reports in
-  List.iter (Validate.print_workload_report stdout) reports;
-  Printf.printf
-    "aggregate over %d points: mean signed CPI error %+.2f%%, MAPE %.2f%%\n"
-    report.Validate.rp_total_points
-    (100.0 *. report.rp_mean_signed)
-    (100.0 *. report.rp_mape);
-  (* Hard acceptance gates (ISSUE): every point must evaluate, and the
-     aggregate mean absolute CPI error must stay under the gate. *)
-  if report.rp_total_ok <> report.rp_total_points then
-    failwith
-      (Printf.sprintf "validate_accuracy: %d of %d points faulted"
-         (report.rp_total_points - report.rp_total_ok)
-         report.rp_total_points);
-  if not (Validate.passes_gate report ~gate:Validate.default_gate) then
-    failwith
-      (Printf.sprintf
-         "validate_accuracy: aggregate MAPE %.2f%% exceeds the %.0f%% gate"
-         (100.0 *. report.rp_mape)
-         (100.0 *. Validate.default_gate));
-  (match Validate.save_json ~gate:Validate.default_gate "BENCH_accuracy.json"
-           report
-   with
-  | Ok () -> ()
-  | Error ft -> failwith ("validate_accuracy: " ^ Fault.to_string ft));
-  print_endline "wrote BENCH_accuracy.json"
+      Harness.write_report "BENCH_faults.json"
+        Minijson.
+          [
+            ("benchmark", Str bench);
+            ("configs", int n_configs);
+            ("cores_available", int (Domain.recommended_domain_count ()));
+            ("block_size", int Sweep.default_point_block_size);
+            ("appends_per_sweep", int blocks);
+            ("rounds", int rounds);
+            ("plain_seconds", Num plain_s);
+            ("checkpointed_seconds", Num ckpt_s);
+            ("round_overhead_p10", Num overhead_p10);
+            ("round_overhead_median", Num overhead);
+            ("round_overhead_p90", Num overhead_p90);
+            ("checkpoint_us_per_point", Num per_point_us);
+            ("per_point_gate_us", Num per_point_gate_us);
+            ("stream_points", int stream_points);
+            ("stream_plain_seconds", Num stream_plain_s);
+            ("stream_checkpointed_seconds", Num stream_ckpt_s);
+            ("stream_checkpoint_overhead", Num stream_overhead);
+            ("stream_overhead_gate", Num stream_overhead_gate);
+            ("resumed_points", int prefix);
+            ("recovery_bit_identical", Bool recovery_ok);
+            ("poisoned_config_isolated", Bool isolation_ok);
+          ])
 
 (* ================= calibrate: grey-box residual calibration =========== *)
 
-(* The calibration regression: train the residual calibrator on the same
-   matrix validate_accuracy gates on, and hold it to the hard ISSUE
-   gates — held-out calibrated MAPE at most half the uncalibrated
-   baseline (4.33%), byte-identical re-training, and bit-exact
-   application across job counts. *)
+(* The calibration regression: train the residual calibrator on the
+   matrix `mipp validate --matrix sim` gates on for the three workload
+   files, and hold it to hard gates — held-out calibrated MAPE at most
+   half the uncalibrated baseline (4.33%), byte-identical re-training,
+   and bit-exact application across job counts. *)
 let calibrate_bench () =
   Table.section "Grey-box calibration (residual learner over the CPI stack)";
   let workload_dir =
@@ -2062,43 +1976,35 @@ let calibrate_bench () =
   Printf.printf
     "  re-train byte-identical: %b; -j 1 vs -j 4 apply bit-exact: %b\n"
     deterministic jobs_exact;
-  let oc = open_out "BENCH_calibrate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"n_rows\": %d,\n\
-    \  \"n_train\": %d,\n\
-    \  \"n_holdout\": %d,\n\
-    \  \"n_features\": %d,\n\
-    \  \"train_uncal_mape\": %.6f,\n\
-    \  \"train_cal_mape\": %.6f,\n\
-    \  \"holdout_uncal_mape\": %.6f,\n\
-    \  \"holdout_cal_mape\": %.6f,\n\
-    \  \"gate\": %.6f,\n\
-    \  \"gate_passed\": %b,\n\
-    \  \"retrain_byte_identical\": %b,\n\
-    \  \"jobs_bit_exact\": %b,\n\
-    \  \"matrix_seconds\": %.3f,\n\
-    \  \"train_seconds\": %.3f,\n\
-    \  \"workloads\": {%s}\n\
-     }\n"
-    (List.length rows) ev.ev_train.se_n ev.ev_holdout.se_n
-    (List.length model.Calibrate.c_feature_names)
-    ev.ev_train.se_uncal_mape ev.ev_train.se_cal_mape
-    ev.ev_holdout.se_uncal_mape ev.ev_holdout.se_cal_mape
-    Calibrate.default_gate
-    (Calibrate.passes_gate ev ~gate:Calibrate.default_gate)
-    deterministic jobs_exact matrix_s train_s
-    (String.concat ", "
-       (List.map
-          (fun (w, (e : Calibrate.set_error)) ->
-            Printf.sprintf
-              "\"%s\": {\"uncal_mape\": %.6f, \"cal_mape\": %.6f}" w
-              e.se_uncal_mape e.se_cal_mape)
-          ev.ev_workloads));
-  close_out oc;
-  print_endline "wrote BENCH_calibrate.json"
-
-(* ================= Driver ================= *)
+  Harness.write_report "BENCH_calibrate.json"
+    Minijson.
+      [
+        ("n_rows", int (List.length rows));
+        ("n_train", int ev.ev_train.se_n);
+        ("n_holdout", int ev.ev_holdout.se_n);
+        ("n_features", int (List.length model.Calibrate.c_feature_names));
+        ("train_uncal_mape", Num ev.ev_train.se_uncal_mape);
+        ("train_cal_mape", Num ev.ev_train.se_cal_mape);
+        ("holdout_uncal_mape", Num ev.ev_holdout.se_uncal_mape);
+        ("holdout_cal_mape", Num ev.ev_holdout.se_cal_mape);
+        ("gate", Num Calibrate.default_gate);
+        ("gate_passed", Bool (Calibrate.passes_gate ev ~gate:Calibrate.default_gate));
+        ("retrain_byte_identical", Bool deterministic);
+        ("jobs_bit_exact", Bool jobs_exact);
+        ("matrix_seconds", Num matrix_s);
+        ("train_seconds", Num train_s);
+        ( "workloads",
+          Obj
+            (List.map
+               (fun (w, (e : Calibrate.set_error)) ->
+                 ( w,
+                   Obj
+                     [
+                       ("uncal_mape", Num e.se_uncal_mape);
+                       ("cal_mape", Num e.se_cal_mape);
+                     ] ))
+               ev.ev_workloads) );
+      ]
 
 (* ================= serve: the model-serving daemon under load ========= *)
 
@@ -2106,8 +2012,10 @@ let calibrate_bench () =
    daemon, then the fault drills: a worker crash storm, a barrage of
    malformed frames, slow-loris connections and an overload burst — the
    daemon must answer every valid request, shed with structured faults,
-   and drain cleanly.  Gates: >= 1000 queries/s sustained and a clean
+   and drain cleanly.  Gates: [qps_gate] queries/s sustained and a clean
    fault ledger (no lost replies, no daemon death). *)
+let qps_gate = 1000.0
+
 let serve_bench () =
   Table.section "Model-serving daemon: throughput, tails and fault drills";
   let sock =
@@ -2309,9 +2217,10 @@ let serve_bench () =
   Printf.printf "drain: stopped and joined in %.3fs\n" drain_s;
 
   (* Hard gates (the issue's acceptance criteria). *)
-  if qps < 1000.0 then
+  if qps < qps_gate then
     failwith
-      (Printf.sprintf "serve: %.0f queries/s below the 1000 qps gate" qps);
+      (Printf.sprintf "serve: %.0f queries/s below the %.0f qps gate" qps
+         qps_gate);
   if crashes < storm || respawns < 1 then
     failwith "serve: crash storm not fully counted or no respawn";
   if !answered <> malformed then
@@ -2320,32 +2229,30 @@ let serve_bench () =
   if !sheds = 0 || !oks = 0 then
     failwith "serve: overload burst did not both serve and shed";
 
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"gcc\",\n\
-    \  \"clients\": %d,\n\
-    \  \"queries\": %d,\n\
-    \  \"queries_per_second\": %.1f,\n\
-    \  \"qps_gate\": 1000.0,\n\
-    \  \"p50_us\": %.1f,\n\
-    \  \"p99_us\": %.1f,\n\
-    \  \"crash_storm\": %d,\n\
-    \  \"crashes_counted\": %d,\n\
-    \  \"workers_respawned\": %d,\n\
-    \  \"malformed_frames\": %d,\n\
-    \  \"malformed_answered\": %d,\n\
-    \  \"slow_loris_connections\": %d,\n\
-    \  \"slow_loris_reaped\": %b,\n\
-    \  \"overload_burst\": %d,\n\
-    \  \"overload_served\": %d,\n\
-    \  \"overload_shed\": %d,\n\
-    \  \"drain_seconds\": %.3f\n\
-     }\n"
-    clients queries qps p50_us p99_us storm crashes respawns malformed
-    !answered loris reaped burst !oks !sheds drain_s;
-  close_out oc;
-  print_endline "wrote BENCH_serve.json"
+  Harness.write_report "BENCH_serve.json"
+    Minijson.
+      [
+        ("benchmark", Str "gcc");
+        ("clients", int clients);
+        ("queries", int queries);
+        ("queries_per_second", Num qps);
+        ("qps_gate", Num qps_gate);
+        ("p50_us", Num p50_us);
+        ("p99_us", Num p99_us);
+        ("crash_storm", int storm);
+        ("crashes_counted", int crashes);
+        ("workers_respawned", int respawns);
+        ("malformed_frames", int malformed);
+        ("malformed_answered", int !answered);
+        ("slow_loris_connections", int loris);
+        ("slow_loris_reaped", Bool reaped);
+        ("overload_burst", int burst);
+        ("overload_served", int !oks);
+        ("overload_shed", int !sheds);
+        ("drain_seconds", Num drain_s);
+      ]
+
+(* ================= Driver ================= *)
 
 let experiments =
   [
@@ -2387,8 +2294,6 @@ let experiments =
     ("dse_sweep", "parallel sweep engine + StatStack memoization", dse_sweep);
     ("profile_shards", "sharded profiling + fast-path histograms", profile_shards);
     ("sweep_faults", "fault isolation + checkpointed sweep overhead", sweep_faults);
-    ("validate_accuracy", "model-vs-simulator CPI-stack error + gate",
-     validate_accuracy);
     ("calibrate", "grey-box calibration: held-out MAPE + determinism gates",
      calibrate_bench);
     ("serve", "serving daemon: qps, tail latency, fault drills", serve_bench);

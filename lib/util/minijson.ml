@@ -41,8 +41,8 @@ let literal st word value =
   else fail st.pos (Printf.sprintf "expected %s" word)
 
 (* UTF-8-encode one \uXXXX code point.  Surrogate pairs are not
-   recombined — the repo's own printers only escape ASCII control
-   characters, so lone escapes below U+0800 are the realistic input. *)
+   recombined — {!print} only escapes ASCII control characters, so lone
+   escapes below U+0800 are the realistic input. *)
 let add_codepoint buf cp =
   if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
   else if cp < 0x800 then begin
@@ -60,7 +60,8 @@ let parse_string st =
   let buf = Buffer.create 16 in
   let rec loop () =
     match peek st with
-    | '\255' -> fail st.pos "unterminated string"
+    (* [peek]'s end-of-input sentinel is also a legal raw byte here *)
+    | _ when st.pos >= String.length st.src -> fail st.pos "unterminated string"
     | '"' -> advance st
     | '\\' ->
       advance st;
@@ -202,3 +203,66 @@ let to_string = function Str s -> Some s | _ -> None
 let to_int = function
   | Num v when Float.is_integer v -> Some (int_of_float v)
   | _ -> None
+
+(* ---- Printer ---- *)
+
+let int n = Num (float_of_int n)
+
+(* Quote, backslash and the ASCII control bytes are escaped; every other
+   byte, non-ASCII included, is written as it is. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* JSON has no non-finite literals.  Integers below 2^53 are exact in a
+   float and print as integers; anything else keeps nine significant
+   digits. *)
+let number v =
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 0x1p53 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.9g" v
+
+let print v =
+  let buf = Buffer.create 4096 in
+  let add = Buffer.add_string buf in
+  let block indent opening closing item = function
+    | [] -> add opening; add closing
+    | items ->
+      let inner = indent ^ "  " in
+      add opening;
+      List.iteri
+        (fun i x ->
+          add (if i = 0 then "\n" else ",\n");
+          add inner;
+          item inner x)
+        items;
+      add "\n";
+      add indent;
+      add closing
+  in
+  let rec value indent = function
+    | Null -> add "null"
+    | Bool b -> add (string_of_bool b)
+    | Num f -> add (number f)
+    | Str s -> add_quoted buf s
+    | Arr items -> block indent "[" "]" value items
+    | Obj members ->
+      block indent "{" "}"
+        (fun inner (key, x) ->
+          add_quoted buf key;
+          add ": ";
+          value inner x)
+        members
+  in
+  value "" v;
+  add "\n";
+  Buffer.contents buf

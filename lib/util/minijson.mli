@@ -1,12 +1,11 @@
-(** A minimal recursive-descent JSON reader.
+(** The repo's JSON value, its reader and its printer.
 
-    The repo emits several machine-readable JSON reports
-    ([BENCH_*.json], the calibration training matrix) with hand-rolled
-    printers; this is the matching reader for the subset we emit —
+    Every machine-readable report ([BENCH_*.json], the [mipp validate]
+    accuracy report, the calibration training matrix) is built as a
+    {!t} and written by {!print}; {!parse} reads the same subset back —
     objects, arrays, strings (with the standard escapes), numbers,
-    booleans and null — so typed values can round-trip through JSON
-    without an external dependency.  Numbers are parsed as [float];
-    object member order is preserved. *)
+    booleans and null — without an external dependency.  Numbers are
+    [float]; object member order is preserved both ways. *)
 
 type t =
   | Null
@@ -20,6 +19,17 @@ val parse : context:string -> string -> (t, Fault.t) result
 (** Parse one JSON document (trailing whitespace allowed, anything else
     after the value is an error).  Failures are [Fault.Bad_input] with
     the 1-based line of the offending byte. *)
+
+val print : t -> string
+(** The document with a two-space indent, one array item or object
+    member per line, members in list order, and a trailing newline.
+    Strings escape quote, backslash and ASCII control bytes; other bytes
+    are written as they are.  Non-finite numbers print as [null],
+    integral numbers below 2{^53} as integers, and any other number with
+    [%.9g].  [parse (print v)] is [v] up to that rounding. *)
+
+val int : int -> t
+(** [Num] of an integer. *)
 
 (** {1 Accessors}
 

@@ -345,107 +345,82 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
 
 let passes_gate rp ~gate = rp.rp_total_ok > 0 && rp.rp_mape <= gate
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let report_json ~gate rp =
+  let open Minijson in
+  let trend rows = Arr (List.map (fun (k, e) -> Arr [ int k; Num e ]) rows) in
+  let workload wr =
+    Obj
+      [
+        ("workload", Str wr.wr_workload);
+        ("points_total", int wr.wr_n_points);
+        ("points_ok", int (List.length wr.wr_points));
+        ("points_resumed", int wr.wr_resumed);
+        ( "cpi_error",
+          Obj
+            [
+              ("mean_signed", Num wr.wr_mean_signed);
+              ("mape", Num wr.wr_mape);
+              ("max_abs", Num wr.wr_max_abs);
+            ] );
+        ( "worst_component",
+          match wr.wr_worst with
+          | None -> Null
+          | Some ce -> Str (Cpi_stack.to_string ce.ce_component) );
+        ( "components",
+          Arr
+            (List.map
+               (fun ce ->
+                 Obj
+                   [
+                     ("component", Str (Cpi_stack.to_string ce.ce_component));
+                     ("model_cpi", Num ce.ce_model_cpi);
+                     ("sim_cpi", Num ce.ce_sim_cpi);
+                     ("signed", Num ce.ce_signed);
+                     ("abs", Num ce.ce_abs);
+                   ])
+               wr.wr_components) );
+        ("rob_trend", trend wr.wr_rob_trend);
+        ("l3_trend", trend wr.wr_l3_trend);
+        ( "faults",
+          Arr
+            (List.map
+               (fun (idx, ft) ->
+                 Obj [ ("index", int idx); ("fault", Str (Fault.to_line ft)) ])
+               wr.wr_faults) );
+        ( "points",
+          Arr
+            (List.map
+               (fun pt ->
+                 Obj
+                   [
+                     ("index", int pt.vp_index);
+                     ("uarch", Str pt.vp_uarch.Uarch.name);
+                     ("model_cpi", Num pt.vp_model_cpi);
+                     ("sim_cpi", Num pt.vp_sim_cpi);
+                     ("signed_error", Num (signed_error pt));
+                   ])
+               wr.wr_points) );
+      ]
+  in
+  Obj
+    [
+      ("schema", Str "mipp-accuracy-v1");
+      ("gate_mape", Num gate);
+      ("pass", Bool (passes_gate rp ~gate));
+      ("points_total", int rp.rp_total_points);
+      ("points_ok", int rp.rp_total_ok);
+      ( "cpi_error",
+        Obj [ ("mean_signed", Num rp.rp_mean_signed); ("mape", Num rp.rp_mape) ]
+      );
+      ("workloads", Arr (List.map workload rp.rp_workloads));
+    ]
 
-(* JSON has no non-finite literals; faulted points are reported as fault
-   strings and never reach a numeric field, so finite is an invariant
-   here, checked cheaply. *)
-let num v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
-let write_json ?(gate = default_gate) oc rp =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mipp-accuracy-v1\",\n";
-  p "  \"gate_mape\": %s,\n" (num gate);
-  p "  \"pass\": %b,\n" (passes_gate rp ~gate);
-  p "  \"points_total\": %d,\n" rp.rp_total_points;
-  p "  \"points_ok\": %d,\n" rp.rp_total_ok;
-  p "  \"cpi_error\": { \"mean_signed\": %s, \"mape\": %s },\n"
-    (num rp.rp_mean_signed) (num rp.rp_mape);
-  p "  \"workloads\": [";
-  List.iteri
-    (fun wi wr ->
-      if wi > 0 then p ",";
-      p "\n    {\n";
-      p "      \"workload\": \"%s\",\n" (json_escape wr.wr_workload);
-      p "      \"points_total\": %d,\n" wr.wr_n_points;
-      p "      \"points_ok\": %d,\n" (List.length wr.wr_points);
-      p "      \"points_resumed\": %d,\n" wr.wr_resumed;
-      p
-        "      \"cpi_error\": { \"mean_signed\": %s, \"mape\": %s, \
-         \"max_abs\": %s },\n"
-        (num wr.wr_mean_signed) (num wr.wr_mape) (num wr.wr_max_abs);
-      p "      \"worst_component\": %s,\n"
-        (match wr.wr_worst with
-        | None -> "null"
-        | Some ce ->
-          Printf.sprintf "\"%s\"" (Cpi_stack.to_string ce.ce_component));
-      p "      \"components\": [";
-      List.iteri
-        (fun ci ce ->
-          if ci > 0 then p ",";
-          p
-            "\n        { \"component\": \"%s\", \"model_cpi\": %s, \
-             \"sim_cpi\": %s, \"signed\": %s, \"abs\": %s }"
-            (Cpi_stack.to_string ce.ce_component)
-            (num ce.ce_model_cpi) (num ce.ce_sim_cpi) (num ce.ce_signed)
-            (num ce.ce_abs))
-        wr.wr_components;
-      p "\n      ],\n";
-      let trend_json name rows =
-        p "      \"%s\": [" name;
-        List.iteri
-          (fun i (k, e) ->
-            if i > 0 then p ", ";
-            p "[%d, %s]" k (num e))
-          rows;
-        p "]"
-      in
-      trend_json "rob_trend" wr.wr_rob_trend;
-      p ",\n";
-      trend_json "l3_trend" wr.wr_l3_trend;
-      p ",\n";
-      p "      \"faults\": [";
-      List.iteri
-        (fun i (idx, ft) ->
-          if i > 0 then p ",";
-          p "\n        { \"index\": %d, \"fault\": \"%s\" }" idx
-            (json_escape (Fault.to_line ft)))
-        wr.wr_faults;
-      p "%s],\n" (if wr.wr_faults = [] then "" else "\n      ");
-      p "      \"points\": [";
-      List.iteri
-        (fun i pt ->
-          if i > 0 then p ",";
-          p
-            "\n        { \"index\": %d, \"uarch\": \"%s\", \"model_cpi\": \
-             %s, \"sim_cpi\": %s, \"signed_error\": %s }"
-            pt.vp_index
-            (json_escape pt.vp_uarch.Uarch.name)
-            (num pt.vp_model_cpi) (num pt.vp_sim_cpi)
-            (num (signed_error pt)))
-        wr.wr_points;
-      p "\n      ]\n    }")
-    rp.rp_workloads;
-  p "\n  ]\n}\n"
-
-let save_json ?gate path rp =
+let save_json ?(gate = default_gate) path rp =
   Fault.protect ~context:("accuracy report " ^ path) (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> write_json ?gate oc rp))
+      write_file path (Minijson.print (report_json ~gate rp)))
 
 let print_workload_report oc wr =
   let p fmt = Printf.fprintf oc fmt in
@@ -511,46 +486,27 @@ let matrix_of_report rp =
         wr.wr_points)
     rp.rp_workloads
 
-let hexf v = Printf.sprintf "\"%h\"" v
-
-let matrix_to_buffer buf rows =
-  let p fmt = Printf.bprintf buf fmt in
-  p "{\n  \"schema\": \"mipp-matrix-v1\",\n  \"rows\": [";
-  List.iteri
-    (fun i row ->
-      if i > 0 then p ",";
-      let pt = row.mr_point in
-      p "\n    { \"workload\": \"%s\", \"index\": %d, \"uarch\": \"%s\",\n"
-        (json_escape row.mr_workload)
-        pt.vp_index
-        (json_escape pt.vp_uarch.Uarch.name);
-      p "      \"stats\": {";
-      List.iteri
-        (fun j (name, v) ->
-          if j > 0 then p ", ";
-          p "\"%s\": %s" (json_escape name) (hexf v))
-        row.mr_stats;
-      p "},\n";
-      let stack name s =
-        p "      \"%s\": [" name;
-        List.iteri
-          (fun j (_, v) ->
-            if j > 0 then p ", ";
-            p "%s" (hexf v))
-          (Cpi_stack.to_alist s);
-        p "]"
-      in
-      stack "model_stack" pt.vp_model_stack;
-      p ",\n      \"model_cpi\": %s,\n" (hexf pt.vp_model_cpi);
-      stack "sim_stack" pt.vp_sim_stack;
-      p ",\n      \"sim_cpi\": %s }" (hexf pt.vp_sim_cpi))
-    rows;
-  p "\n  ]\n}\n"
+(* Hex floats are JSON strings, so the round trip is bit-exact. *)
+let hexf v = Minijson.Str (Printf.sprintf "%h" v)
 
 let matrix_to_json rows =
-  let buf = Buffer.create 4096 in
-  matrix_to_buffer buf rows;
-  Buffer.contents buf
+  let open Minijson in
+  let row { mr_workload; mr_stats; mr_point = pt } =
+    let stack s = Arr (List.map (fun (_, v) -> hexf v) (Cpi_stack.to_alist s)) in
+    Obj
+      [
+        ("workload", Str mr_workload);
+        ("index", int pt.vp_index);
+        ("uarch", Str pt.vp_uarch.Uarch.name);
+        ("stats", Obj (List.map (fun (name, v) -> (name, hexf v)) mr_stats));
+        ("model_stack", stack pt.vp_model_stack);
+        ("model_cpi", hexf pt.vp_model_cpi);
+        ("sim_stack", stack pt.vp_sim_stack);
+        ("sim_cpi", hexf pt.vp_sim_cpi);
+      ]
+  in
+  print
+    (Obj [ ("schema", Str "mipp-matrix-v1"); ("rows", Arr (List.map row rows)) ])
 
 let matrix_context = "training matrix"
 
@@ -637,18 +593,12 @@ let matrix_of_json text =
 
 let save_matrix path rows =
   Fault.protect ~context:(matrix_context ^ " " ^ path) (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (matrix_to_json rows)))
+      write_file path (matrix_to_json rows))
 
 let load_matrix path =
   match
     Fault.protect ~context:(matrix_context ^ " " ^ path) (fun () ->
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic)))
+        In_channel.with_open_bin path In_channel.input_all)
   with
   | Error _ as e -> e
   | Ok text -> matrix_of_json text

@@ -167,13 +167,11 @@ val run_workload :
 val passes_gate : report -> gate:float -> bool
 (** [rp_mape <= gate], and at least one point succeeded. *)
 
-val write_json : ?gate:float -> out_channel -> report -> unit
-(** The machine-readable accuracy report (the [BENCH_accuracy.json]
-    schema): aggregate MAPE, per-workload CPI-error summaries,
-    per-component signed/absolute error tables, trends, and per-point
-    rows. *)
-
 val save_json : ?gate:float -> string -> report -> (unit, Fault.t) result
+(** Write the machine-readable accuracy report (the [BENCH_accuracy.json]
+    schema, ["mipp-accuracy-v1"]): aggregate MAPE, per-workload CPI-error
+    summaries, per-component signed/absolute error tables, trends, and
+    per-point rows. *)
 
 val print_workload_report : out_channel -> workload_report -> unit
 (** Human-readable per-workload table (components, errors, trends). *)

@@ -511,6 +511,97 @@ let prop_parallel_map_equals_list_map =
       Parallel.map ~jobs (fun x -> (x * x) - (3 * x)) xs
       = List.map (fun x -> (x * x) - (3 * x)) xs)
 
+(* ---- Minijson ---- *)
+
+(* Bytes the printer must escape (quote, backslash, control bytes) mixed
+   with plain ASCII and non-ASCII bytes. *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size (int_bound 8)
+      ~gen:
+        (oneof
+           [
+             oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '/'; '\127' ];
+             printable;
+             map Char.chr (int_range 0x80 0xff);
+           ]))
+
+(* Negative and positive; integral (exact below 2^53, rounded above) and
+   fractional, from tiny to huge magnitudes. *)
+let gen_json_float =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map2 ldexp (float_range (-1.0) 1.0) (int_range (-60) 80);
+        map2 (fun m e -> Float.round (ldexp m e)) (float_range (-1.0) 1.0)
+          (int_range 0 70);
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Minijson.Null;
+                 map (fun b -> Minijson.Bool b) bool;
+                 map (fun f -> Minijson.Num f) gen_json_float;
+                 map (fun s -> Minijson.Str s) gen_json_string;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             let child = self (n / 3) in
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Minijson.Arr l) (list_size (int_bound 4) child));
+                 ( 1,
+                   map
+                     (fun l -> Minijson.Obj l)
+                     (list_size (int_bound 4) (pair gen_json_string child)) );
+               ]))
+
+(* Equality with numbers compared through the printer's %.9g rounding. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Minijson.Num x, Minijson.Num y ->
+    Printf.sprintf "%.9g" x = Printf.sprintf "%.9g" y
+  | Arr xs, Arr ys ->
+    List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | Obj xs, Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+let prop_json_print_parse =
+  QCheck.Test.make ~name:"Minijson.parse (print v) = v" ~count:500
+    (QCheck.make ~print:Minijson.print gen_json)
+    (fun v ->
+      match Minijson.parse ~context:"test" (Minijson.print v) with
+      | Ok w -> json_equal v w
+      | Error ft -> QCheck.Test.fail_reportf "%s" (Fault.to_string ft))
+
+let test_json_layout () =
+  Alcotest.(check string) "non-finite numbers print as null"
+    "[\n  null,\n  null,\n  null\n]\n"
+    (Minijson.print (Arr [ Num nan; Num infinity; Num neg_infinity ]));
+  Alcotest.(check string) "indent, member order, numbers"
+    "{\n  \"b\": [],\n  \"a\": {\n    \"n\": 81,\n    \"x\": 0.12,\n    \
+     \"big\": 1e+300,\n    \"e\": {}\n  },\n  \"s\": \"q\\\"\\u0001\"\n}\n"
+    (Minijson.print
+       (Obj
+          [
+            ("b", Arr []);
+            ( "a",
+              Obj
+                [ ("n", Num 81.0); ("x", Num 0.12); ("big", Num 1e300); ("e", Obj []) ]
+            );
+            ("s", Str "q\"\001");
+          ]))
+
 let () =
   Alcotest.run "util"
     [
@@ -595,5 +686,10 @@ let () =
           Alcotest.test_case "exception propagation" `Quick
             test_parallel_map_propagates_exception;
           QCheck_alcotest.to_alcotest prop_parallel_map_equals_list_map;
+        ] );
+      ( "minijson",
+        [
+          Alcotest.test_case "layout" `Quick test_json_layout;
+          QCheck_alcotest.to_alcotest prop_json_print_parse;
         ] );
     ]

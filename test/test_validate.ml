@@ -412,25 +412,46 @@ let test_gate_and_summary () =
     (Validate.passes_gate empty ~gate:1.0)
 
 let test_json_report () =
-  let report = Validate.summarize [] in
+  let wr = run_quick () in
+  let report = Validate.summarize [ wr ] in
   let path = Filename.temp_file "mipp_validate" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Result.get_ok (Validate.save_json path report);
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      Alcotest.(check bool) "object braces" true
-        (String.length s > 2 && s.[0] = '{' && String.ends_with ~suffix:"}\n" s);
-      let contains ~needle hay =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
+      let json =
+        match
+          Minijson.parse ~context:path
+            (In_channel.with_open_bin path In_channel.input_all)
+        with
+        | Ok json -> json
+        | Error ft -> Alcotest.failf "report does not parse: %s" (Fault.to_string ft)
       in
-      Alcotest.(check bool) "schema tagged" true
-        (contains ~needle:"mipp-accuracy-v1" s))
+      let field path =
+        List.fold_left
+          (fun v key -> Option.bind v (Minijson.member key))
+          (Some json) path
+      in
+      Alcotest.(check (option string)) "schema" (Some "mipp-accuracy-v1")
+        (Option.bind (field [ "schema" ]) Minijson.to_string);
+      Alcotest.(check bool) "pass" true
+        (field [ "pass" ]
+        = Some
+            (Minijson.Bool
+               (Validate.passes_gate report ~gate:Validate.default_gate)));
+      Alcotest.(check (option (float 1e-8))) "cpi_error.mape"
+        (Some report.Validate.rp_mape)
+        (Option.bind (field [ "cpi_error"; "mape" ]) Minijson.to_float);
+      match Option.bind (field [ "workloads" ]) Minijson.to_list with
+      | Some [ w ] ->
+        Alcotest.(check (option string)) "workload name"
+          (Some wr.Validate.wr_workload)
+          (Option.bind (Minijson.member "workload" w) Minijson.to_string);
+        Alcotest.(check (option int)) "workload points"
+          (Some (List.length wr.wr_points))
+          (Option.bind (Minijson.member "points" w) Minijson.to_list
+          |> Option.map List.length)
+      | _ -> Alcotest.fail "workloads: expected one entry")
 
 let () =
   Alcotest.run "validate"
