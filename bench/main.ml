@@ -1281,28 +1281,40 @@ let dse_sweep () =
     (r, Unix.gettimeofday () -. t0)
   in
   (* Seed behavior: every predict call rebuilt the survival structures
-     from the reuse histograms.  Reproduced by dropping the memo before
-     each evaluation. *)
-  let (_ : unit), rebuild_s =
-    time (fun () ->
-        List.iter
-          (fun u ->
-            Profile.clear_stack_memo ();
-            ignore (Interval_model.predict ~options u profile))
-          configs)
+     from the reuse histograms.  Reproduced by predicting each config on
+     its own fresh, unprepared copy of the profile, decoded outside the
+     timer. *)
+  let bytes = Profile_io.to_binary_string profile in
+  let fresh_copy () =
+    match Profile_io.of_string bytes with
+    | Ok p -> p
+    | Error ft -> failwith (Fault.to_string ft)
   in
-  Profile.clear_stack_memo ();
+  let rebuild_s =
+    List.fold_left
+      (fun acc u ->
+        let copy = fresh_copy () in
+        acc +. snd (time (fun () -> Interval_model.predict ~options u copy)))
+      0.0 configs
+  in
   let c0 = Statstack.construction_count () in
   let seq, seq_s = time (fun () -> Sweep.model_sweep ~options ~jobs:1 ~profile configs) in
   let built_seq = Statstack.construction_count () - c0 in
-  Profile.clear_stack_memo ();
   (* Clamp to the cores actually available.  On a single-core box the
      "parallel" run degenerates to the memoized baseline under another
      name, so timing it and reporting a "parallel speedup" would be
-     noise dressed up as a result — skip the run and report null. *)
+     noise dressed up as a result — skip the run and report null.  The
+     parallel run starts from a fresh copy too, as cold as the
+     sequential one. *)
   let jobs_requested = 4 in
   let jobs = Harness.effective_jobs jobs_requested in
-  let par = if jobs > 1 then Some (time (fun () -> Sweep.model_sweep ~options ~jobs ~profile configs)) else None in
+  let par =
+    if jobs > 1 then begin
+      let copy = fresh_copy () in
+      Some (time (fun () -> Sweep.model_sweep ~options ~jobs ~profile:copy configs))
+    end
+    else None
+  in
   let identical =
     match par with
     | Some (par, _) -> List.for_all2 (fun a b -> compare a b = 0) seq par
@@ -1890,14 +1902,26 @@ let sweep_faults () =
    and bit-exact application across job counts. *)
 let calibrate_bench () =
   Table.section "Grey-box calibration (residual learner over the CPI stack)";
+  (* [workloads/] from the current directory or the executable's (dune
+     puts it three levels below the repository root), and their
+     parents. *)
+  let candidates =
+    let relative =
+      [ "workloads"; "../workloads"; "../../workloads"; "../../../workloads" ]
+    in
+    relative @ List.map (Filename.concat (Filename.dirname Sys.executable_name)) relative
+  in
   let workload_dir =
     match
       List.find_opt
         (fun d -> Sys.file_exists (Filename.concat d "streaming_fp.workload"))
-        [ "workloads"; "../workloads"; "../../workloads" ]
+        candidates
     with
     | Some d -> d
-    | None -> failwith "calibrate: cannot locate the workloads/ directory"
+    | None ->
+      Printf.eprintf "bench: calibrate: cannot locate the workloads/ directory (looked in %s)\n"
+        (String.concat ", " candidates);
+      exit 2
   in
   let specs =
     List.map

@@ -94,18 +94,13 @@ let dram_wait_cpi p =
 
 let lines (lvl : Uarch.cache_level) = max 1 (lvl.size_bytes / lvl.line_bytes)
 
-(* Per-level data miss ratios from a (config-independent, memoized)
-   survival structure: only the capacity lookups depend on the config. *)
-let data_ratios (u : Uarch.t) ss =
-  ( Statstack.miss_ratio ss ~cache_lines:(lines u.caches.l1d),
-    Statstack.miss_ratio ss ~cache_lines:(lines u.caches.l2),
-    Statstack.miss_ratio ss ~cache_lines:(lines u.caches.l3) )
-
-let inst_miss_ratios (u : Uarch.t) (profile : Profile.t) =
-  let ss = Profile.inst_stack profile in
-  ( Statstack.miss_ratio ss ~cache_lines:(lines u.caches.l1i),
-    Statstack.miss_ratio ss ~cache_lines:(lines u.caches.l2),
-    Statstack.miss_ratio ss ~cache_lines:(lines u.caches.l3) )
+(* Per-level miss ratios from a config-independent survival structure:
+   only the capacity lookups, by per-level line counts, depend on the
+   config. *)
+let miss_ratios ss (l1, l2, l3) =
+  ( Statstack.miss_ratio ss ~cache_lines:l1,
+    Statstack.miss_ratio ss ~cache_lines:l2,
+    Statstack.miss_ratio ss ~cache_lines:l3 )
 
 (* Enforce miss-ratio monotonicity across levels (larger cache, fewer
    misses); StatStack guarantees it, overrides may not. *)
@@ -115,21 +110,27 @@ let monotone (m1, m2, m3) =
   let m3 = Float.min m2 (Float.max 0.0 m3) in
   (m1, m2, m3)
 
-(* ---- Per-domain memo tables for the sweep inner loop ----
+(* ---- The per-profile memo of config-dependent results ----
 
    A streaming sweep evaluates millions of design points against one
    profile, and most per-point work inside [evaluate_microtrace] is a pure
-   function of (micro-trace, a few config axes): the per-level miss ratios
-   depend only on the cache capacities, the dispatch-port schedule and
-   unit limits only on the micro-op mix and issue width, and the branch
-   resolution time only on (width, ROB, frontend depth, average latency,
-   interval length).  Memoize each per domain — no locks on the hot path —
-   keyed by the profile identity ([Histogram.id] of its instruction-reuse
-   histogram, process-unique per loaded profile) so distinct profiles
-   never alias.  Values are deterministic functions of immutable inputs,
-   so the tables never need invalidation; they are only consulted in
-   [`Separate] mode (the [`Combined] micro-trace is rebuilt per call and
-   has no stable identity).
+   function of (micro-trace, a few config fields): the per-level miss
+   ratios read only the cache capacities, the dispatch-port schedule and
+   unit limits only the micro-op mix and the port and unit layout, the
+   branch resolution time only (width, ROB, frontend depth, average
+   latency, interval length), and the stride MLP only the LLC size, the
+   ROB and the prefetcher's fields ([Mlp_model.stride] lists them).  Each
+   result is memoized in the profile it was computed from
+   ([Profile.model_memo]), keyed by the exact tuple of inputs its function
+   reads, so it is dropped with the profile and no two profiles alias.
+
+   Two tiers.  The back tier lives in the profile behind its own mutex;
+   the front tier is the calling domain's lock-free copy for the profile
+   it last evaluated.  A warm sweep answers from the front tier and takes
+   no lock; a fresh worker domain refills its front tier from the back
+   tier, so results outlive the short-lived domains of a parallel sweep.
+   Only [`Separate] mode consults the memo for per-micro-trace results:
+   the [`Combined] micro-trace is rebuilt per call.
 
    Bit-identity discipline: every cached quantity is either the verbatim
    result of the uncached computation, or is recombined with float
@@ -137,10 +138,8 @@ let monotone (m1, m2, m3) =
    [cached_average_latency], whose Load term is re-inserted into the fold
    of [Dispatch_model.average_latency] at the same position. *)
 
-module Hot_memo = struct
+module Memo = struct
   type disp = {
-    d_units : Uarch.functional_unit list;  (* physical-identity guard *)
-    d_n_ports : int;  (* guard for hand-built cores *)
     d_total : int;
     d_n : float;
     d_prefix : float;  (* latency fold up to (excluding) the Load term *)
@@ -150,26 +149,72 @@ module Hot_memo = struct
     d_units_raw : float;  (* unit-limit fold result; [infinity] if none *)
   }
 
-  type t = {
-    disp : (int * int * int, disp) Hashtbl.t;
-        (* (profile, mt, width) -> dispatch entry *)
-    ratios : (int * int * int * int * int, float * float * float) Hashtbl.t;
-        (* (profile, slot, l1, l2, l3 lines) -> per-level miss ratios;
-           slot = 2*mt for loads, 2*mt+1 for stores, -1 for the i-stream *)
-    branch : (int * int * int * int * int * int64 * int64, float) Hashtbl.t;
-        (* (profile, mt, width, rob, frontend,
-            bits avg_latency, bits between) -> Branch_model.penalty *)
+  type tables = {
+    ratios : (int * int * int * int, float * float * float) Hashtbl.t;
+        (* (slot, l1, l2, l3 lines) -> per-level miss ratios; slot = 2*mt
+           for loads, 2*mt+1 for stores, -1 for the i-stream *)
+    disp : (int * int * Uarch.functional_unit list, disp) Hashtbl.t;
+        (* (mt, ports, functional units) -> dispatch entry *)
+    branch : (int * int * int * int * int64 * int64, float) Hashtbl.t;
+        (* (mt, width, rob, frontend, bits avg_latency, bits between)
+           -> Branch_model.penalty *)
+    stride :
+      (int * int * int * (int * int * int * int) option, Mlp_model.result) Hashtbl.t;
+        (* (mt, llc lines, rob, prefetcher's (table entries, page bytes,
+           width, dram latency) when modelled) -> Mlp_model.stride *)
   }
 
-  let slot =
-    Domain.DLS.new_key (fun () ->
-        {
-          disp = Hashtbl.create 512;
-          ratios = Hashtbl.create 4096;
-          branch = Hashtbl.create 4096;
-        })
+  let tables () =
+    {
+      ratios = Hashtbl.create 64;
+      disp = Hashtbl.create 64;
+      branch = Hashtbl.create 64;
+      stride = Hashtbl.create 64;
+    }
 
-  let get () = Domain.DLS.get slot
+  type shared = { back : tables; lock : Mutex.t }
+
+  type Profile.model_memo += Shared of shared
+
+  type t = { shared : shared; front : tables }
+
+  let last : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+  (* The calling domain's view of [profile]'s memo.  Holding only the last
+     profile's front tier bounds what a long-lived domain keeps. *)
+  let get profile =
+    let shared =
+      match
+        Profile.model_memo profile (fun () ->
+            Shared { back = tables (); lock = Mutex.create () })
+      with
+      | Shared s -> s
+      | _ -> invalid_arg "Interval_model: foreign model memo"
+    in
+    let cell = Domain.DLS.get last in
+    match !cell with
+    | Some m when m.shared == shared -> m
+    | _ ->
+      let m = { shared; front = tables () } in
+      cell := Some m;
+      m
+
+  let find m table key compute =
+    let front = table m.front in
+    match Hashtbl.find_opt front key with
+    | Some v -> v
+    | None ->
+      let back = table m.shared.back in
+      let v =
+        match Mutex.protect m.shared.lock (fun () -> Hashtbl.find_opt back key) with
+        | Some v -> v
+        | None ->
+          let v = compute () in
+          Mutex.protect m.shared.lock (fun () -> Hashtbl.replace back key v);
+          v
+      in
+      Hashtbl.replace front key v;
+      v
 
   let build_disp (u : Uarch.t) ~(mix : Isa.Class_counts.t) =
     let core = u.core in
@@ -209,8 +254,6 @@ module Hot_memo = struct
         infinity core.functional_units
     in
     {
-      d_units = core.functional_units;
-      d_n_ports = core.n_ports;
       d_total = total;
       d_n = n;
       d_prefix = prefix;
@@ -249,36 +292,30 @@ type mt_eval = {
   ev_start : int;
 }
 
-let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
+(* [memo] is the profile's memo in [`Separate] mode, where [mt] is one of
+   the profile's own (immutable, indexed) micro-traces; [None] for the
+   rebuilt [`Combined] micro-trace. *)
+let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t) ~memo
     ~inst_ratios ~cold_corr ~load_stack ~store_stack (mt : Profile.microtrace) =
   let core = u.core in
-  (* Per-domain memo tables; only meaningful in [`Separate] mode, where
-     [mt] is one of the profile's own (immutable, indexed) micro-traces. *)
-  let memo = match opts.combine with `Separate -> Some (Hot_memo.get ()) | `Combined -> None in
-  let pkey = Histogram.id profile.p_reuse_inst in
+  let memoized table key compute =
+    match memo with None -> compute () | Some m -> Memo.find m table key compute
+  in
   let n_uops = float_of_int mt.mt_uops in
   let n_instr = float_of_int mt.mt_instructions in
   let loads = float_of_int (Isa.Class_counts.get mt.mt_mix Isa.Load) in
   let stores = float_of_int (Isa.Class_counts.get mt.mt_mix Isa.Store) in
   let load_fraction = if n_uops = 0.0 then 0.0 else loads /. n_uops in
   (* ---- Cache miss ratios (per load / per store / per instruction) ----
-     The survival structures are config-independent (lazy: built at most
-     once per profile, skipped entirely under overrides); only the
-     capacity lookups below depend on [u] — and only through the per-level
-     line counts, so the ratios memoize per (micro-trace, capacities). *)
+     The survival structures are config-independent (built at most once
+     per profile; the rebuilt [`Combined] ones are lazy, so overrides
+     skip them); only the capacity lookups below depend on [u] — and only
+     through the per-level line counts, so the ratios memoize per
+     (micro-trace, capacities). *)
   let cached_ratios slot stack =
-    match memo with
-    | None -> data_ratios u (Lazy.force stack)
-    | Some m -> (
-      let key =
-        (pkey, slot, lines u.caches.l1d, lines u.caches.l2, lines u.caches.l3)
-      in
-      match Hashtbl.find_opt m.Hot_memo.ratios key with
-      | Some r -> r
-      | None ->
-        let r = data_ratios u (Lazy.force stack) in
-        Hashtbl.replace m.Hot_memo.ratios key r;
-        r)
+    let l1 = lines u.caches.l1d and l2 = lines u.caches.l2 and l3 = lines u.caches.l3 in
+    memoized (fun t -> t.Memo.ratios) (slot, l1, l2, l3) (fun () ->
+        miss_ratios (Lazy.force stack) (l1, l2, l3))
   in
   let m1, m2, m3 =
     monotone
@@ -310,41 +347,35 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
     else 0.0
   in
   (* [Dispatch_model.compute] with the mix-only parts memoized per
-     (micro-trace, width); the recombination mirrors [compute]'s guards
-     and float operations exactly, so limits are bit-identical. *)
+     (micro-trace, port and unit layout); the recombination mirrors
+     [compute]'s guards and float operations exactly, so limits are
+     bit-identical. *)
   let avg_latency, limits =
     match memo with
     | None ->
       ( Dispatch_model.average_latency u ~mix:mt.mt_mix ~load_latency,
         Dispatch_model.compute u ~mix:mt.mt_mix ~critical_path ~load_latency )
     | Some m ->
-      let key = (pkey, mt.mt_index, core.dispatch_width) in
       let d =
-        match Hashtbl.find_opt m.Hot_memo.disp key with
-        | Some d
-          when d.Hot_memo.d_units == core.functional_units
-               && d.Hot_memo.d_n_ports = core.n_ports ->
-          d
-        | _ ->
-          let d = Hot_memo.build_disp u ~mix:mt.mt_mix in
-          Hashtbl.replace m.Hot_memo.disp key d;
-          d
+        Memo.find m (fun t -> t.Memo.disp)
+          (mt.mt_index, core.n_ports, core.functional_units)
+          (fun () -> Memo.build_disp u ~mix:mt.mt_mix)
       in
       let lim_width = float_of_int core.dispatch_width in
-      let lat = Hot_memo.cached_average_latency d ~load_latency in
+      let lat = Memo.cached_average_latency d ~load_latency in
       let lim_dependences =
         if critical_path <= 0.0 then lim_width
         else float_of_int core.rob_size /. (lat *. critical_path)
       in
       let lim_ports =
-        if d.Hot_memo.d_n <= 0.0 then lim_width
-        else if d.Hot_memo.d_busiest <= 0.0 then lim_width
-        else d.Hot_memo.d_n /. d.Hot_memo.d_busiest
+        if d.d_n <= 0.0 then lim_width
+        else if d.d_busiest <= 0.0 then lim_width
+        else d.d_n /. d.d_busiest
       in
       let lim_units =
-        if d.Hot_memo.d_n <= 0.0 then lim_width
-        else if d.Hot_memo.d_units_raw = infinity then lim_width
-        else d.Hot_memo.d_units_raw
+        if d.d_n <= 0.0 then lim_width
+        else if d.d_units_raw = infinity then lim_width
+        else d.d_units_raw
       in
       (lat, { Dispatch_model.lim_width; lim_dependences; lim_ports; lim_units })
   in
@@ -386,27 +417,14 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
       (* The leaky-bucket resolution time is an iterative fixed point —
          by far the most expensive pure function here — and depends only
          on (micro-trace, width, ROB, frontend depth, avg latency,
-         interval length); memoize the exact float result per domain. *)
+         interval length); memoize the exact float result. *)
       let base_penalty =
-        match memo with
-        | None ->
-          Branch_model.penalty ~chains:mt.mt_chains ~avg_latency ~core
-            ~uops_between_mispredicts:between
-        | Some m -> (
-          let key =
-            ( pkey, mt.mt_index, core.dispatch_width, core.rob_size,
-              core.frontend_depth, Int64.bits_of_float avg_latency,
-              Int64.bits_of_float between )
-          in
-          match Hashtbl.find_opt m.Hot_memo.branch key with
-          | Some p -> p
-          | None ->
-            let p =
-              Branch_model.penalty ~chains:mt.mt_chains ~avg_latency ~core
-                ~uops_between_mispredicts:between
-            in
-            Hashtbl.replace m.Hot_memo.branch key p;
-            p)
+        memoized (fun t -> t.Memo.branch)
+          ( mt.mt_index, core.dispatch_width, core.rob_size, core.frontend_depth,
+            Int64.bits_of_float avg_latency, Int64.bits_of_float between )
+          (fun () ->
+            Branch_model.penalty ~chains:mt.mt_chains ~avg_latency ~core
+              ~uops_between_mispredicts:between)
       in
       mispredicts *. (base_penalty +. memory_resolution)
     end
@@ -430,11 +448,26 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
         Mlp_model.cold_miss ~mt ~cold_scale:cold_corr ~rob_size:core.rob_size
           ~llc_load_miss_rate:m3 ~load_fraction
       | `Stride ->
-        Mlp_model.stride ~mt ~uarch:u ~llc_lines:(lines c.l3)
-          ~llc_load_miss_rate:m3
-          ~model_prefetch:
-            (opts.model_prefetch && u.prefetcher.pf_enabled
-            && u.prefetcher.pf_kind = Uarch.Pf_stride)
+        let model_prefetch =
+          opts.model_prefetch && u.prefetcher.pf_enabled
+          && u.prefetcher.pf_kind = Uarch.Pf_stride
+        in
+        let stride () =
+          Mlp_model.stride ~mt ~uarch:u ~llc_lines:(lines c.l3)
+            ~llc_load_miss_rate:m3 ~model_prefetch
+        in
+        (* [stride] reads the miss rate only to answer [no_mlp] when it is
+           not positive, so only that case skips the memo. *)
+        if loads > 0.0 && m3 > 0.0 then
+          memoized (fun t -> t.Memo.stride)
+            ( mt.mt_index, lines c.l3, core.rob_size,
+              if model_prefetch then
+                Some
+                  ( u.prefetcher.pf_table_entries, u.memory.dram_page_bytes,
+                    core.dispatch_width, u.memory.dram_latency )
+              else None )
+            stride
+        else stride ()
   in
   (* A measured (overridden) MLP is already *effective*: the simulator's
      MSHR pressure and bus serialization stretched the intervals it was
@@ -611,46 +644,36 @@ let combined_microtrace (profile : Profile.t) : Profile.microtrace =
   }
 
 let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
+  let memo = Memo.get profile in
+  (* The i-stream stack is the profile's own in both modes, so its ratios
+     always memoize; slot -1 keeps them apart from every micro-trace. *)
   let inst_ratios =
-    (* Same per-(capacities) memoization as the data ratios; slot -1 keeps
-       the i-stream distinct from every micro-trace slot. *)
-    let m = Hot_memo.get () in
-    let key =
-      ( Histogram.id profile.p_reuse_inst, -1,
-        lines u.caches.l1i, lines u.caches.l2, lines u.caches.l3 )
-    in
-    match Hashtbl.find_opt m.Hot_memo.ratios key with
-    | Some r -> r
-    | None ->
-      let r = inst_miss_ratios u profile in
-      Hashtbl.replace m.Hot_memo.ratios key r;
-      r
+    let l1 = lines u.caches.l1i and l2 = lines u.caches.l2 and l3 = lines u.caches.l3 in
+    Memo.find memo (fun t -> t.Memo.ratios) (-1, l1, l2, l3) (fun () ->
+        miss_ratios (Profile.stacks profile).inst_stack (l1, l2, l3))
   in
   let cold_corr = Profile.cold_correction profile in
   let evals =
     match options.combine with
     | `Separate ->
-      (* Memoized per-profile stacks, resolved once per domain into a
-         mutex-free [Profile.hot] view: a sweep over N configs builds each
-         survival structure once and pays no lock after that.  The lazies
-         keep overrides from touching the stacks at all. *)
-      let hot = lazy (Profile.hot profile) in
+      (* The profile's own stacks, built once with its i-stream stack. *)
+      let stacks = Profile.stacks profile in
       Array.map
         (fun (mt : Profile.microtrace) ->
-          evaluate_microtrace options u profile ~inst_ratios ~cold_corr
-            ~load_stack:(lazy (Lazy.force hot).Profile.hot_load.(mt.mt_index))
-            ~store_stack:(lazy (Lazy.force hot).Profile.hot_store.(mt.mt_index))
+          evaluate_microtrace options u profile ~memo:(Some memo) ~inst_ratios
+            ~cold_corr
+            ~load_stack:(Lazy.from_val stacks.load_stacks.(mt.mt_index))
+            ~store_stack:(Lazy.from_val stacks.store_stacks.(mt.mt_index))
             mt)
         profile.p_microtraces
     | `Combined ->
       (* The merged micro-trace (and its histograms) is rebuilt per call,
-         so its stacks cannot be memoized by histogram identity — build
-         them directly. *)
+         so its stacks belong to no profile — build them directly. *)
       let mt = combined_microtrace profile in
       let load_cold = Profile.load_cold_fraction profile mt in
       let store_cold = Profile.store_cold_fraction profile mt in
       [|
-        evaluate_microtrace options u profile ~inst_ratios ~cold_corr
+        evaluate_microtrace options u profile ~memo:None ~inst_ratios ~cold_corr
           ~load_stack:
             (lazy
               (Statstack.of_reuse_histogram ~cold_fraction:load_cold

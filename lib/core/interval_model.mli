@@ -90,6 +90,10 @@ val cpi_stack : prediction -> Cpi_stack.t
 val dram_wait_cpi : prediction -> float
 
 val predict : ?options:options -> Uarch.t -> Profile.t -> prediction
+(** Safe to call from several domains on one profile once it is
+    {!Profile.prepare}d.  Config-dependent partial results are memoized in
+    the profile ({!Profile.model_memo}), so the result never depends on
+    what was predicted before. *)
 
 val timing_key : Uarch.t -> Uarch.t
 (** The part of a config {!predict} depends on: the config with [name]

@@ -71,36 +71,21 @@ type vload = {
 }
 
 (* Deterministic replay of a histogram: keys repeated by count, cycled.
-   The entry arrays are memoized by histogram id: sweeps replay the same
-   frozen distributions once per design point.  Mutex-protected: sweeps
-   evaluate design points on parallel domains. *)
-let replay_memo : (int, (int * int) array) Hashtbl.t = Hashtbl.create 4096
-let replay_memo_mutex = Mutex.create ()
-
+   Walks the histogram's own cached sorted view ([Profile.prepare] builds
+   it for the spacing histograms), so a replay allocates nothing per
+   design point. *)
 let histogram_replayer h =
-  let entries =
-    match
-      Mutex.protect replay_memo_mutex (fun () ->
-          Hashtbl.find_opt replay_memo (Histogram.id h))
-    with
-    | Some e -> e
-    | None ->
-      let e = Array.of_list (Histogram.to_sorted_list h) in
-      Mutex.protect replay_memo_mutex (fun () ->
-          Hashtbl.replace replay_memo (Histogram.id h) e);
-      e
-  in
-  if Array.length entries = 0 then fun () -> 0
-  else begin
-    let idx = ref 0 and left = ref (snd entries.(0)) in
+  match Histogram.to_sorted_list h with
+  | [] -> fun () -> 0
+  | (_, count) :: _ as entries ->
+    let cursor = ref entries and left = ref count in
     fun () ->
       if !left = 0 then begin
-        idx := (!idx + 1) mod Array.length entries;
-        left := snd entries.(!idx)
+        cursor := (match List.tl !cursor with [] -> entries | rest -> rest);
+        left := snd (List.hd !cursor)
       end;
       decr left;
-      fst entries.(!idx)
-  end
+      fst (List.hd !cursor)
 
 let build_stream ~(mt : Profile.microtrace) ~llc_lines rng =
   let statics = Array.of_list mt.mt_static_loads in
@@ -291,25 +276,7 @@ let windowed_mlp ~rob_size ~total_uops (stream : vload array) =
     else Float.max 1.0 (!sum_mlp /. float_of_int !windows_with_miss)
   end
 
-(* The stride model depends on the configuration only through the LLC
-   size, ROB size and (when prefetching) the prefetcher/memory/width
-   parameters; a design-space sweep re-evaluates each micro-trace for a
-   handful of such combinations, so memoize.  The micro-trace is
-   identified by its (immutable, process-unique) reuse-histogram id. *)
-let stride_memo : (int * int * int * int * int * int, result) Hashtbl.t =
-  Hashtbl.create 4096
-
-(* The shared table is consulted from parallel domains, so guard it like
-   [replay_memo]; each domain additionally keeps a mutex-free front cache
-   (results are deterministic, so duplicated computation across domains is
-   harmless and the shared table keeps it rare). *)
-let stride_memo_mutex = Mutex.create ()
-
-let stride_local :
-    (int * int * int * int * int * int, result) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let stride_uncached ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_lines
+let stride ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_lines
     ~llc_load_miss_rate ~model_prefetch =
   let loads = Isa.Class_counts.get mt.mt_mix Isa.Load in
   if loads = 0 || llc_load_miss_rate <= 0.0 then no_mlp
@@ -344,40 +311,6 @@ let stride_uncached ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_lines
         (if !residual = 0 then 1.0 else !partial_sum /. float_of_int !residual);
     }
   end
-
-let stride ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_lines
-    ~llc_load_miss_rate ~model_prefetch =
-  let key =
-    ( Histogram.id mt.mt_reuse_load,
-      llc_lines,
-      uarch.core.rob_size,
-      int_of_float (llc_load_miss_rate *. 1e6),
-      (if model_prefetch && uarch.prefetcher.pf_enabled then 1 else 0),
-      (if model_prefetch && uarch.prefetcher.pf_enabled then
-         (uarch.prefetcher.pf_table_entries * 1_000_000)
-         + (uarch.core.dispatch_width * 100_000) + uarch.memory.dram_latency
-       else 0) )
-  in
-  let local = Domain.DLS.get stride_local in
-  match Hashtbl.find_opt local key with
-  | Some r -> r
-  | None ->
-    let r =
-      match
-        Mutex.protect stride_memo_mutex (fun () ->
-            Hashtbl.find_opt stride_memo key)
-      with
-      | Some r -> r
-      | None ->
-        let r =
-          stride_uncached ~mt ~uarch ~llc_lines ~llc_load_miss_rate ~model_prefetch
-        in
-        Mutex.protect stride_memo_mutex (fun () ->
-            Hashtbl.replace stride_memo key r);
-        r
-    in
-    Hashtbl.replace local key r;
-    r
 
 let mshr_cap ~mlp ~mshr_entries ~dram_latency =
   let m = float_of_int mshr_entries in

@@ -47,7 +47,14 @@ val stride :
     stride category; dependences between loads from the inter-load
     dependence distribution; the prefetcher model walks the same stream
     with a bounded table, page limits and the Eq 4.13 timeliness rule
-    when [model_prefetch] holds and the configuration enables it. *)
+    when [model_prefetch] holds and the configuration enables it.
+
+    Reads [uarch] only through [core.rob_size] and, when [model_prefetch]
+    holds, [prefetcher.pf_enabled], [prefetcher.pf_table_entries],
+    [memory.dram_page_bytes], [core.dispatch_width] and
+    [memory.dram_latency]; of [llc_load_miss_rate] only whether it is
+    positive.  Not memoized here: [Interval_model] keeps the results in
+    the profile, keyed by exactly these inputs. *)
 
 val histogram_replayer : Histogram.t -> unit -> int
 (** Deterministic cyclic replay of a histogram's keys, each repeated by

@@ -324,13 +324,12 @@ let model_sweep_result ?(options = Interval_model.default_options) ?jobs
   match Profile.validate profile with
   | Error ft -> Error ft
   | Ok () ->
-    (* Build every config-independent StatStack structure once, before
-       the fan-out: the worker domains then only read the memo tables,
-       and the per-static-load lazies are already forced (a racing first
-       force would raise [Lazy.Undefined]). *)
-    (match options.combine with
-    | `Separate -> Profile.prepare profile
-    | `Combined -> ());
+    (* Build every config-independent structure of the profile once,
+       before the fan-out: the worker domains then only read them, and
+       the per-static-load lazies, which [`Combined] mode reads too, are
+       already forced (a racing first force would raise
+       [Lazy.Undefined]). *)
+    Profile.prepare profile;
     sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
       ~workload:
         (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
@@ -606,9 +605,7 @@ let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
   match Profile.validate profile with
   | Error ft -> Error ft
   | Ok () ->
-    (match options.combine with
-    | `Separate -> Profile.prepare profile
-    | `Combined -> ());
+    Profile.prepare profile;
     run_stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
       ~workload:
         (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->

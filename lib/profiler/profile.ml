@@ -67,6 +67,24 @@ type microtrace = {
   mt_branches : int;
 }
 
+type stacks = {
+  inst_stack : Statstack.t;
+  load_stacks : Statstack.t array;
+  store_stacks : Statstack.t array;
+}
+
+type model_memo = ..
+
+(* Each cell is written once, under [lock]; readers take no lock. *)
+type derived = {
+  lock : Mutex.t;
+  stacks : stacks option Atomic.t;
+  memo : model_memo option Atomic.t;
+}
+
+let fresh_derived () =
+  { lock = Mutex.create (); stacks = Atomic.make None; memo = Atomic.make None }
+
 type t = {
   p_workload : string;
   p_window_instructions : int;
@@ -82,6 +100,7 @@ type t = {
   p_inst_samples : int;
   p_data_accesses : int;
   p_data_cold : int;
+  p_derived : derived;
 }
 
 let total_mix t =
@@ -265,40 +284,13 @@ let validate t =
   | Some message ->
     Error (Fault.bad_input ~context:("profile " ^ t.p_workload) message)
 
-(* ---- Memoized StatStack structures (the analysis-phase hot path) ----
+(* ---- Derived model state ----
 
    Reuse histograms are frozen once profiling ends and are independent of
-   the micro-architecture, so the survival structure StatStack derives
-   from them is a per-profile artifact: a design-space sweep over N
-   configs must build it once, not N times.  Memoize by histogram
-   identity ([Histogram.id]) plus the cold fraction baked into the
-   structure — the same scheme [static_load.sl_stack] already uses per
-   static load, lifted to the per-microtrace and per-profile histograms.
-
-   The table is mutex-protected: [Sweep.model_sweep] evaluates design
-   points on parallel domains.  Sweeps also pre-build every entry
-   ([prepare]) before fanning out, so workers normally only read. *)
-
-let stack_memo : (int * int64, Statstack.t) Hashtbl.t = Hashtbl.create 256
-let stack_memo_mutex = Mutex.create ()
-
-let memo_stack ?(cold_fraction = 0.0) h =
-  let key = (Histogram.id h, Int64.bits_of_float cold_fraction) in
-  Mutex.protect stack_memo_mutex (fun () ->
-      match Hashtbl.find_opt stack_memo key with
-      | Some ss -> ss
-      | None ->
-        let ss = Statstack.of_reuse_histogram ~cold_fraction h in
-        Hashtbl.add stack_memo key ss;
-        ss)
-
-(* Bumped on [clear_stack_memo] so per-domain hot caches (below) notice
-   that their resolved references went stale. *)
-let memo_generation = Atomic.make 0
-
-let clear_stack_memo () =
-  Atomic.incr memo_generation;
-  Mutex.protect stack_memo_mutex (fun () -> Hashtbl.reset stack_memo)
+   the micro-architecture, so the survival structures StatStack derives
+   from them are per-profile artifacts: a design-space sweep over N
+   configs must build them once, not N times.  The profile keeps them,
+   like the per-static-load [sl_stack] lazies, so they go away with it. *)
 
 (* Sampled cold counts rescaled to the true whole-stream rate; the
    fraction feeds the StatStack structure and is config-independent. *)
@@ -315,76 +307,48 @@ let store_cold_fraction t (mt : microtrace) =
   if reused +. cold_stores <= 0.0 then 0.0
   else cold_stores /. (reused +. cold_stores)
 
-let load_stack t mt =
-  memo_stack ~cold_fraction:(load_cold_fraction t mt) mt.mt_reuse_load
-
-let store_stack t mt =
-  memo_stack ~cold_fraction:(store_cold_fraction t mt) mt.mt_reuse_store
-
-let inst_stack t =
-  memo_stack ~cold_fraction:t.p_inst_cold_fraction t.p_reuse_inst
-
-(* ---- Per-domain resolved-stack cache (the sweep inner loop) ----
-
-   [memo_stack] answers in O(1) but takes a mutex per lookup, and a
-   single design-point evaluation performs dozens of lookups.  A
-   streaming sweep evaluates millions of points against ONE profile, so
-   each worker domain resolves every stack reference once into a plain
-   record and reuses it mutex-free.  Keyed by the identity of the
-   profile's instruction-reuse histogram ([Histogram.id] is unique per
-   histogram instance, hence per loaded profile) and invalidated by
-   [clear_stack_memo]'s generation bump, which empties the whole table:
-   every entry of an older generation is stale, and keeping them would
-   pin each evicted profile's structures on a long-lived worker domain.
-   Entries go through [memo_stack], so [Statstack.construction_count]
-   still counts each structure once. *)
-
-type hot = {
-  hot_inst : Statstack.t;
-  hot_load : Statstack.t array;  (* indexed by mt_index *)
-  hot_store : Statstack.t array;
-}
-
-type hot_table = {
-  mutable ht_generation : int;
-  ht_entries : (int, hot) Hashtbl.t;
-}
-
-let hot_slot : hot_table Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { ht_generation = Atomic.get memo_generation; ht_entries = Hashtbl.create 4 })
-
-let hot t =
-  let ht = Domain.DLS.get hot_slot in
-  let generation = Atomic.get memo_generation in
-  if ht.ht_generation <> generation then begin
-    Hashtbl.reset ht.ht_entries;
-    ht.ht_generation <- generation
-  end;
-  let key = Histogram.id t.p_reuse_inst in
-  match Hashtbl.find_opt ht.ht_entries key with
-  | Some h -> h
+(* The value of a write-once cell, built by the first caller; a racing
+   caller waits on the lock instead of building a second copy. *)
+let once t cell build =
+  match Atomic.get cell with
+  | Some v -> v
   | None ->
-    let h =
+    Mutex.protect t.p_derived.lock (fun () ->
+        match Atomic.get cell with
+        | Some v -> v
+        | None ->
+          let v = build () in
+          Atomic.set cell (Some v);
+          v)
+
+let stacks t =
+  once t t.p_derived.stacks (fun () ->
+      let stack cold_fraction h = Statstack.of_reuse_histogram ~cold_fraction h in
       {
-        hot_inst = inst_stack t;
-        hot_load = Array.map (load_stack t) t.p_microtraces;
-        hot_store = Array.map (store_stack t) t.p_microtraces;
-      }
-    in
-    Hashtbl.replace ht.ht_entries key h;
-    h
+        inst_stack = stack t.p_inst_cold_fraction t.p_reuse_inst;
+        load_stacks =
+          Array.map (fun mt -> stack (load_cold_fraction t mt) mt.mt_reuse_load)
+            t.p_microtraces;
+        store_stacks =
+          Array.map (fun mt -> stack (store_cold_fraction t mt) mt.mt_reuse_store)
+            t.p_microtraces;
+      })
+
+let model_memo t create = once t t.p_derived.memo create
 
 let prepare t =
-  ignore (inst_stack t : Statstack.t);
+  ignore (stacks t : stacks);
   Array.iter
     (fun mt ->
-      ignore (load_stack t mt : Statstack.t);
-      ignore (store_stack t mt : Statstack.t);
-      (* Force the per-static-load lazies too: a first [Lazy.force] racing
-         across domains raises [Lazy.Undefined]; forcing here makes later
-         parallel forces plain reads. *)
       List.iter
-        (fun sl -> ignore (Lazy.force sl.sl_stack : Statstack.t))
+        (fun sl ->
+          (* A first [Lazy.force] racing across domains raises
+             [Lazy.Undefined]; forcing here makes later parallel forces
+             plain reads.  The spacing histogram's sorted view is the
+             sequence the stride-MLP stream replays. *)
+          ignore (Lazy.force sl.sl_stack : Statstack.t);
+          ignore (Histogram.to_sorted_list sl.sl_spacing : (int * int) list))
         mt.mt_static_loads)
     t.p_microtraces
+
+let clear_stack_memo () = ()

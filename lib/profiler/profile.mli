@@ -5,7 +5,13 @@
     contiguous burst of instructions sampled once per window (Fig 5.1) —
     because contention and memory burstiness only show at small time
     scales; the model evaluates each micro-trace separately and combines
-    the predictions (§6.2, Fig 6.4). *)
+    the predictions (§6.2, Fig 6.4).
+
+    A profile also owns the model state derived from it: the StatStack
+    survival structures ([stacks], the per-static-load [sl_stack]s), built
+    once by [prepare], and the model layer's memo of config-dependent
+    results ([model_memo]).  Nothing of it is kept anywhere else, so it
+    goes away with the profile. *)
 
 type chain_stats = {
   rob_sizes : int array;  (** profiled ROB sizes, ascending *)
@@ -63,6 +69,14 @@ type microtrace = {
   mt_branches : int;  (** dynamic branch micro-ops *)
 }
 
+type derived
+(** The mutable home of a profile's derived model state (see [stacks] and
+    [model_memo]).  A copy made with [{ t with ... }] shares it, so only
+    copy a profile to change fields that state does not read. *)
+
+val fresh_derived : unit -> derived
+(** Empty derived state, for building a [t]. *)
+
 type t = {
   p_workload : string;
   p_window_instructions : int;
@@ -81,6 +95,7 @@ type t = {
   p_inst_samples : int;
   p_data_accesses : int;  (** whole-stream memory accesses (not sampled) *)
   p_data_cold : int;  (** whole-stream first-touch data lines *)
+  p_derived : derived;
 }
 
 val total_mix : t -> Isa.Class_counts.t
@@ -117,21 +132,13 @@ val validate : t -> (unit, Fault.t) result
     hand-edited profiles are rejected with a structured [Fault.Bad_input]
     instead of poisoning an evaluation. *)
 
-(** {2 Memoized StatStack structures}
+(** {2 Derived model state}
 
     Reuse histograms are micro-architecture independent and frozen after
     profiling, so the survival structures StatStack derives from them are
     per-profile artifacts: a design-space sweep over N configs builds each
-    one once, not N times.  Entries are memoized by histogram identity
-    ([Histogram.id]) and cold fraction, mirroring the per-static-load
-    [sl_stack] lazies; the table is mutex-protected for Domain-parallel
-    sweeps. *)
-
-val memo_stack : ?cold_fraction:float -> Histogram.t -> Statstack.t
-(** [memo_stack ~cold_fraction h] is
-    [Statstack.of_reuse_histogram ~cold_fraction h], built at most once
-    per (histogram, cold fraction): repeated calls return the physically
-    identical structure. *)
+    one once, not N times.  They are built on first use, or all at once by
+    [prepare], and kept in the profile. *)
 
 val load_cold_fraction : t -> microtrace -> float
 (** Whole-stream-corrected fraction of the micro-trace's load accesses
@@ -139,37 +146,35 @@ val load_cold_fraction : t -> microtrace -> float
 
 val store_cold_fraction : t -> microtrace -> float
 
-val load_stack : t -> microtrace -> Statstack.t
-(** Memoized StatStack over the micro-trace's load reuse distances with
-    [load_cold_fraction]. *)
-
-val store_stack : t -> microtrace -> Statstack.t
-
-val inst_stack : t -> Statstack.t
-(** Memoized StatStack over the instruction-stream reuse distances. *)
-
-(** Per-domain resolved view of a profile's memoized stacks.  [memo_stack]
-    takes a mutex per lookup; the sweep inner loop instead resolves every
-    stack reference once per domain into this record and reads it
-    mutex-free.  Arrays are indexed by [mt_index]. *)
-type hot = {
-  hot_inst : Statstack.t;
-  hot_load : Statstack.t array;
-  hot_store : Statstack.t array;
+type stacks = {
+  inst_stack : Statstack.t;  (** over [p_reuse_inst], [p_inst_cold_fraction] *)
+  load_stacks : Statstack.t array;
+      (** per micro-trace (by [mt_index]): over [mt_reuse_load] with
+          [load_cold_fraction] *)
+  store_stacks : Statstack.t array;  (** likewise for stores *)
 }
 
-val hot : t -> hot
-(** The calling domain's cached resolved view of [t]'s stacks, built
-    through [memo_stack] on first use (so construction counts are
-    unchanged) and invalidated by [clear_stack_memo]. *)
+val stacks : t -> stacks
+(** The profile's StatStack structures, built once (the first caller
+    builds them, racing domains wait) and read without a lock after. *)
+
+type model_memo = ..
+(** Config-dependent results the model layer memoizes for this profile
+    ([Interval_model]); extensible because that layer is built on this
+    one. *)
+
+val model_memo : t -> (unit -> model_memo) -> model_memo
+(** [model_memo t create] is the profile's memo, made by [create] on
+    first use; lock-free after that. *)
 
 val prepare : t -> unit
-(** Build every config-independent StatStack structure of this profile —
-    the per-microtrace load/store stacks, the instruction stack, and the
-    per-static-load lazies — so that a subsequent Domain-parallel sweep
-    only reads them.  Idempotent; [Sweep.model_sweep] calls it before
-    fanning out. *)
+(** Build every config-independent structure of this profile — [stacks],
+    the per-static-load [sl_stack] lazies and the sorted views of the
+    static loads' spacing histograms that the stride-MLP stream replays —
+    so that a subsequent Domain-parallel sweep only reads them.
+    Idempotent; [Sweep.model_sweep] calls it before fanning out. *)
 
 val clear_stack_memo : unit -> unit
-(** Drop all memoized stacks (they are rebuilt on demand).  For tests,
-    benchmarks, and long-lived processes cycling through many profiles. *)
+(** Does nothing: derived state belongs to its profile and goes with it.
+    Kept only because the benchmark harness in [perfbench/] still calls
+    it; to be deleted with the next change to that harness. *)

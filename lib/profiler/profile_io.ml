@@ -320,6 +320,7 @@ let of_string s =
           p_inst_samples;
           p_data_accesses;
           p_data_cold;
+          p_derived = Profile.fresh_derived ();
         }
       in
       (* Structural parse succeeded; now enforce the semantic invariants

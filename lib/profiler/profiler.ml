@@ -415,6 +415,7 @@ let merge_shards ~cfg ~workload shards =
     p_inst_samples = sum (fun sh -> sh.sh_state.ss_inst_samples);
     p_data_accesses = sum (fun sh -> sh.sh_state.ss_data_accesses);
     p_data_cold = sum (fun sh -> sh.sh_state.ss_data_cold);
+    p_derived = Profile.fresh_derived ();
   }
 
 let profile ?(config = default_config) ?(jobs = 1) ?(warmup = default_warmup)
@@ -592,6 +593,7 @@ let profile_legacy ?(config = default_config) spec ~seed ~n_instructions =
     p_inst_samples = !inst_samples;
     p_data_accesses = !data_accesses;
     p_data_cold = !data_cold;
+    p_derived = Profile.fresh_derived ();
   }
 
 let full_instruction_mix spec ~seed ~n_instructions =

@@ -2,13 +2,6 @@ type category = Strided of int list | Unique | Random_strided
 
 let cutoffs = [| 0.60; 0.70; 0.80; 0.90 |]
 
-(* Design-space sweeps classify the same static loads once per design
-   point; histograms are frozen after profiling, so memoize by histogram
-   id.  Mutex-protected: sweeps evaluate design points on parallel
-   domains. *)
-let memo : (int * int, category) Hashtbl.t = Hashtbl.create 4096
-let memo_mutex = Mutex.create ()
-
 let dominant_strides (sl : Profile.static_load) =
   let total = Histogram.total sl.sl_strides in
   if total = 0 then None
@@ -29,21 +22,12 @@ let dominant_strides (sl : Profile.static_load) =
     search 1 0.0 top
   end
 
-let classify_uncached (sl : Profile.static_load) =
+let classify (sl : Profile.static_load) =
   if sl.sl_count <= 1 then Unique
   else
     match dominant_strides sl with
     | Some strides -> Strided strides
     | None -> Random_strided
-
-let classify (sl : Profile.static_load) =
-  let key = (Histogram.id sl.sl_strides, sl.sl_count) in
-  match Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key) with
-  | Some c -> c
-  | None ->
-    let c = classify_uncached sl in
-    Mutex.protect memo_mutex (fun () -> Hashtbl.replace memo key c);
-    c
 
 let fig_label (sl : Profile.static_load) =
   if sl.sl_count <= 1 then "UNIQUE"

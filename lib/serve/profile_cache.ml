@@ -38,10 +38,9 @@ let touch t entry =
   t.clock <- t.clock + 1;
   entry.last_use <- t.clock
 
-(* Evict the least-recently-used entry.  The global StatStack memo is
-   keyed by histogram identity, not by profile, so dropping a profile
-   alone would leak its memoized stacks forever in a long-lived daemon:
-   clear the whole memo and re-prepare the survivors instead. *)
+(* Evict the least-recently-used entry.  A profile owns all its derived
+   model state, so dropping the entry frees it and the survivors keep
+   theirs. *)
 let evict_lru t =
   let victim =
     Hashtbl.fold
@@ -55,9 +54,7 @@ let evict_lru t =
   | None -> ()
   | Some e ->
     Hashtbl.remove t.table e.key;
-    t.evictions <- t.evictions + 1;
-    Profile.clear_stack_memo ();
-    Hashtbl.iter (fun _ e -> Profile.prepare e.profile) t.table
+    t.evictions <- t.evictions + 1
 
 let load t bytes =
   let key = key_of_bytes bytes in

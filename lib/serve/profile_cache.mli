@@ -8,12 +8,11 @@
     and {!Profile.prepare}s the profile, so the first query against it
     pays no StatStack construction cost.
 
-    Eviction must also bound the global StatStack memo table (it is
-    keyed by histogram identity and would otherwise grow with every
-    profile ever loaded), so evicting clears the memo and re-prepares
-    the survivors — expensive, but eviction is rare at sensible
-    capacities.  All operations are mutex-protected: worker domains and
-    connection threads share one cache. *)
+    A profile owns every structure and memo derived from it, so
+    evicting an entry just drops it: memory stays bounded by the
+    capacity, and the survivors keep their structures.  All operations
+    are mutex-protected: worker domains and connection threads share one
+    cache. *)
 
 type t
 

@@ -8,7 +8,6 @@
    tiny per-static-load histograms stay small. *)
 
 type t = {
-  id : int;
   mutable dense : int array; (* counts for keys [0, length dense) *)
   mutable dense_distinct : int;
   spill : (int, int) Hashtbl.t; (* keys < 0 or >= dense_limit only *)
@@ -22,16 +21,8 @@ type t = {
 
 let dense_limit = 4096
 
-(* Atomic: histograms are also created inside Domain-parallel sweeps and
-   sharded profiling workers, and ids key memo tables, so a torn counter
-   would alias unrelated histograms. *)
-let next_id = Atomic.make 0
-
-let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
-
 let create () =
   {
-    id = fresh_id ();
     dense = [||];
     dense_distinct = 0;
     spill = Hashtbl.create 8;
@@ -39,11 +30,8 @@ let create () =
     sorted = None;
   }
 
-let id h = h.id
-
 let copy h =
   {
-    id = fresh_id ();
     dense = Array.copy h.dense;
     dense_distinct = h.dense_distinct;
     spill = Hashtbl.copy h.spill;

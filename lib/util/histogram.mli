@@ -15,11 +15,6 @@ type t
 
 val create : unit -> t
 
-val id : t -> int
-(** Process-unique identifier, assigned at creation; lets consumers
-    memoize derived structures (classifications, replay arrays) for
-    histograms that are no longer mutated. *)
-
 val copy : t -> t
 
 val add : t -> ?count:int -> int -> unit

@@ -301,11 +301,9 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
   let configs_a = Array.of_list configs in
   let profile = Profiler.profile spec ~seed ~n_instructions in
   let stats = profile_stats profile in
-  (* Force the config-independent StatStack structures before the
-     fan-out, as the model sweep does: workers then only read memos. *)
-  (match options.Interval_model.combine with
-  | `Separate -> Profile.prepare profile
-  | `Combined -> ());
+  (* Build the config-independent structures before the fan-out, as the
+     model sweep does: workers then only read them. *)
+  Profile.prepare profile;
   Result.map
     (workload_report ~stats ~workload:spec.Workload_spec.wname)
     (Sweep.run_points ?jobs ?checkpoint ?keep_going

@@ -351,6 +351,39 @@ let test_activity_consistency () =
   Alcotest.(check bool) "l2 accesses below l1" true
     (a.a_l2_accesses <= a.a_l1d_accesses +. a.a_l1i_accesses)
 
+(* Memo keys hold every input their function reads: a prediction does
+   not depend on what was predicted on the same profile before.  Two
+   configs that differ only in the DRAM page size give different stride
+   prefetch coverage; predicting one first must not leak into the other. *)
+let test_predictions_independent_of_order () =
+  let with_page (u : Uarch.t) page =
+    { u with name = Printf.sprintf "page%d" page;
+             memory = { u.memory with dram_page_bytes = page } }
+  in
+  let pf = Uarch.with_prefetcher_kind Uarch.reference Uarch.Pf_stride in
+  let a = with_page pf 4096 and b = with_page pf 64 in
+  let bits p = Marshal.to_string (p : Interval_model.prediction) [ Marshal.No_sharing ] in
+  List.iter
+    (fun (bench, n) ->
+      let bytes =
+        Profile_io.to_binary_string
+          (Profiler.profile (Benchmarks.find bench) ~seed:1 ~n_instructions:n)
+      in
+      let fresh () =
+        match Profile_io.of_string bytes with
+        | Ok p -> p
+        | Error ft -> Alcotest.fail (Fault.to_string ft)
+      in
+      let shared = fresh () in
+      ignore (Interval_model.predict a shared);
+      let after_a = Interval_model.predict b shared in
+      let alone = Interval_model.predict b (fresh ()) in
+      Alcotest.(check bool)
+        (bench ^ ": B after A equals B alone, bit for bit")
+        true
+        (bits after_a = bits alone))
+    [ ("milc", 100_000); ("mcf", 50_000); ("bzip2", 50_000) ]
+
 let test_prefetch_model_reduces_dram () =
   let p = profile_of "libquantum" 30_000 in
   let pf = Uarch.with_prefetcher Uarch.reference true in
@@ -535,6 +568,8 @@ let () =
           Alcotest.test_case "cache scaling" `Quick test_bigger_caches_fewer_misses;
           Alcotest.test_case "activity consistency" `Quick test_activity_consistency;
           Alcotest.test_case "prefetch model" `Quick test_prefetch_model_reduces_dram;
+          Alcotest.test_case "predictions independent of order" `Quick
+            test_predictions_independent_of_order;
           QCheck_alcotest.to_alcotest prop_prediction_deterministic;
         ] );
       ( "components",

@@ -181,27 +181,41 @@ let test_sim_sweep_parallel_determinism () =
   let par = Sweep.sim_sweep ~jobs:4 ~spec ~seed:1 ~n_instructions:5_000 mini_space in
   Alcotest.(check bool) "sim sweep independent of jobs" true (compare seq par = 0)
 
+(* A fresh, unprepared copy of a profile: decoding builds no derived
+   state. *)
+let fresh_copy bytes =
+  match Profile_io.of_string bytes with
+  | Ok p -> p
+  | Error ft -> Alcotest.fail (Fault.to_string ft)
+
 let test_statstack_built_once_per_sweep () =
-  let profile = Profiler.profile (Benchmarks.find "sjeng") ~seed:1
-      ~n_instructions:20_000 in
-  (* Force the per-static-load [sl_stack] lazies once so the deltas below
-     measure only the memoized per-microtrace/instruction structures. *)
-  Profile.prepare profile;
+  let bytes =
+    Profile_io.to_binary_string
+      (Profiler.profile (Benchmarks.find "sjeng") ~seed:1 ~n_instructions:20_000)
+  in
   let count f =
     let before = Statstack.construction_count () in
     f ();
     Statstack.construction_count () - before
   in
-  (* Per profile the model needs one instruction stack plus a load and a
-     store stack per microtrace — independent of how many configs the
-     sweep visits. *)
-  let expected = (2 * Array.length profile.p_microtraces) + 1 in
-  Profile.clear_stack_memo ();
+  (* Per profile the model needs one instruction stack, a load and a
+     store stack per microtrace and one stack per static load —
+     independent of how many configs the sweep visits. *)
+  let probe = fresh_copy bytes in
+  let statics =
+    Array.fold_left
+      (fun n mt -> n + List.length mt.Profile.mt_static_loads)
+      0 probe.p_microtraces
+  in
+  let expected = (2 * Array.length probe.p_microtraces) + 1 + statics in
+  Alcotest.(check int) "prepare: once per structure" expected
+    (count (fun () -> Profile.prepare probe));
+  let one = fresh_copy bytes in
   let one_config =
-    count (fun () -> ignore (Sweep.model_sweep ~jobs:1 ~profile [ Uarch.reference ]))
+    count (fun () -> ignore (Sweep.model_sweep ~jobs:1 ~profile:one [ Uarch.reference ]))
   in
   Alcotest.(check int) "1-config sweep: once per structure" expected one_config;
-  Profile.clear_stack_memo ();
+  let profile = fresh_copy bytes in
   let many_configs =
     count (fun () -> ignore (Sweep.model_sweep ~jobs:1 ~profile mini_space))
   in
@@ -211,32 +225,62 @@ let test_statstack_built_once_per_sweep () =
     count (fun () -> ignore (Sweep.model_sweep ~jobs:1 ~profile mini_space))
   in
   Alcotest.(check int) "warm sweep builds nothing" 0 warm;
-  (* repeated memo lookups return the same physical structure *)
-  Array.iter
-    (fun mt ->
-      Alcotest.(check bool) "load stack physically shared" true
-        (Profile.load_stack profile mt == Profile.load_stack profile mt))
-    profile.p_microtraces
+  Alcotest.(check bool) "stacks physically shared" true
+    (Profile.stacks profile == Profile.stacks profile)
+
+(* Combined mode shares the profile's per-static-load stacks across
+   worker domains too: the sweep must build them before fanning out, or
+   two domains forcing one lazy at once fail points with
+   [Lazy.Undefined]. *)
+let test_combined_parallel_sweep_complete () =
+  let options = { Interval_model.default_options with combine = `Combined } in
+  List.iter
+    (fun seed ->
+      let sweep jobs =
+        let profile = Profiler.profile (Benchmarks.find "mcf") ~seed ~n_instructions:30_000 in
+        match
+          Sweep.model_sweep_result ~options ~jobs ~keep_going:true ~profile Uarch.design_space
+        with
+        | Ok o -> o
+        | Error ft -> Alcotest.fail (Fault.to_string ft)
+      in
+      let par = sweep 2 in
+      Alcotest.(check int) (Printf.sprintf "seed %d: no failed point" seed) 0 par.o_failed;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: jobs 2 equals jobs 1" seed)
+        true
+        (compare par.o_results (sweep 1).o_results = 0))
+    [ 1; 2; 3; 4; 5; 6 ]
 
 let prop_memo_stack_matches_fresh =
   QCheck.Test.make ~name:"memoized miss ratios equal freshly built StatStack"
-    ~count:100
-    QCheck.(
-      pair
-        (small_list (pair (int_range 0 200) (int_range 1 50)))
-        (float_range 0.0 0.5))
-    (fun (entries, cold) ->
-      let h = Histogram.create () in
-      List.iter (fun (k, c) -> Histogram.add h ~count:c k) entries;
-      let memo = Profile.memo_stack ~cold_fraction:cold h in
-      let fresh = Statstack.of_reuse_histogram ~cold_fraction:cold h in
-      let hit = Profile.memo_stack ~cold_fraction:cold h in
-      hit == memo
-      && List.for_all
-           (fun n ->
-             Statstack.miss_ratio memo ~cache_lines:n
-             = Statstack.miss_ratio fresh ~cache_lines:n)
-           [ 1; 2; 3; 7; 8; 16; 64; 512; 100_000 ])
+    ~count:10
+    QCheck.(pair (oneofl [ "gcc"; "mcf"; "milc"; "sjeng" ]) (int_range 1 1000))
+    (fun (bench, seed) ->
+      let profile =
+        Profiler.profile (Benchmarks.find bench) ~seed ~n_instructions:5_000
+      in
+      let stacks = Profile.stacks profile in
+      let same memo ~cold_fraction h =
+        let fresh = Statstack.of_reuse_histogram ~cold_fraction h in
+        List.for_all
+          (fun n ->
+            Statstack.miss_ratio memo ~cache_lines:n
+            = Statstack.miss_ratio fresh ~cache_lines:n)
+          [ 1; 2; 3; 7; 8; 16; 64; 512; 100_000 ]
+      in
+      Profile.stacks profile == stacks
+      && same stacks.inst_stack ~cold_fraction:profile.p_inst_cold_fraction
+           profile.p_reuse_inst
+      && Array.for_all
+           (fun (mt : Profile.microtrace) ->
+             same stacks.load_stacks.(mt.mt_index)
+               ~cold_fraction:(Profile.load_cold_fraction profile mt)
+               mt.mt_reuse_load
+             && same stacks.store_stacks.(mt.mt_index)
+                  ~cold_fraction:(Profile.store_cold_fraction profile mt)
+                  mt.mt_reuse_store)
+           profile.p_microtraces)
 
 (* ---- Fault isolation, checkpointing, resume ---- *)
 
@@ -556,6 +600,8 @@ let () =
             test_sim_sweep_parallel_determinism;
           Alcotest.test_case "statstack built once per sweep" `Quick
             test_statstack_built_once_per_sweep;
+          Alcotest.test_case "combined-mode parallel sweep complete" `Quick
+            test_combined_parallel_sweep_complete;
           QCheck_alcotest.to_alcotest prop_memo_stack_matches_fresh;
         ] );
       ( "faults",

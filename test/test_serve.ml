@@ -206,6 +206,99 @@ let prop_fuzz_random_mutations =
        | Error _ -> QCheck.Test.fail_report "non-protocol fault");
       true)
 
+(* ---- Profile cache ---- *)
+
+(* Four distinct small profiles (the cache is content-addressed). *)
+let cache_profiles =
+  lazy
+    (List.map
+       (fun bench ->
+         Profile_io.to_binary_string
+           (Profiler.profile (Benchmarks.find bench) ~seed:1 ~n_instructions:20_000))
+       [ "gcc"; "mcf"; "milc"; "sjeng" ])
+
+let cache_configs =
+  [ Uarch.reference; Uarch.low_power;
+    Uarch.with_prefetcher_kind Uarch.reference Uarch.Pf_stride ]
+
+let cache_load cache bytes =
+  match Profile_cache.load cache bytes with
+  | Ok key -> key
+  | Error ft -> Alcotest.failf "load: %s" (Fault.to_string ft)
+
+let cache_predictions cache key =
+  match Profile_cache.find cache key with
+  | Error ft -> Alcotest.failf "find: %s" (Fault.to_string ft)
+  | Ok p ->
+    List.map
+      (fun u -> Marshal.to_string (Interval_model.predict u p) [ Marshal.No_sharing ])
+      cache_configs
+
+let constructions f =
+  let before = Statstack.construction_count () in
+  f ();
+  Statstack.construction_count () - before
+
+(* An eviction frees the victim's derived state and nothing else: loading
+   the newcomer builds exactly the newcomer's own structures, and the
+   survivors answer bit for bit as before. *)
+let test_cache_eviction_builds_only_newcomer () =
+  let b0, b1, b2, b3 =
+    match Lazy.force cache_profiles with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | _ -> assert false
+  in
+  let cache = Profile_cache.create ~capacity:3 in
+  let k0 = cache_load cache b0 in
+  let k1 = cache_load cache b1 in
+  let k2 = cache_load cache b2 in
+  (* Querying in this order leaves k0 least recently used. *)
+  let before = List.map (cache_predictions cache) [ k0; k1; k2 ] in
+  let own =
+    match Profile_io.of_string b3 with
+    | Ok p -> constructions (fun () -> Profile.prepare p)
+    | Error ft -> Alcotest.failf "decode: %s" (Fault.to_string ft)
+  in
+  let built = constructions (fun () -> ignore (cache_load cache b3 : string)) in
+  Alcotest.(check int) "one eviction" 1 (Profile_cache.stats cache).evictions;
+  Alcotest.(check int) "only the newcomer's structures are built" own built;
+  Alcotest.(check bool) "victim gone" true
+    (Result.is_error (Profile_cache.find cache k0));
+  List.iter2
+    (fun key expected ->
+      Alcotest.(check bool) "survivor predictions bit-identical" true
+        (cache_predictions cache key = expected))
+    [ k1; k2 ] (List.tl before)
+
+(* Cycling more profiles than the cache holds, with a few predicts per
+   load, keeps the live heap flat: an evicted profile leaves nothing
+   behind.  When memos were process-global tables keyed by histogram
+   identity, each eviction here left about 57 kB (14 MB over 240), so a
+   4 MB bound is a wide margin. *)
+let test_cache_heap_bounded () =
+  let all = Lazy.force cache_profiles in
+  let cache = Profile_cache.create ~capacity:2 in
+  let cycle rounds =
+    for _ = 1 to rounds do
+      List.iter
+        (fun bytes -> ignore (cache_predictions cache (cache_load cache bytes)))
+        all
+    done
+  in
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words * (Sys.word_size / 8)
+  in
+  cycle 5;
+  let warm = live_bytes () and warm_evictions = (Profile_cache.stats cache).evictions in
+  cycle 60;
+  let later = live_bytes () and evictions = (Profile_cache.stats cache).evictions in
+  Alcotest.(check bool) "hundreds of evictions" true (evictions - warm_evictions >= 200);
+  let growth = later - warm in
+  if growth > 4 * 1024 * 1024 then
+    Alcotest.failf "live heap grew %d bytes over %d evictions" growth
+      (evictions - warm_evictions)
+
 (* ---- Live daemon ---- *)
 
 let profile =
@@ -631,6 +724,13 @@ let test_serve_abrupt_disconnect_harmless () =
 let () =
   Alcotest.run "serve"
     [
+      ( "profile_cache",
+        [
+          Alcotest.test_case "eviction builds only the newcomer" `Quick
+            test_cache_eviction_builds_only_newcomer;
+          Alcotest.test_case "heap bounded under evictions" `Quick
+            test_cache_heap_bounded;
+        ] );
       ( "retry",
         [
           Alcotest.test_case "backoff schedule" `Quick
