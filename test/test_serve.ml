@@ -724,11 +724,11 @@ let test_serve_abrupt_disconnect_harmless () =
 let () =
   Alcotest.run "serve"
     [
-      ( "profile_cache",
+      ( "eviction",
         [
-          Alcotest.test_case "eviction builds only the newcomer" `Quick
+          Alcotest.test_case "builds only the newcomer" `Quick
             test_cache_eviction_builds_only_newcomer;
-          Alcotest.test_case "heap bounded under evictions" `Quick
+          Alcotest.test_case "heap bounded" `Quick
             test_cache_heap_bounded;
         ] );
       ( "retry",
