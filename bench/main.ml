@@ -1445,39 +1445,8 @@ let dse_sweep () =
 
 (* ============ Sharded profiling pipeline (this repo's scaling work) ==== *)
 
-(* Faithful replica of the seed's Histogram backend (Hashtbl find/replace
-   per add, full sort per sorted read), used to measure what the dense
-   fast path and the cached sorted view buy on the profiling access
-   pattern. *)
-module Seed_hist = struct
-  type t = { counts : (int, int) Hashtbl.t; mutable total : int }
-
-  let create () = { counts = Hashtbl.create 16; total = 0 }
-
-  let add h ?(count = 1) key =
-    let current = Option.value (Hashtbl.find_opt h.counts key) ~default:0 in
-    Hashtbl.replace h.counts key (current + count);
-    h.total <- h.total + count
-
-  let to_sorted_list h =
-    Hashtbl.fold (fun k c acc -> (k, c) :: acc) h.counts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let quantile_key h q =
-    let target = q *. float_of_int h.total in
-    let rec go acc = function
-      | [] -> invalid_arg "quantile_key"
-      | [ (k, _) ] -> k
-      | (k, c) :: rest ->
-        let acc = acc +. float_of_int c in
-        if acc >= target then k else go acc rest
-    in
-    go 0.0 (to_sorted_list h)
-end
-
 let profile_shards () =
-  Table.section
-    "Sharded profiling pipeline — warm-up windows + fast-path histograms";
+  Table.section "Sharded profiling pipeline — warm-up windows";
   let bench = "gcc" in
   let spec = Benchmarks.find bench in
   let n = 400_000 in
@@ -1487,67 +1456,6 @@ let profile_shards () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* --- histogram fast path, measured on the profiler's key mix:
-     overwhelmingly small reuse distances / strides, a thin spill tail. *)
-  let rng = Rng.create 42 in
-  let n_keys = 2_000_000 in
-  let keys =
-    Array.init n_keys (fun _ ->
-        let r = Rng.float rng 1.0 in
-        if r < 0.90 then Rng.geometric rng 0.02 (* small reuse distances *)
-        else if r < 0.95 then 4096 + Rng.int rng 100_000 (* long tail *)
-        else - (64 * (1 + Rng.int rng 64)) (* negative strides *))
-  in
-  let hist_rounds = 10 in
-  let (_ : int), seed_hist_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for _ = 1 to hist_rounds do
-          let h = Seed_hist.create () in
-          Array.iter (fun k -> Seed_hist.add h k) keys;
-          acc := !acc + h.Seed_hist.total
-        done;
-        !acc)
-  in
-  let (_ : int), fast_hist_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for _ = 1 to hist_rounds do
-          let h = Histogram.create () in
-          Array.iter (fun k -> Histogram.add h k) keys;
-          acc := !acc + Histogram.total h
-        done;
-        !acc)
-  in
-  let hist_fastpath_speedup = seed_hist_s /. fast_hist_s in
-  (* --- cached sorted view: quantile loops on a frozen histogram. *)
-  let frozen = Histogram.create () in
-  let frozen_seed = Seed_hist.create () in
-  Array.iter
-    (fun k ->
-      Histogram.add frozen k;
-      Seed_hist.add frozen_seed k)
-    keys;
-  let q_calls = 300 in
-  let (_ : int), q_seed_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for i = 1 to q_calls do
-          acc :=
-            !acc + Seed_hist.quantile_key frozen_seed (float_of_int i /. float_of_int (q_calls + 1))
-        done;
-        !acc)
-  in
-  let (_ : int), q_fast_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for i = 1 to q_calls do
-          acc :=
-            !acc + Histogram.quantile_key frozen (float_of_int i /. float_of_int (q_calls + 1))
-        done;
-        !acc)
-  in
-  let quantile_cached_speedup = q_seed_s /. q_fast_s in
   (* --- profiling throughput: legacy monolith vs sharded pipeline.
      Each timed run keeps only scalars and the serialized string alive,
      and the heap is compacted in between: on this allocation-heavy path
@@ -1616,13 +1524,10 @@ let profile_shards () =
           Table.fmt_f ~decimals:2 (legacy_s /. sharded_s) ];
       ];
   Printf.printf
-    "histogram fast path: %.2fx on %d adds; cached quantile view: %.2fx on \
-     %d calls\n\
-     jobs:1 bit-identical to legacy: %b; unbounded-warm-up shards \
+    "jobs:1 bit-identical to legacy: %b; unbounded-warm-up shards \
      bit-identical: %b\n\
      cold-rate error across 4 shard boundaries (warmup %d): %.4f\n"
-    hist_fastpath_speedup (n_keys * hist_rounds) quantile_cached_speedup
-    q_calls jobs1_identical exact_identical Profiler.default_warmup
+    jobs1_identical exact_identical Profiler.default_warmup
     boundary_cold_error;
   Harness.write_report "BENCH_profile.json"
     Minijson.
@@ -1640,8 +1545,6 @@ let profile_shards () =
         ("instr_per_sec_sharded", Num (ips sharded_s));
         ("sharded_vs_legacy_speedup", Num (legacy_s /. sharded_s));
         ("parallel_speedup", Harness.num_opt parallel_speedup);
-        ("hist_fastpath_speedup", Num hist_fastpath_speedup);
-        ("quantile_cached_speedup", Num quantile_cached_speedup);
         ("cold_rate_seq", Num legacy_cold);
         ("cold_rate_sharded", Num warm_cold);
         ("boundary_cold_error", Num boundary_cold_error);
@@ -2316,7 +2219,7 @@ let experiments =
     ("prefetchers", "next-line vs stride prefetcher (sim)", prefetchers);
     ("speedup", "model vs simulation throughput", speedup);
     ("dse_sweep", "parallel sweep engine + StatStack memoization", dse_sweep);
-    ("profile_shards", "sharded profiling + fast-path histograms", profile_shards);
+    ("profile_shards", "sharded profiling with warm-up windows", profile_shards);
     ("sweep_faults", "fault isolation + checkpointed sweep overhead", sweep_faults);
     ("calibrate", "grey-box calibration: held-out MAPE + determinism gates",
      calibrate_bench);

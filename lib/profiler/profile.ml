@@ -183,6 +183,13 @@ let validate t =
     else err "%s outside [0,1] (%h)" name v
   in
   let first_error checks = List.find_map (fun c -> c) checks in
+  (* StatStack rejects negative reuse distances, so a profile carrying one
+     must be refused here, as bad input, not fail later inside a model. *)
+  let check_reuse name h =
+    match Histogram.to_sorted_list h with
+    | (k, _) :: _ when k < 0 -> err "%s has a negative reuse distance (%d)" name k
+    | _ -> None
+  in
   let chain_ok (mt : microtrace) =
     let cs = mt.mt_chains in
     let n = Array.length cs.rob_sizes in
@@ -213,7 +220,11 @@ let validate t =
         else if sl.sl_cold > sl.sl_count then
           err "microtrace %d: static load %d has more cold touches (%d) than accesses (%d)"
             mt.mt_index sl.sl_static_id sl.sl_cold sl.sl_count
-        else None)
+        else
+          check_reuse
+            (Printf.sprintf "microtrace %d: static load %d: reuse" mt.mt_index
+               sl.sl_static_id)
+            sl.sl_reuse)
       mt.mt_static_loads
   in
   let microtrace_ok i (mt : microtrace) =
@@ -240,6 +251,8 @@ let validate t =
              err "microtrace %d: reuse mass %d + cold %d inconsistent with %d samples" i
                (mass - mt.mt_mem_cold) mt.mt_mem_cold mt.mt_mem_samples
            else None);
+          check_reuse (Printf.sprintf "microtrace %d: reuse_load" i) mt.mt_reuse_load;
+          check_reuse (Printf.sprintf "microtrace %d: reuse_store" i) mt.mt_reuse_store;
           chain_ok mt;
           cold_ok mt;
           static_ok mt;
@@ -261,6 +274,7 @@ let validate t =
         (if t.p_data_cold > t.p_data_accesses then
            err "data_cold (%d) exceeds data_accesses (%d)" t.p_data_cold t.p_data_accesses
          else None);
+        check_reuse "reuse_inst" t.p_reuse_inst;
         check_finite "entropy" t.p_entropy;
         (if t.p_entropy < 0.0 then err "entropy is negative (%h)" t.p_entropy else None);
         check_fraction "branch_fraction" t.p_branch_fraction;

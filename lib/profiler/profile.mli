@@ -125,9 +125,10 @@ val cold_correction : t -> float
 val validate : t -> (unit, Fault.t) result
 (** Invariant pass over a profile: counters non-negative and mutually
     consistent (cold counts bounded by samples, reuse-histogram mass plus
-    cold touches equal to the sampled accesses), scalars finite and
-    fractions in [0,1], chain/cold arrays shaped by their ROB-size axes,
-    micro-trace indices contiguous from 0.  Run by [Profile_io] after
+    cold touches equal to the sampled accesses), reuse distances
+    non-negative, scalars finite and fractions in [0,1], chain/cold
+    arrays shaped by their ROB-size axes, micro-trace indices contiguous
+    from 0.  Run by [Profile_io] after
     every load and by the sweep engine before fanning out, so corrupt or
     hand-edited profiles are rejected with a structured [Fault.Bad_input]
     instead of poisoning an evaluation. *)

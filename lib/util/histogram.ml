@@ -1,16 +1,9 @@
-(* Two-tier backend.  Profiling's inner loop is [add] on reuse distances,
-   strides and spacings, which are overwhelmingly small non-negative ints;
-   a dense count array for keys in [0, dense_limit) turns the seed's
-   Hashtbl find/replace pair (hash + bucket walk + option allocation) into
-   one bounds check and an array store.  Keys outside the dense range
-   (negative strides, distant reuses) spill to a Hashtbl with the original
-   semantics.  The dense tier grows geometrically on demand so the many
-   tiny per-static-load histograms stay small. *)
+(* One hash table from key to count.  A profile holds thousands of frozen
+   histograms, nearly all with one or two keys, so storage follows the
+   number of distinct keys rather than their magnitude. *)
 
 type t = {
-  mutable dense : int array; (* counts for keys [0, length dense) *)
-  mutable dense_distinct : int;
-  spill : (int, int) Hashtbl.t; (* keys < 0 or >= dense_limit only *)
+  counts : (int, int) Hashtbl.t;
   mutable total : int;
   (* Cached sorted view, invalidated by [add].  Reads from parallel
      domains (sweeps walk frozen histograms concurrently) can race on the
@@ -19,79 +12,30 @@ type t = {
   mutable sorted : (int * int) list option;
 }
 
-let dense_limit = 4096
+let create () = { counts = Hashtbl.create 8; total = 0; sorted = None }
 
-let create () =
-  {
-    dense = [||];
-    dense_distinct = 0;
-    spill = Hashtbl.create 8;
-    total = 0;
-    sorted = None;
-  }
-
-let copy h =
-  {
-    dense = Array.copy h.dense;
-    dense_distinct = h.dense_distinct;
-    spill = Hashtbl.copy h.spill;
-    total = h.total;
-    sorted = h.sorted;
-  }
-
-let grow_dense h key =
-  let len = Array.length h.dense in
-  let target = ref (max 64 (2 * len)) in
-  while !target <= key do
-    target := 2 * !target
-  done;
-  let bigger = Array.make (min dense_limit !target) 0 in
-  Array.blit h.dense 0 bigger 0 len;
-  h.dense <- bigger
+let copy h = { counts = Hashtbl.copy h.counts; total = h.total; sorted = h.sorted }
 
 let add h ?(count = 1) key =
   if count < 0 then invalid_arg "Histogram.add: negative count";
   if count > 0 then begin
     h.sorted <- None;
-    if key >= 0 && key < dense_limit then begin
-      if key >= Array.length h.dense then grow_dense h key;
-      let c = Array.unsafe_get h.dense key in
-      if c = 0 then h.dense_distinct <- h.dense_distinct + 1;
-      Array.unsafe_set h.dense key (c + count)
-    end
-    else begin
-      let current = Option.value (Hashtbl.find_opt h.spill key) ~default:0 in
-      Hashtbl.replace h.spill key (current + count)
-    end;
+    let current = Option.value (Hashtbl.find_opt h.counts key) ~default:0 in
+    Hashtbl.replace h.counts key (current + count);
     h.total <- h.total + count
   end
 
-let count h key =
-  if key >= 0 && key < dense_limit then
-    if key < Array.length h.dense then Array.unsafe_get h.dense key else 0
-  else Option.value (Hashtbl.find_opt h.spill key) ~default:0
+let count h key = Option.value (Hashtbl.find_opt h.counts key) ~default:0
 
 let total h = h.total
 
-let distinct h = h.dense_distinct + Hashtbl.length h.spill
+let distinct h = Hashtbl.length h.counts
 
 let is_empty h = h.total = 0
 
 let compute_sorted h =
-  let dense = ref [] in
-  for k = Array.length h.dense - 1 downto 0 do
-    let c = Array.unsafe_get h.dense k in
-    if c > 0 then dense := (k, c) :: !dense
-  done;
-  if Hashtbl.length h.spill = 0 then !dense
-  else begin
-    let spill = Hashtbl.fold (fun k c acc -> (k, c) :: acc) h.spill [] in
-    let neg, big = List.partition (fun (k, _) -> k < 0) spill in
-    let sort = List.sort (fun (a, _) (b, _) -> compare a b) in
-    (* Spill keys are < 0 or >= dense_limit, so the three runs concatenate
-       into one sorted list without a merge. *)
-    sort neg @ !dense @ sort big
-  end
+  Hashtbl.fold (fun k c acc -> (k, c) :: acc) h.counts []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let to_sorted_list h =
   match h.sorted with

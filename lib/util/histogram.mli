@@ -4,12 +4,13 @@
     strides, dependence-path lengths, load spacings, ...) as a histogram of
     occurrence counts.  Keys are arbitrary ints (strides may be negative).
 
-    The backend is two-tier: keys in [0, 4096) live in a dense count array
-    (grown geometrically on demand) so the profiling inner loop's [add] is
-    a single array store; keys outside that range spill to a hash table.
-    Sorted views ([to_sorted_list], [iter], [fold], [quantile_key], ...)
-    are computed once and cached until the next mutation, so analysis-phase
-    quantile loops over frozen histograms stop re-sorting. *)
+    The backend is one hash table from key to count, so a histogram's
+    size follows its number of distinct keys, not their magnitude: a
+    profile holds thousands of histograms, nearly all with one or two
+    keys.  Sorted views ([to_sorted_list], [iter], [fold],
+    [quantile_key], ...) are computed once and cached until the next
+    mutation, so analysis-phase quantile loops over frozen histograms stop
+    re-sorting. *)
 
 type t
 

@@ -417,6 +417,68 @@ let test_profile_io_validates_semantics () =
   expect_bad_input "impossible branch fraction"
     (Profile_io.of_string (Profile_io.to_binary_string doctored))
 
+(* A negative reuse distance makes StatStack raise, so the load path must
+   refuse it as bad input.  The doctored micro-trace keeps its reuse mass
+   consistent with its sample count, and the encoding gets a fresh
+   checksum, so only the reuse-distance check can catch it. *)
+let test_profile_io_rejects_negative_reuse () =
+  let p = profile_of "gcc" 20_000 in
+  let doctor_mt f =
+    let mts = Array.copy p.p_microtraces in
+    mts.(0) <- f mts.(0);
+    { p with p_microtraces = mts }
+  in
+  let with_negative h =
+    let h = Histogram.copy h in
+    Histogram.add h (-5);
+    h
+  in
+  let rejects what doctored =
+    let result = Profile_io.of_string (Profile_io.to_binary_string doctored) in
+    expect_bad_input what result;
+    let msg = rejection what result in
+    Alcotest.(check bool) (what ^ " names micro-trace 0") true
+      (contains msg "microtrace 0");
+    msg
+  in
+  ignore
+    (rejects "negative load reuse"
+       (doctor_mt (fun mt ->
+            {
+              mt with
+              mt_reuse_load = with_negative mt.mt_reuse_load;
+              mt_mem_samples = mt.mt_mem_samples + 1;
+            })));
+  let mt0 = p.p_microtraces.(0) in
+  match mt0.mt_static_loads with
+  | [] -> Alcotest.fail "gcc micro-trace 0 has no static loads"
+  | sl :: rest ->
+    let msg =
+      rejects "negative static-load reuse"
+        (doctor_mt (fun mt ->
+             {
+               mt with
+               mt_static_loads =
+                 { sl with sl_reuse = with_negative sl.sl_reuse } :: rest;
+             }))
+    in
+    Alcotest.(check bool) "names the static load" true
+      (contains msg (Printf.sprintf "static load %d" sl.sl_static_id))
+
+(* A decoded profile is held by every sweep, validation and serve cache
+   entry, so its in-memory form must stay proportional to its encoding:
+   nearly all of its thousands of histograms hold one or two keys. *)
+let test_decoded_footprint_bounded () =
+  List.iter
+    (fun name ->
+      let s = Profile_io.to_binary_string (profile_of name 20_000) in
+      let decoded = Fault.or_raise (Profile_io.of_string s) in
+      let bytes = Obj.reachable_words (Obj.repr decoded) * (Sys.word_size / 8) in
+      if bytes > 100 * String.length s then
+        Alcotest.failf "%s: decoded profile takes %d bytes, %dx its %d-byte encoding"
+          name bytes (bytes / String.length s) (String.length s))
+    Benchmarks.names
+
 let test_binary_roundtrip () =
   let p = profile_of "milc" 30_000 in
   let restored = Fault.or_raise (Profile_io.of_string (Profile_io.to_binary_string p)) in
@@ -615,6 +677,10 @@ let () =
           Alcotest.test_case "version errors" `Quick test_profile_io_version_errors;
           Alcotest.test_case "validates semantics" `Quick
             test_profile_io_validates_semantics;
+          Alcotest.test_case "rejects negative reuse" `Quick
+            test_profile_io_rejects_negative_reuse;
+          Alcotest.test_case "decoded footprint bounded" `Quick
+            test_decoded_footprint_bounded;
           Alcotest.test_case "binary round-trip" `Quick test_binary_roundtrip;
           Alcotest.test_case "binary file round-trip" `Quick
             test_binary_file_roundtrip;

@@ -210,9 +210,9 @@ let prop_hist_merge_commutes =
       let ba = Histogram.merge (build eb) (build ea) in
       Histogram.to_sorted_list ab = Histogram.to_sorted_list ba)
 
-(* The dense fast path covers keys [0, 4096); these sit exactly on its
-   boundaries and in the negative/large spill tails. *)
-let test_hist_dense_spill_boundaries () =
+(* Negative, zero, small and large keys are all counted and sorted
+   together. *)
+let test_hist_key_ranges () =
   let h = Histogram.create () in
   let keys = [ 0; 63; 64; 4095; 4096; 100_000; -1; -4096 ] in
   List.iter (fun k -> Histogram.add h ~count:(abs k + 1) k) keys;
@@ -223,11 +223,11 @@ let test_hist_dense_spill_boundaries () =
         (abs k + 1) (Histogram.count h k))
     keys;
   Alcotest.(check int) "distinct" (List.length keys) (Histogram.distinct h);
-  Alcotest.(check (list int)) "sorted across tiers"
+  Alcotest.(check (list int)) "sorted across ranges"
     [ -4096; -1; 0; 63; 64; 4095; 4096; 100_000 ]
     (List.map fst (Histogram.to_sorted_list h));
-  Alcotest.(check int) "absent dense key" 0 (Histogram.count h 1);
-  Alcotest.(check int) "absent spill key" 0 (Histogram.count h (-7))
+  Alcotest.(check int) "absent small key" 0 (Histogram.count h 1);
+  Alcotest.(check int) "absent negative key" 0 (Histogram.count h (-7))
 
 let test_hist_zero_count_is_noop () =
   let h = Histogram.create () in
@@ -245,10 +245,19 @@ let test_hist_copy_independent () =
   let c = Histogram.copy h in
   Histogram.add c 10;
   Histogram.add c ~count:2 (-4);
-  Alcotest.(check int) "original dense untouched" 1 (Histogram.count h 10);
-  Alcotest.(check int) "original spill untouched" 0 (Histogram.count h (-4));
-  Alcotest.(check int) "copy dense" 2 (Histogram.count c 10);
+  Alcotest.(check int) "original small key untouched" 1 (Histogram.count h 10);
+  Alcotest.(check int) "original negative key untouched" 0 (Histogram.count h (-4));
+  Alcotest.(check int) "copy small key" 2 (Histogram.count c 10);
   Alcotest.(check int) "copy total" 5 (Histogram.total c)
+
+(* Storage follows the number of distinct keys, not their magnitude: a
+   profile holds thousands of one-key histograms. *)
+let test_hist_sparse_footprint () =
+  let h = Histogram.create () in
+  Histogram.add h 4000;
+  let words = Obj.reachable_words (Obj.repr h) in
+  if words > 64 then
+    Alcotest.failf "one-key histogram takes %d words (at most 64)" words
 
 (* Pins the cached-sorted-view invalidation: interleave adds with reads
    of every sorted accessor and compare against a naive association-list
@@ -632,8 +641,10 @@ let () =
           Alcotest.test_case "quantile" `Quick test_hist_quantile;
           Alcotest.test_case "normalize" `Quick test_hist_normalize;
           Alcotest.test_case "top k" `Quick test_hist_top_k;
-          Alcotest.test_case "dense/spill boundaries" `Quick
-            test_hist_dense_spill_boundaries;
+          Alcotest.test_case "negative, small and large keys" `Quick
+            test_hist_key_ranges;
+          Alcotest.test_case "sparse large key stays small" `Quick
+            test_hist_sparse_footprint;
           Alcotest.test_case "zero count is noop" `Quick
             test_hist_zero_count_is_noop;
           Alcotest.test_case "copy independence" `Quick test_hist_copy_independent;
