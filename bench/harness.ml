@@ -80,14 +80,11 @@ let prediction name = Lazy.force (get name).prediction
    experiments ---- *)
 
 (* The 27-point sub-space used for simulation-backed comparisons: the
-   width / ROB / L3 axes of Table 6.3 at the reference L1/L2 sizes.  The
-   full 243-point space would need 243 x 29 detailed simulations — exactly
-   the cost the paper's model exists to avoid. *)
-let sim_subspace =
-  List.filter
-    (fun (u : Uarch.t) ->
-      u.caches.l1d.size_bytes = 32 * 1024 && u.caches.l2.size_bytes = 256 * 1024)
-    Uarch.design_space
+   width / ROB / L3 axes of Table 6.3 at the reference L1/L2 sizes, the
+   same matrix `mipp validate` simulates by default.  The full 243-point
+   space would need 243 x 29 detailed simulations — exactly the cost the
+   paper's model exists to avoid. *)
+let sim_subspace = Validate.matrix_configs `Sim
 
 type space_result = {
   sp_bench : string;

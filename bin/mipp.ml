@@ -5,8 +5,15 @@
      profile   -b BENCH            profile and print the summary
      predict   -b BENCH [-c CFG]   analytical performance + power prediction
      simulate  -b BENCH [-c CFG]   cycle-level simulation (the ground truth)
-     compare   -b BENCH [-c CFG]   model vs simulator, side by side
-     sweep     -b BENCH            243-point design-space sweep + Pareto front *)
+     compare   -b BENCH [-c CFG]   model vs simulator at one design point
+     sweep     -b BENCH            streamed design-space sweep + Pareto front
+     multicore -w A,B              multi-core prediction with shared LLC
+     validate  [-b BENCH]...       model vs simulator over a design matrix:
+                                   CPI and power errors, gated on CPI MAPE
+                                   (every benchmark when none is named)
+     calibrate train|eval|apply|suggest
+                                   grey-box calibration on a validate matrix
+     serve / query                 profile-caching daemon and its client *)
 
 open Cmdliner
 
@@ -293,51 +300,6 @@ let compare_cmd =
     Term.(const run $ bench_arg $ instructions_arg $ seed_arg $ config_arg
           $ prefetch_arg $ spec_file_arg)
 
-(* ---- report ---- *)
-
-let report_cmd =
-  let run n seed =
-    Table.section
-      (Printf.sprintf "Suite accuracy report: model vs simulator (%d instructions)" n);
-    let errors = ref [] and perrors = ref [] in
-    let rows =
-      List.map
-        (fun bench ->
-          let spec = Benchmarks.find bench in
-          let sim = Simulator.run Uarch.reference spec ~seed ~n_instructions:n in
-          let p = Profiler.profile spec ~seed ~n_instructions:n in
-          let pred = Interval_model.predict Uarch.reference p in
-          let scpi = Sim_result.cpi sim and mcpi = Interval_model.cpi pred in
-          let spow = (Power.estimate Uarch.reference sim.r_activity).total_watts in
-          let mpow = (Power.estimate Uarch.reference pred.pr_activity).total_watts in
-          let e = Stats.relative_error ~predicted:mcpi ~reference:scpi in
-          let pe = Stats.relative_error ~predicted:mpow ~reference:spow in
-          errors := Float.abs e :: !errors;
-          perrors := Float.abs pe :: !perrors;
-          [
-            bench;
-            Table.fmt_f scpi;
-            Table.fmt_f mcpi;
-            Table.fmt_pct e;
-            Table.fmt_f ~decimals:1 spow;
-            Table.fmt_f ~decimals:1 mpow;
-            Table.fmt_pct pe;
-          ])
-        Benchmarks.names
-    in
-    Table.print
-      ~header:
-        [ "benchmark"; "sim CPI"; "model CPI"; "CPI err"; "sim W"; "model W";
-          "power err" ]
-      ~rows;
-    Printf.printf "\nmean |CPI error| %s   mean |power error| %s\n"
-      (Table.fmt_pct (Stats.mean !errors))
-      (Table.fmt_pct (Stats.mean !perrors))
-  in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Model-vs-simulator accuracy report across the suite")
-    Term.(const run $ instructions_arg $ seed_arg)
-
 (* ---- multicore ---- *)
 
 let multicore_cmd =
@@ -586,7 +548,10 @@ let sweep_cmd =
 
 let validate_cmd =
   let vbenches_arg =
-    let doc = "Benchmark to validate (repeatable; see `mipp list`)." in
+    let doc =
+      "Benchmark to validate (repeatable; see `mipp list`).  With neither \
+       this nor --spec-file, every benchmark of the suite is validated."
+    in
     Arg.(
       value & opt_all string [] & info [ "b"; "benchmark" ] ~docv:"BENCH" ~doc)
   in
@@ -626,9 +591,9 @@ let validate_cmd =
   in
   let matrix_out_arg =
     let doc =
-      "Write the typed training matrix (model and simulator CPI stacks plus \
-       workload statistics per point, schema mipp-matrix-v1) to $(docv) — \
-       the input `mipp calibrate train --matrix-file` consumes."
+      "Write the typed training matrix (model and simulator CPI stacks and \
+       watts plus workload statistics per point, schema mipp-matrix-v2) to \
+       $(docv) — the input `mipp calibrate train --matrix-file` consumes."
     in
     Arg.(value & opt (some string) None & info [ "matrix-out" ] ~docv:"FILE" ~doc)
   in
@@ -644,7 +609,9 @@ let validate_cmd =
       List.map find_bench benches
       @ List.map (fun p -> or_die (Workload_parser.load p)) spec_files
     in
-    let specs = if specs = [] then [ find_bench "gcc" ] else specs in
+    let specs =
+      if specs = [] then List.map Benchmarks.find Benchmarks.names else specs
+    in
     (* The checkpoint header names one workload; a shared log across
        workloads would reject every workload but the first. *)
     if checkpoint <> None && List.length specs > 1 then
@@ -673,10 +640,11 @@ let validate_cmd =
     List.iter (Validate.print_workload_report stdout) reports;
     Printf.printf
       "aggregate: %d/%d points ok, mean signed CPI error %+.2f%%, MAPE \
-       %.2f%% (gate %.2f%%)\n"
+       %.2f%% (gate %.2f%%); power MAPE %.2f%%\n"
       report.Validate.rp_total_ok report.rp_total_points
       (100.0 *. report.rp_mean_signed)
-      (100.0 *. report.rp_mape) (100.0 *. gate);
+      (100.0 *. report.rp_mape) (100.0 *. gate)
+      (100.0 *. report.rp_power_mape);
     Option.iter
       (fun path ->
         or_die (Validate.save_json ~gate path report);
@@ -700,8 +668,8 @@ let validate_cmd =
     (Cmd.info "validate"
        ~doc:
          "Run the analytical model and the cycle simulator over the same \
-          design matrix and diff their CPI stacks (fault-isolated, \
-          checkpointable; exits 1 on faulted points or a failed accuracy \
+          design matrix and diff their CPI stacks and power (fault-isolated, \
+          checkpointable; exits 1 on faulted points or a failed CPI accuracy \
           gate)")
     Term.(const run $ vbenches_arg $ vspec_files_arg $ matrix_arg
           $ vinstructions_arg $ seed_arg $ jobs_arg $ calibrate_file_arg
@@ -746,40 +714,11 @@ let model_file_arg =
   Arg.(
     required & opt (some string) None & info [ "model" ] ~docv:"FILE" ~doc)
 
-let matrix_file_arg =
-  let doc =
-    "Load a training matrix written by `mipp validate --matrix-out` (or \
-     `calibrate train --matrix-out`) instead of profiling and simulating."
-  in
+let matrix_file_arg ~doc =
   Arg.(
-    value & opt (some string) None & info [ "matrix-file" ] ~docv:"FILE" ~doc)
+    required & opt (some string) None & info [ "matrix-file" ] ~docv:"FILE" ~doc)
 
 let calibrate_cmd =
-  let cbenches_arg =
-    let doc = "Benchmark contributing training rows (repeatable)." in
-    Arg.(
-      value & opt_all string [] & info [ "b"; "benchmark" ] ~docv:"BENCH" ~doc)
-  in
-  let cspec_files_arg =
-    let doc = "Workload spec file contributing training rows (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "spec-file" ] ~docv:"FILE" ~doc)
-  in
-  let cmatrix_arg =
-    let doc = "Design matrix to simulate: 'quick', 'sim' or 'full'." in
-    Arg.(value & opt string "sim" & info [ "matrix" ] ~docv:"MATRIX" ~doc)
-  in
-  let cinstructions_arg =
-    let doc = "Instructions to profile and simulate per point." in
-    Arg.(
-      value
-      & opt int Validate.default_n_instructions
-      & info [ "n"; "instructions" ] ~docv:"N" ~doc)
-  in
-  let matrix_out_arg =
-    let doc = "Also write the training matrix (mipp-matrix-v1) to $(docv)." in
-    Arg.(
-      value & opt (some string) None & info [ "matrix-out" ] ~docv:"FILE" ~doc)
-  in
   let model_out_arg =
     let doc = "Write the trained model (mipp-calib-v1) to $(docv)." in
     Arg.(
@@ -827,39 +766,10 @@ let calibrate_cmd =
       opt_folds = folds;
     }
   in
-  let build_matrix ~benches ~spec_files ~matrix ~n ~seed ~jobs ~matrix_file =
-    match matrix_file with
-    | Some path -> or_die (Validate.load_matrix path)
-    | None ->
-      let matrix = or_die (Validate.matrix_of_string matrix) in
-      let configs = Validate.matrix_configs matrix in
-      let specs =
-        List.map find_bench benches
-        @ List.map (fun p -> or_die (Workload_parser.load p)) spec_files
-      in
-      let specs = if specs = [] then [ find_bench "gcc" ] else specs in
-      let reports =
-        List.map
-          (fun spec ->
-            or_die
-              (Validate.run_workload ~jobs ~seed ~n_instructions:n ~spec
-                 configs))
-          specs
-      in
-      Validate.matrix_of_report (Validate.summarize reports)
-  in
   let train_cmd =
-    let run benches spec_files matrix n seed jobs matrix_file matrix_out
-        model_out holdout lambda rounds folds gate =
+    let run matrix_file model_out holdout lambda rounds folds gate =
       let t0 = Unix.gettimeofday () in
-      let rows =
-        build_matrix ~benches ~spec_files ~matrix ~n ~seed ~jobs ~matrix_file
-      in
-      Option.iter
-        (fun path ->
-          or_die (Validate.save_matrix path rows);
-          Printf.printf "wrote %s\n" path)
-        matrix_out;
+      let rows = or_die (Validate.load_matrix matrix_file) in
       let options = options ~holdout ~lambda ~rounds ~folds in
       let model, ev = or_die (Calibrate.train ~options rows) in
       Table.section
@@ -882,19 +792,15 @@ let calibrate_cmd =
          ~doc:
            "Train the residual calibrator on a model-vs-simulator matrix and \
             report train/held-out error (exit 1 when the held-out gate fails)")
-      Term.(const run $ cbenches_arg $ cspec_files_arg $ cmatrix_arg
-            $ cinstructions_arg $ seed_arg $ jobs_arg $ matrix_file_arg
-            $ matrix_out_arg $ model_out_arg $ holdout_arg $ lambda_arg
-            $ rounds_arg $ folds_arg $ calib_gate_arg)
+      Term.(const run
+            $ matrix_file_arg
+                ~doc:
+                  "Training matrix (mipp-matrix-v2) to train on, written by \
+                   `mipp validate --matrix-out`."
+            $ model_out_arg $ holdout_arg $ lambda_arg $ rounds_arg $ folds_arg
+            $ calib_gate_arg)
   in
   let eval_cmd =
-    let req_matrix_file_arg =
-      let doc = "Training matrix (mipp-matrix-v1) to evaluate against." in
-      Arg.(
-        required
-        & opt (some string) None
-        & info [ "matrix-file" ] ~docv:"FILE" ~doc)
-    in
     let run model matrix_file gate =
       let m = or_die (Calibrate.load model) in
       let rows = or_die (Validate.load_matrix matrix_file) in
@@ -910,7 +816,10 @@ let calibrate_cmd =
          ~doc:
            "Evaluate a trained model on an externally supplied matrix (every \
             row treated as held out)")
-      Term.(const run $ model_file_arg $ req_matrix_file_arg $ calib_gate_arg)
+      Term.(const run $ model_file_arg
+            $ matrix_file_arg
+                ~doc:"Training matrix (mipp-matrix-v2) to evaluate against."
+            $ calib_gate_arg)
   in
   let apply_cmd =
     let run model bench spec_file n seed config prefetch =
@@ -1246,5 +1155,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; profile_cmd; predict_cmd; simulate_cmd; compare_cmd;
-            report_cmd; sweep_cmd; multicore_cmd; validate_cmd; calibrate_cmd;
+            sweep_cmd; multicore_cmd; validate_cmd; calibrate_cmd;
             serve_cmd; query_cmd ]))

@@ -140,9 +140,10 @@ let model_refine ?(options = Interval_model.default_options) ?initial_stride
   match Profile.validate profile with
   | Error ft -> Error ft
   | Ok () ->
-    (match options.combine with
-    | `Separate -> Profile.prepare profile
-    | `Combined -> ());
+    (* As in Sweep.model_sweep_result: build every config-independent
+       structure before the fan-out, in either combine mode, so no
+       worker races a first force of a shared lazy. *)
+    Profile.prepare profile;
     run ?initial_stride ?max_rounds ?jobs ~space
       ~eval_point:(fun i ->
         let config = Config_space.config_of_index space i in

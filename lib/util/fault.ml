@@ -34,27 +34,45 @@ let tag = function
   | Timeout _ -> "timeout"
   | Overload _ -> "overload"
 
-(* Checkpoint logs store faults as [tag message-on-one-line]; the exact
-   exception and backtrace of a [Worker_crash] cannot round-trip, so it
-   comes back as a [Failure] carrying the rendered message. *)
+(* Checkpoint logs and wire replies store faults as
+   [tag message-on-one-line]; the exact exception and backtrace of a
+   [Worker_crash] cannot round-trip, so it comes back as a [Crashed]
+   that prints as the original exception did. *)
 let to_line ft =
   let flat s = String.map (function '\n' | '\r' -> ' ' | c -> c) s in
   tag ft ^ " " ^ flat (to_string ft)
 
-(* [to_line] renders through [to_string], which prefixes some variants;
-   strip the prefix back off so those variants' payloads round-trip
-   exactly through a log line or a wire frame. *)
+exception Crashed of string
+
+let () = Printexc.register_printer (function Crashed s -> Some s | _ -> None)
+
+(* [of_line] undoes [to_string]'s rendering, so that the fault it
+   rebuilds renders to the same string: strip a variant's prefix, and
+   split a bad input's [where: message] at its first [": "]. *)
 let strip_prefix ~prefix s =
   let pl = String.length prefix in
   if String.length s >= pl && String.sub s 0 pl = prefix then
     String.sub s pl (String.length s - pl)
   else s
 
+let bad_input_of_line s =
+  let n = String.length s in
+  let rec split i =
+    if i + 1 >= n then Bad_input { context = "input"; line = None; message = s }
+    else if s.[i] = ':' && s.[i + 1] = ' ' then
+      let message = String.sub s (i + 2) (n - i - 2) in
+      Bad_input { context = String.sub s 0 i; line = None; message }
+    else split (i + 1)
+  in
+  split 0
+
 let of_line ~tag:tg message =
   match tg with
-  | "numeric" -> Some (Numeric message)
-  | "crash" -> Some (Worker_crash (Failure message, Printexc.get_callstack 0))
-  | "bad-input" -> Some (Bad_input { context = "checkpoint"; line = None; message })
+  | "numeric" -> Some (Numeric (strip_prefix ~prefix:"non-finite result: " message))
+  | "crash" ->
+    let rendered = strip_prefix ~prefix:"worker crashed: " message in
+    Some (Worker_crash (Crashed rendered, Printexc.get_callstack 0))
+  | "bad-input" -> Some (bad_input_of_line message)
   | "timeout" -> Some (Timeout (strip_prefix ~prefix:"deadline exceeded: " message))
   | "overload" -> Some (Overload (strip_prefix ~prefix:"overloaded: " message))
   | _ -> None

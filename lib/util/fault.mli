@@ -42,12 +42,17 @@ val tag : t -> string
     ["timeout"] or ["overload"]. *)
 
 val to_line : t -> string
-(** [tag ^ " " ^ message] with newlines flattened — the checkpoint-log
-    encoding.  A [Worker_crash] loses its exception identity and
-    backtrace (they cannot round-trip through a text line). *)
+(** [tag ^ " " ^ to_string ft] with newlines flattened — the
+    checkpoint-log and wire encoding.  A [Worker_crash] loses its
+    exception identity and backtrace (they cannot round-trip through a
+    text line). *)
 
 val of_line : tag:string -> string -> t option
-(** Inverse of [to_line]; [None] on an unknown tag. *)
+(** Inverse of [to_line] for rendering: [to_string] of the result equals
+    [to_string] of the fault [to_line] was given (newlines flattened).
+    A bad input comes back with its line folded into its context, a
+    crash as an exception that prints as the original one did.  [None]
+    on an unknown tag. *)
 
 val raise_error : t -> 'a
 (** Raise the fault: a [Worker_crash] re-raises the original exception

@@ -15,7 +15,9 @@
    model error, not a 50% one — and therefore sum (over components, up
    to the simulator's stack-vs-cycles accounting slack) to the total
    signed CPI error, which makes "worst component" attribution mean
-   something. *)
+   something.  Power errors are (model - sim) / sim watts, each engine's
+   watts being Power.estimate of its own activity at the point's
+   config. *)
 
 type point = {
   vp_index : int;
@@ -24,9 +26,12 @@ type point = {
   vp_model_cpi : float;
   vp_sim_stack : Cpi_stack.t;
   vp_sim_cpi : float;
+  vp_model_watts : float;
+  vp_sim_watts : float;
 }
 
 let point ~index u (pred : Interval_model.prediction) (sim : Sim_result.t) =
+  let watts activity = (Power.estimate u activity).Power.total_watts in
   {
     vp_index = index;
     vp_uarch = u;
@@ -34,12 +39,17 @@ let point ~index u (pred : Interval_model.prediction) (sim : Sim_result.t) =
     vp_model_cpi = Interval_model.cpi pred;
     vp_sim_stack = Sim_result.cpi_stack sim;
     vp_sim_cpi = Sim_result.cpi sim;
+    vp_model_watts = watts pred.Interval_model.pr_activity;
+    vp_sim_watts = watts sim.Sim_result.r_activity;
   }
 
 let signed_error p =
   Stats.relative_error ~predicted:p.vp_model_cpi ~reference:p.vp_sim_cpi
 
 let abs_error p = Float.abs (signed_error p)
+
+let power_signed_error p =
+  Stats.relative_error ~predicted:p.vp_model_watts ~reference:p.vp_sim_watts
 
 let component_signed_error p c =
   if p.vp_sim_cpi = 0.0 then 0.0
@@ -49,17 +59,17 @@ let component_signed_error p c =
 
 (* ---- Checkpoint payload ---- *)
 
-(* Both stacks plus both totals; the totals are stored rather than
-   recomputed so a resumed run is bit-identical to an uninterrupted
-   one (the simulator's stack total and its cycle count differ by
-   accounting slack). *)
-let payload_width = (2 * Cpi_stack.n_components) + 2
+(* Both stacks, both totals and both watts; the totals are stored
+   rather than recomputed so a resumed run is bit-identical to an
+   uninterrupted one (the simulator's stack total and its cycle count
+   differ by accounting slack). *)
+let payload_width = (2 * Cpi_stack.n_components) + 4
 
 let encode p =
   Array.of_list
     (List.map snd (Cpi_stack.to_alist p.vp_model_stack)
     @ (p.vp_model_cpi :: List.map snd (Cpi_stack.to_alist p.vp_sim_stack))
-    @ [ p.vp_sim_cpi ])
+    @ [ p.vp_sim_cpi; p.vp_model_watts; p.vp_sim_watts ])
 
 let decode configs ~index v =
   let n = Cpi_stack.n_components in
@@ -71,6 +81,8 @@ let decode configs ~index v =
     vp_model_cpi = v.(n);
     vp_sim_stack = stack (n + 1);
     vp_sim_cpi = v.((2 * n) + 1);
+    vp_model_watts = v.((2 * n) + 2);
+    vp_sim_watts = v.((2 * n) + 3);
   }
 
 let check p =
@@ -78,7 +90,8 @@ let check p =
   if not (List.for_all Float.is_finite values) then
     Error
       (Fault.numeric
-         (Printf.sprintf "validation point %d: non-finite CPI value" p.vp_index))
+         (Printf.sprintf "validation point %d: non-finite CPI or watts"
+            p.vp_index))
   else if p.vp_sim_cpi <= 0.0 then
     Error
       (Fault.numeric
@@ -140,6 +153,9 @@ type workload_report = {
   wr_mean_signed : float;
   wr_mape : float;
   wr_max_abs : float;
+  wr_power_mean_signed : float;
+  wr_power_mape : float;
+  wr_power_max_abs : float;
   wr_components : component_error list;
   wr_worst : component_error option;
   wr_rob_trend : (int * float) list;
@@ -152,6 +168,9 @@ type report = {
   rp_total_ok : int;
   rp_mean_signed : float;
   rp_mape : float;
+  rp_power_mean_signed : float;
+  rp_power_mape : float;
+  rp_power_max_abs : float;
 }
 
 (* Mean signed CPI error per distinct value of an integer design axis,
@@ -186,6 +205,8 @@ let component_errors points =
       })
     Cpi_stack.all
 
+let max_abs errors = if errors = [] then 0.0 else Stats.max_abs errors
+
 let workload_report ?(stats = []) ~workload (r : point Sweep.run) =
   let points = List.filter_map Result.to_option r.run_results in
   let faults =
@@ -195,6 +216,7 @@ let workload_report ?(stats = []) ~workload (r : point Sweep.run) =
       (List.mapi (fun i res -> (i, res)) r.run_results)
   in
   let errors = List.map signed_error points in
+  let power_errors = List.map power_signed_error points in
   let components = component_errors points in
   let worst =
     List.fold_left
@@ -214,7 +236,10 @@ let workload_report ?(stats = []) ~workload (r : point Sweep.run) =
     wr_resumed = r.run_resumed;
     wr_mean_signed = Stats.mean errors;
     wr_mape = Stats.mean_abs errors;
-    wr_max_abs = (if errors = [] then 0.0 else Stats.max_abs errors);
+    wr_max_abs = max_abs errors;
+    wr_power_mean_signed = Stats.mean power_errors;
+    wr_power_mape = Stats.mean_abs power_errors;
+    wr_power_max_abs = max_abs power_errors;
     wr_components = components;
     wr_worst = worst;
     wr_rob_trend = trend (fun p -> p.vp_uarch.Uarch.core.rob_size) points;
@@ -223,9 +248,9 @@ let workload_report ?(stats = []) ~workload (r : point Sweep.run) =
   }
 
 let summarize workloads =
-  let all_errors =
-    List.concat_map (fun wr -> List.map signed_error wr.wr_points) workloads
-  in
+  let all f = List.concat_map (fun wr -> List.map f wr.wr_points) workloads in
+  let all_errors = all signed_error in
+  let power_errors = all power_signed_error in
   {
     rp_workloads = workloads;
     rp_total_points =
@@ -234,6 +259,9 @@ let summarize workloads =
       List.fold_left (fun a wr -> a + List.length wr.wr_points) 0 workloads;
     rp_mean_signed = Stats.mean all_errors;
     rp_mape = Stats.mean_abs all_errors;
+    rp_power_mean_signed = Stats.mean power_errors;
+    rp_power_mape = Stats.mean_abs power_errors;
+    rp_power_max_abs = max_abs power_errors;
   }
 
 (* ---- Evaluation matrices ---- *)
@@ -346,6 +374,11 @@ let passes_gate rp ~gate = rp.rp_total_ok > 0 && rp.rp_mape <= gate
 let report_json ~gate rp =
   let open Minijson in
   let trend rows = Arr (List.map (fun (k, e) -> Arr [ int k; Num e ]) rows) in
+  let errors ?max_abs mean_signed mape =
+    Obj
+      (("mean_signed", Num mean_signed) :: ("mape", Num mape)
+      :: (match max_abs with None -> [] | Some m -> [ ("max_abs", Num m) ]))
+  in
   let workload wr =
     Obj
       [
@@ -353,13 +386,10 @@ let report_json ~gate rp =
         ("points_total", int wr.wr_n_points);
         ("points_ok", int (List.length wr.wr_points));
         ("points_resumed", int wr.wr_resumed);
-        ( "cpi_error",
-          Obj
-            [
-              ("mean_signed", Num wr.wr_mean_signed);
-              ("mape", Num wr.wr_mape);
-              ("max_abs", Num wr.wr_max_abs);
-            ] );
+        ("cpi_error", errors ~max_abs:wr.wr_max_abs wr.wr_mean_signed wr.wr_mape);
+        ( "power_error",
+          errors ~max_abs:wr.wr_power_max_abs wr.wr_power_mean_signed
+            wr.wr_power_mape );
         ( "worst_component",
           match wr.wr_worst with
           | None -> Null
@@ -396,6 +426,8 @@ let report_json ~gate rp =
                      ("model_cpi", Num pt.vp_model_cpi);
                      ("sim_cpi", Num pt.vp_sim_cpi);
                      ("signed_error", Num (signed_error pt));
+                     ("model_watts", Num pt.vp_model_watts);
+                     ("sim_watts", Num pt.vp_sim_watts);
                    ])
                wr.wr_points) );
       ]
@@ -407,9 +439,10 @@ let report_json ~gate rp =
       ("pass", Bool (passes_gate rp ~gate));
       ("points_total", int rp.rp_total_points);
       ("points_ok", int rp.rp_total_ok);
-      ( "cpi_error",
-        Obj [ ("mean_signed", Num rp.rp_mean_signed); ("mape", Num rp.rp_mape) ]
-      );
+      ("cpi_error", errors rp.rp_mean_signed rp.rp_mape);
+      ( "power_error",
+        errors ~max_abs:rp.rp_power_max_abs rp.rp_power_mean_signed
+          rp.rp_power_mape );
       ("workloads", Arr (List.map workload rp.rp_workloads));
     ]
 
@@ -430,6 +463,10 @@ let print_workload_report oc wr =
   p "  CPI error: mean %+.2f%%  |mean| %.2f%%  max %.2f%%\n"
     (100.0 *. wr.wr_mean_signed)
     (100.0 *. wr.wr_mape) (100.0 *. wr.wr_max_abs);
+  p "  power error: mean %+.2f%%  |mean| %.2f%%  max %.2f%%\n"
+    (100.0 *. wr.wr_power_mean_signed)
+    (100.0 *. wr.wr_power_mape)
+    (100.0 *. wr.wr_power_max_abs);
   p "  %-10s %12s %12s %10s %10s\n" "component" "model CPI" "sim CPI" "signed"
     "|err|";
   List.iter
@@ -464,10 +501,10 @@ let print_workload_report oc wr =
 
 (* The typed export the calibrator trains on: one row per successfully
    validated point, carrying the workload statistics, the design point
-   and both engines' CPI stacks.  The JSON form keeps every float as a
-   ["%h"] hex string — valid JSON, but bit-exact on the way back in,
-   which is what makes retraining from a saved matrix byte-identical to
-   training in-process. *)
+   and both engines' CPI stacks and watts.  The JSON form keeps every
+   float as a ["%h"] hex string — valid JSON, but bit-exact on the way
+   back in, which is what makes retraining from a saved matrix
+   byte-identical to training in-process. *)
 
 type matrix_row = {
   mr_workload : string;
@@ -487,6 +524,8 @@ let matrix_of_report rp =
 (* Hex floats are JSON strings, so the round trip is bit-exact. *)
 let hexf v = Minijson.Str (Printf.sprintf "%h" v)
 
+let matrix_schema = "mipp-matrix-v2"
+
 let matrix_to_json rows =
   let open Minijson in
   let row { mr_workload; mr_stats; mr_point = pt } =
@@ -501,10 +540,12 @@ let matrix_to_json rows =
         ("model_cpi", hexf pt.vp_model_cpi);
         ("sim_stack", stack pt.vp_sim_stack);
         ("sim_cpi", hexf pt.vp_sim_cpi);
+        ("model_watts", hexf pt.vp_model_watts);
+        ("sim_watts", hexf pt.vp_sim_watts);
       ]
   in
   print
-    (Obj [ ("schema", Str "mipp-matrix-v1"); ("rows", Arr (List.map row rows)) ])
+    (Obj [ ("schema", Str matrix_schema); ("rows", Arr (List.map row rows)) ])
 
 let matrix_context = "training matrix"
 
@@ -512,61 +553,60 @@ let matrix_of_json text =
   let ( let* ) = Result.bind in
   let bad msg = Error (Fault.bad_input ~context:matrix_context msg) in
   let need what = function Some v -> Ok v | None -> bad ("missing " ^ what) in
-  let* json = Minijson.parse ~context:matrix_context text in
-  let* schema =
-    need "schema" (Option.bind (Minijson.member "schema" json) Minijson.to_string)
+  (* [f] over every element, or the first error from the right. *)
+  let map_all f xs =
+    List.fold_right
+      (fun x acc ->
+        let* acc = acc in
+        let* v = f x in
+        Ok (v :: acc))
+      xs (Ok [])
   in
+  let* json = Minijson.parse ~context:matrix_context text in
+  let field what conv json =
+    need what (Option.bind (Minijson.member what json) conv)
+  in
+  let* schema = field "schema" Minijson.to_string json in
   let* () =
-    if schema = "mipp-matrix-v1" then Ok ()
+    if schema = matrix_schema then Ok ()
+    else if schema = "mipp-matrix-v1" then
+      bad
+        "schema \"mipp-matrix-v1\" carries no watts; regenerate the matrix \
+         with `mipp validate --matrix-out`"
     else bad (Printf.sprintf "unknown schema %S" schema)
   in
-  let* rows =
-    need "rows" (Option.bind (Minijson.member "rows" json) Minijson.to_list)
-  in
-  let stack_of json_v what =
-    let* items = need what (Option.bind json_v Minijson.to_list) in
-    let* values =
-      List.fold_right
-        (fun item acc ->
-          let* acc = acc in
-          let* v = need (what ^ " entry") (Minijson.to_float item) in
-          Ok (v :: acc))
-        items (Ok [])
-    in
-    if List.length values <> Cpi_stack.n_components then
-      bad
-        (Printf.sprintf "%s has %d entries, expected %d" what
-           (List.length values) Cpi_stack.n_components)
-    else
-      let arr = Array.of_list values in
-      Ok (Cpi_stack.make (fun c -> arr.(Cpi_stack.index c)))
-  in
+  let* rows = field "rows" Minijson.to_list json in
   let row_of json_row =
-    let field what conv =
-      need what (Option.bind (Minijson.member what json_row) conv)
+    let field what conv = field what conv json_row in
+    let stack what =
+      let* items = field what Minijson.to_list in
+      let* values =
+        map_all (fun v -> need (what ^ " entry") (Minijson.to_float v)) items
+      in
+      if List.length values <> Cpi_stack.n_components then
+        bad
+          (Printf.sprintf "%s has %d entries, expected %d" what
+             (List.length values) Cpi_stack.n_components)
+      else
+        let arr = Array.of_list values in
+        Ok (Cpi_stack.make (fun c -> arr.(Cpi_stack.index c)))
     in
     let* workload = field "workload" Minijson.to_string in
     let* index = field "index" Minijson.to_int in
-    let* uname = field "uarch" Minijson.to_string in
-    let* uarch = Uarch.of_name uname in
-    let* stats_obj =
-      need "stats"
-        (match Minijson.member "stats" json_row with
-        | Some (Minijson.Obj members) -> Some members
-        | _ -> None)
-    in
+    let* uarch = Result.bind (field "uarch" Minijson.to_string) Uarch.of_name in
     let* stats =
-      List.fold_right
-        (fun (name, v) acc ->
-          let* acc = acc in
-          let* f = need ("stat " ^ name) (Minijson.to_float v) in
-          Ok ((name, f) :: acc))
-        stats_obj (Ok [])
+      Result.bind
+        (field "stats" (function Minijson.Obj members -> Some members | _ -> None))
+        (map_all (fun (name, v) ->
+             let* f = need ("stat " ^ name) (Minijson.to_float v) in
+             Ok (name, f)))
     in
-    let* model_stack = stack_of (Minijson.member "model_stack" json_row) "model_stack" in
+    let* model_stack = stack "model_stack" in
     let* model_cpi = field "model_cpi" Minijson.to_float in
-    let* sim_stack = stack_of (Minijson.member "sim_stack" json_row) "sim_stack" in
+    let* sim_stack = stack "sim_stack" in
     let* sim_cpi = field "sim_cpi" Minijson.to_float in
+    let* model_watts = field "model_watts" Minijson.to_float in
+    let* sim_watts = field "sim_watts" Minijson.to_float in
     Ok
       {
         mr_workload = workload;
@@ -579,15 +619,12 @@ let matrix_of_json text =
             vp_model_cpi = model_cpi;
             vp_sim_stack = sim_stack;
             vp_sim_cpi = sim_cpi;
+            vp_model_watts = model_watts;
+            vp_sim_watts = sim_watts;
           };
       }
   in
-  List.fold_right
-    (fun r acc ->
-      let* acc = acc in
-      let* row = row_of r in
-      Ok (row :: acc))
-    rows (Ok [])
+  map_all row_of rows
 
 let save_matrix path rows =
   Fault.protect ~context:(matrix_context ^ " " ^ path) (fun () ->

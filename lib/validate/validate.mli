@@ -17,7 +17,8 @@
 (** {1 Points} *)
 
 (** One validated design point: both engines' per-instruction CPI stacks
-    and totals, on the same workload and seed. *)
+    and totals, and both engines' average power, on the same workload and
+    seed. *)
 type point = {
   vp_index : int;  (** position in the config list *)
   vp_uarch : Uarch.t;
@@ -25,6 +26,10 @@ type point = {
   vp_model_cpi : float;
   vp_sim_stack : Cpi_stack.t;  (** simulator CPI stack, per instruction *)
   vp_sim_cpi : float;
+  vp_model_watts : float;
+      (** [Power.estimate] total watts of the prediction's activity *)
+  vp_sim_watts : float;
+      (** [Power.estimate] total watts of the simulated activity *)
 }
 
 val point :
@@ -77,6 +82,9 @@ type workload_report = {
   wr_mean_signed : float;  (** mean signed CPI error *)
   wr_mape : float;  (** mean absolute CPI error *)
   wr_max_abs : float;
+  wr_power_mean_signed : float;  (** mean signed power error *)
+  wr_power_mape : float;  (** mean absolute power error *)
+  wr_power_max_abs : float;
   wr_components : component_error list;  (** in {!Cpi_stack.all} order *)
   wr_worst : component_error option;  (** largest [ce_abs]; [None] iff
                                           no point succeeded *)
@@ -92,6 +100,9 @@ type report = {
   rp_total_ok : int;
   rp_mean_signed : float;  (** over every successful point, all workloads *)
   rp_mape : float;  (** the gated aggregate: mean absolute CPI error *)
+  rp_power_mean_signed : float;
+  rp_power_mape : float;  (** mean absolute power error; reported, not gated *)
+  rp_power_max_abs : float;
 }
 
 val summarize : workload_report list -> report
@@ -160,7 +171,9 @@ val run_workload :
     [?calibrate] replaces each point's model stack and CPI with the
     calibrated prediction before any error is computed, so the whole
     report (MAPE, component tables, trends, gate) measures the
-    corrected model; checkpoints then store calibrated values. *)
+    corrected model; checkpoints then store calibrated values.  The
+    calibrator corrects CPI only: model watts stay those of the raw
+    prediction's activity. *)
 
 (** {1 Reporting} *)
 
@@ -169,9 +182,9 @@ val passes_gate : report -> gate:float -> bool
 
 val save_json : ?gate:float -> string -> report -> (unit, Fault.t) result
 (** Write the machine-readable accuracy report (the [BENCH_accuracy.json]
-    schema, ["mipp-accuracy-v1"]): aggregate MAPE, per-workload CPI-error
-    summaries, per-component signed/absolute error tables, trends, and
-    per-point rows. *)
+    schema, ["mipp-accuracy-v1"]): aggregate MAPE, per-workload CPI- and
+    power-error summaries, per-component signed/absolute error tables,
+    trends, and per-point rows. *)
 
 val print_workload_report : out_channel -> workload_report -> unit
 (** Human-readable per-workload table (components, errors, trends). *)
@@ -180,7 +193,7 @@ val print_workload_report : out_channel -> workload_report -> unit
 
     The typed export the grey-box calibrator consumes: one row per
     successfully validated point.  [matrix_to_json] emits valid JSON
-    (schema ["mipp-matrix-v1"]) whose floats are ["%h"] hex strings, so
+    (schema ["mipp-matrix-v2"]) whose floats are ["%h"] hex strings, so
     [matrix_of_json] recovers every value bit-exactly —
     matrix→JSON→matrix is the identity for rows whose design point has
     a canonical {!Uarch.of_name} name (all matrix configs do). *)
@@ -196,5 +209,8 @@ val matrix_of_report : report -> matrix_row list
 
 val matrix_to_json : matrix_row list -> string
 val matrix_of_json : string -> (matrix_row list, Fault.t) result
+(** Refuses any other schema, a ["mipp-matrix-v1"] file (it carries no
+    watts) with a [Bad_input] that says to regenerate it. *)
+
 val save_matrix : string -> matrix_row list -> (unit, Fault.t) result
 val load_matrix : string -> (matrix_row list, Fault.t) result

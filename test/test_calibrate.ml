@@ -306,10 +306,14 @@ let test_matrix_json_roundtrip () =
       (fun (a : Validate.matrix_row) (b : Validate.matrix_row) ->
         Alcotest.(check string) "workload" a.mr_workload b.mr_workload;
         Alcotest.(check bool) "stats bit-exact" true (a.mr_stats = b.mr_stats);
-        Alcotest.(check bool) "sim cpi bit-exact" true
-          (Int64.equal
-             (Int64.bits_of_float a.mr_point.Validate.vp_sim_cpi)
-             (Int64.bits_of_float b.mr_point.Validate.vp_sim_cpi)))
+        let bits_equal what f =
+          Alcotest.(check int64) (what ^ " bit-exact")
+            (Int64.bits_of_float (f a.mr_point))
+            (Int64.bits_of_float (f b.mr_point))
+        in
+        bits_equal "sim cpi" (fun p -> p.Validate.vp_sim_cpi);
+        bits_equal "model watts" (fun p -> p.Validate.vp_model_watts);
+        bits_equal "sim watts" (fun p -> p.Validate.vp_sim_watts))
       rows rows2
 
 let test_matrix_json_rejects_garbage () =
@@ -323,7 +327,19 @@ let test_matrix_json_rejects_garbage () =
   reject "empty" "";
   reject "not json" "hello";
   reject "wrong schema" "{\"schema\": \"other\", \"rows\": []}";
-  reject "rows not a list" "{\"schema\": \"mipp-matrix-v1\", \"rows\": 3}"
+  reject "rows not a list" "{\"schema\": \"mipp-matrix-v2\", \"rows\": 3}";
+  (* A v1 matrix carries no watts: refused with a pointer to the command
+     that regenerates it, not read with missing columns. *)
+  match Validate.matrix_of_json "{\"schema\": \"mipp-matrix-v1\", \"rows\": []}" with
+  | Error (Fault.Bad_input _ as f) ->
+    let msg = Fault.to_string f and hint = "--matrix-out" in
+    let n = String.length hint in
+    let rec names i =
+      i + n <= String.length msg && (String.sub msg i n = hint || names (i + 1))
+    in
+    Alcotest.(check bool) ("v1 refusal names " ^ hint ^ ": " ^ msg) true (names 0)
+  | Error f -> Alcotest.failf "v1: wrong fault class %s" (Fault.to_string f)
+  | Ok _ -> Alcotest.fail "v1: accepted"
 
 (* ---- Gate arithmetic ---- *)
 

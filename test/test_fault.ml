@@ -70,6 +70,33 @@ let test_serving_faults_roundtrip_exactly () =
       Fault.overload "degraded mode: batch requests shed";
     ]
 
+let test_fault_line_renders_the_same () =
+  (* [of_line] inverts [to_line] for rendering: a resumed log or a wire
+     reply prints a fault exactly as the fault that was raised. *)
+  let through ft =
+    let line = Fault.to_line ft in
+    let i = String.index line ' ' in
+    Fault.of_line ~tag:(String.sub line 0 i)
+      (String.sub line (i + 1) (String.length line - i - 1))
+  in
+  List.iter
+    (fun ft ->
+      match through ft with
+      | None -> Alcotest.failf "of_line rejected %S" (Fault.to_line ft)
+      | Some back ->
+        Alcotest.(check string) "renders the same" (Fault.to_string ft)
+          (Fault.to_string back);
+        Alcotest.(check string) "same line again" (Fault.to_line ft)
+          (Fault.to_line back))
+    [
+      Fault.bad_input ~context:"profile gcc" "microtrace 0: negative reuse";
+      Fault.bad_input ~line:7 ~context:"profile" "bad integer \"x\"";
+      Fault.numeric "design point 3: non-finite watts (nan)";
+      Fault.timeout "per-request deadline exceeded";
+      Fault.overload "admission queue full (64 pending)";
+      Fault.worker_crash (Failure "boom") (Printexc.get_callstack 0);
+    ]
+
 (* ---- Parallel.map_result ---- *)
 
 let test_map_result_isolation () =
@@ -268,6 +295,8 @@ let () =
           Alcotest.test_case "line round-trip" `Quick test_fault_line_roundtrip;
           Alcotest.test_case "timeout/overload exact round-trip" `Quick
             test_serving_faults_roundtrip_exactly;
+          Alcotest.test_case "of_line renders as raised" `Quick
+            test_fault_line_renders_the_same;
         ] );
       ( "parallel",
         [

@@ -566,6 +566,25 @@ let test_refinement_quality_on_enumerable_space () =
     (Printf.sprintf "hvr %.3f >= 0.95" q.hvr)
     true (q.hvr >= 0.95)
 
+let test_combined_refine_parallel_no_faults () =
+  (* [`Combined] mode reads the per-static-load lazies too; refinement
+     must build them before its fan-out, or racing workers fault points
+     with [Lazy.Undefined]. *)
+  let options =
+    { Interval_model.default_options with combine = `Combined }
+  in
+  for seed = 1 to 10 do
+    let profile =
+      Profiler.profile (Benchmarks.find "mcf") ~seed ~n_instructions:40_000
+    in
+    match Refine.model_refine ~options ~jobs:4 ~profile Config_space.default with
+    | Error ft -> Alcotest.failf "seed %d: refine: %s" seed (Fault.to_string ft)
+    | Ok rep ->
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: no faulted point" seed)
+        0 rep.Refine.rf_failed
+  done
+
 let () =
   Alcotest.run "stream"
     [
@@ -608,5 +627,7 @@ let () =
             test_subset_quality_perfect_and_degraded;
           Alcotest.test_case "refinement quality >= 0.95 on 243 space" `Quick
             test_refinement_quality_on_enumerable_space;
+          Alcotest.test_case "combined refine: no faults at jobs 4" `Quick
+            test_combined_refine_parallel_no_faults;
         ] );
     ]

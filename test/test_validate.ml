@@ -197,6 +197,8 @@ let synthetic_point ~model ~sim =
     vp_model_cpi = Cpi_stack.total model;
     vp_sim_stack = sim;
     vp_sim_cpi = Cpi_stack.total sim;
+    vp_model_watts = 20.0;
+    vp_sim_watts = 20.0;
   }
 
 let prop_identical_stacks_zero_error =
@@ -308,7 +310,7 @@ let run_quick ?checkpoint ?jobs () =
 let point_fingerprint (p : Validate.point) =
   ( p.vp_index,
     List.map Int64.bits_of_float
-      (p.vp_model_cpi :: p.vp_sim_cpi
+      (p.vp_model_cpi :: p.vp_sim_cpi :: p.vp_model_watts :: p.vp_sim_watts
        :: List.map snd
             (Cpi_stack.to_alist p.vp_model_stack
             @ Cpi_stack.to_alist p.vp_sim_stack)) )
@@ -331,6 +333,34 @@ let test_checkpoint_resume_identical () =
             (List.map point_fingerprint direct.Validate.wr_points)
             (List.map point_fingerprint wr.Validate.wr_points))
         [ checkpointed; resumed ])
+
+(* Each point's watts are Power.estimate of the engine's own activity at
+   the point's config: the model's from a direct predict on the same
+   profile, the simulator's from a direct run of the same stream. *)
+let test_point_watts_match_direct () =
+  let spec = Benchmarks.find "gcc" and seed = 1 and n_instructions = 8_000 in
+  let wr =
+    Result.get_ok
+      (Validate.run_workload ~jobs:2 ~seed ~n_instructions ~spec
+         (Validate.matrix_configs `Quick))
+  in
+  let profile = Profiler.profile spec ~seed ~n_instructions in
+  let watts u activity = (Power.estimate u activity).Power.total_watts in
+  Alcotest.(check int) "every point ok" 9 (List.length wr.Validate.wr_points);
+  List.iter
+    (fun (p : Validate.point) ->
+      let u = p.vp_uarch in
+      let pred = Interval_model.predict u profile in
+      let sim = Simulator.run u spec ~seed ~n_instructions in
+      Alcotest.(check int64)
+        (u.Uarch.name ^ ": model watts")
+        (Int64.bits_of_float (watts u pred.Interval_model.pr_activity))
+        (Int64.bits_of_float p.vp_model_watts);
+      Alcotest.(check int64)
+        (u.Uarch.name ^ ": sim watts")
+        (Int64.bits_of_float (watts u sim.Sim_result.r_activity))
+        (Int64.bits_of_float p.vp_sim_watts))
+    wr.wr_points
 
 (* A log written by one run is refused, not resumed, by a run that
    differs in seed, instruction budget or calibrator.  The branch model
@@ -390,6 +420,9 @@ let test_gate_and_summary () =
         wr_mean_signed = 0.0;
         wr_mape = 0.0;
         wr_max_abs = 0.0;
+        wr_power_mean_signed = 0.0;
+        wr_power_mape = 0.0;
+        wr_power_max_abs = 0.0;
         wr_components = [];
         wr_worst = None;
         wr_rob_trend = [];
@@ -407,6 +440,15 @@ let test_gate_and_summary () =
     off.Validate.rp_mape;
   Alcotest.(check bool) "100% error fails the default gate" false
     (Validate.passes_gate off ~gate:Validate.default_gate);
+  let hot =
+    { (synthetic_point ~model:near ~sim:near) with Validate.vp_model_watts = 30.0 }
+  in
+  let hot = Validate.summarize [ wr [ hot ] ] in
+  (* 30 W against 20 W: +50% power error, which is reported, not gated *)
+  Alcotest.(check (float 1e-12)) "power MAPE" 0.5 hot.Validate.rp_power_mape;
+  Alcotest.(check (float 1e-12)) "power max |error|" 0.5 hot.rp_power_max_abs;
+  Alcotest.(check bool) "power error does not gate" true
+    (Validate.passes_gate hot ~gate:0.0);
   let empty = Validate.summarize [ wr [] ] in
   Alcotest.(check bool) "no successful points never passes" false
     (Validate.passes_gate empty ~gate:1.0)
@@ -442,6 +484,9 @@ let test_json_report () =
       Alcotest.(check (option (float 1e-8))) "cpi_error.mape"
         (Some report.Validate.rp_mape)
         (Option.bind (field [ "cpi_error"; "mape" ]) Minijson.to_float);
+      Alcotest.(check (option (float 1e-8))) "power_error.mape"
+        (Some report.Validate.rp_power_mape)
+        (Option.bind (field [ "power_error"; "mape" ]) Minijson.to_float);
       match Option.bind (field [ "workloads" ]) Minijson.to_list with
       | Some [ w ] ->
         Alcotest.(check (option string)) "workload name"
@@ -474,6 +519,8 @@ let () =
           Alcotest.test_case "matrix presets" `Quick test_matrix_sizes;
           Alcotest.test_case "checkpoint/resume bit-identical" `Slow
             test_checkpoint_resume_identical;
+          Alcotest.test_case "point watts match direct estimates" `Quick
+            test_point_watts_match_direct;
           Alcotest.test_case "checkpoint refuses changed inputs" `Slow
             test_checkpoint_refuses_changed_inputs;
           Alcotest.test_case "gates and summaries" `Quick test_gate_and_summary;
