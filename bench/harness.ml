@@ -8,7 +8,7 @@ let n_ref = 200_000
    they use shorter runs. *)
 let n_space = 60_000
 
-let all_benchmarks = Benchmarks.names
+let benchmarks = Benchmarks.names
 
 (* Worker domains for the design-space sweeps below. *)
 let jobs = Parallel.default_jobs ()
@@ -114,23 +114,28 @@ let space_result name =
 
 (* ---- Small helpers ---- *)
 
-let cpi_error name =
-  let s = Sim_result.cpi (sim name) in
-  let m = Interval_model.cpi (prediction name) in
-  Stats.relative_error ~predicted:m ~reference:s
+let row_of_floats name values = name :: List.map Table.fmt_f values
 
-let power_of_sim name =
-  (Power.estimate Uarch.reference (sim name).r_activity).total_watts
-
-let power_of_model name =
-  (Power.estimate Uarch.reference (prediction name).pr_activity).total_watts
+(* The reference-config CPI error against the reference simulation, of
+   the cached prediction or of one made with [options]. *)
+let cpi_error ?options name =
+  let pred =
+    match options with
+    | None -> prediction name
+    | Some options -> Interval_model.predict ~options Uarch.reference (profile name)
+  in
+  Stats.relative_error ~predicted:(Interval_model.cpi pred)
+    ~reference:(Sim_result.cpi (sim name))
 
 let fmt_err e = Printf.sprintf "%+.1f%%" (100.0 *. e)
 
-let summarize_errors label errors =
-  Printf.printf "%s: mean |err| %s, max |err| %s\n" label
-    (Table.fmt_pct (Stats.mean_abs errors))
-    (Table.fmt_pct (Stats.max_abs errors))
+(* Mean of a model CPI time series over the micro-traces starting in
+   [lo, hi): lines the model's per-window series up with one simulator
+   interval. *)
+let mean_cpi_between series lo hi =
+  Array.to_list series
+  |> List.filter_map (fun (i, c) -> if i >= lo && i < hi then Some c else None)
+  |> Stats.mean
 
 let print_box label (values : float list) =
   let b = Stats.box_summary values in
@@ -149,14 +154,43 @@ let pearson xs ys =
   let sx = Stats.stdev xs and sy = Stats.stdev ys in
   if sx = 0.0 || sy = 0.0 then 1.0 else cov /. (sx *. sy)
 
-(* ---- Machine-readable reports ---- *)
+(* ---- Timing and machine-readable reports ---- *)
+
+(* Seconds on the monotonic clock: unlike the wall clock it never steps,
+   so a timed interval cannot come out negative or absorb an NTP jump. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let time f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
+
+(* The process's peak resident set in MB (Linux VmHWM).  Elsewhere, or
+   unreadable, the peak is unmeasured: None, reported as null. *)
+let peak_rss_mb () =
+  try
+    In_channel.with_open_text "/proc/self/status" (fun ic ->
+        let rec scan () =
+          match In_channel.input_line ic with
+          | Some line when String.starts_with ~prefix:"VmHWM:" line ->
+            Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d"
+              (fun kb -> Some (float_of_int kb /. 1024.0))
+          | Some _ -> scan ()
+          | None -> None
+        in
+        scan ())
+  with _ -> None
 
 (* A number that may not exist on this run (e.g. a parallel timing with one
    core): [null] rather than a stand-in value. *)
 let num_opt = function Some v -> Minijson.Num v | None -> Minijson.Null
 
-(* Write one BENCH_*.json report to the current directory. *)
+(* Write one BENCH_*.json report to the current directory, led by the
+   machine it was measured on. *)
 let write_report path members =
+  let machine =
+    ("cores_available", Minijson.int (Domain.recommended_domain_count ()))
+  in
   Out_channel.with_open_bin path (fun oc ->
-      output_string oc (Minijson.print (Minijson.Obj members)));
+      output_string oc (Minijson.print (Minijson.Obj (machine :: members))));
   print_endline ("wrote " ^ path)

@@ -143,12 +143,17 @@ let open_ path ~header ~decode =
       | s ->
         Unix.close fd;
         let first = List.hd (String.split_on_char '\n' s) in
+        let remedy = "delete it or choose another --checkpoint path" in
         fail
           (match unframe first with
           | Some payload ->
-            Printf.sprintf "header mismatch: file is %S, this sweep is %S"
-              payload (format_tag ^ header)
-          | None -> "bad or corrupt header line"))
+            Printf.sprintf
+              "this log was written by another run or an older format; %s \
+               (file header %S, this run's %S)"
+              remedy payload (format_tag ^ header)
+          | None ->
+            Printf.sprintf "not a checkpoint log, or its header is corrupt; %s"
+              remedy))
 
 (* One write per batch: a killed process loses at most the batch in
    flight, and the write is cheap enough to sit on the sweep's critical

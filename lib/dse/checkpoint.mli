@@ -27,7 +27,9 @@ val open_ :
 
     On reopen the stored header must be byte-identical to [header]:
     anything else — another sweep, the other engine, a log in an older
-    format — is refused with [Fault.Bad_input], never misparsed.  A file
+    format — is refused with [Fault.Bad_input], never misparsed; its
+    message names that cause and the remedy (delete the log or choose
+    another [--checkpoint] path), then both raw headers.  A file
     holding only a prefix of [header] (a kill while the header was being
     written) restarts as a fresh log.  Records are trusted up to the
     first line whose CRC fails, that [decode] rejects, or that has no

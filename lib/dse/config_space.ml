@@ -88,29 +88,21 @@ let materialize t = Array.init t.cs_size (fun i -> config_of_index t i)
 let cat = String.concat ""
 let istr = string_of_int
 
-(* Point-for-point identical (values, names, order) to the historical
-   [Uarch.design_space] list: width outermost, then ROB, L1, L2, L3. *)
+(* Point-for-point identical (values, names, order) to the
+   [Uarch.design_space] list, built from the same grid and point
+   constructor.  The axis names are part of a checkpoint's run id. *)
 let default =
   make ~name:"default"
     ~axes:
-      [|
-        { ax_name = "width"; ax_values = [| 2; 4; 6 |] };
-        { ax_name = "rob"; ax_values = [| 64; 128; 256 |] };
-        { ax_name = "l1_kb"; ax_values = [| 16; 32; 64 |] };
-        { ax_name = "l2_kb"; ax_values = [| 128; 256; 512 |] };
-        { ax_name = "l3_mb"; ax_values = [| 2; 4; 8 |] };
-      |]
+      (Array.of_list
+         (List.map2
+            (fun ax_name (_, values) ->
+              { ax_name; ax_values = Array.of_list values })
+            [ "width"; "rob"; "l1_kb"; "l2_kb"; "l3_mb" ]
+            Uarch.design_space_grid))
     ~build:(fun v ->
-      let w = v.(0) and rob = v.(1) and l1 = v.(2) and l2 = v.(3) and l3 = v.(4) in
-      {
-        Uarch.reference with
-        name =
-          cat
-            [ "w"; istr w; "-rob"; istr rob; "-l1_"; istr l1; "k-l2_"; istr l2;
-              "k-l3_"; istr l3; "m" ];
-        core = Uarch.make_core ~dispatch_width:w ~rob_size:rob;
-        caches = Uarch.make_caches ~l1_kb:l1 ~l2_kb:l2 ~l3_mb:l3;
-      })
+      Uarch.design_point ~width:v.(0) ~rob:v.(1) ~l1_kb:v.(2) ~l2_kb:v.(3)
+        ~l3_mb:v.(4))
 
 let dvfs_points = Array.of_list Uarch.dvfs_points
 

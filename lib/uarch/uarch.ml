@@ -163,43 +163,49 @@ let low_power =
     operating_point = { freq_ghz = 1.33; vdd = 0.75 };
   }
 
-let design_space_axes =
+(* Table 6.3: each axis's label and values, in enumeration order (width
+   outermost, L3 fastest). *)
+let design_space_grid =
   [
-    ("dispatch width", [ "2"; "4"; "6" ]);
-    ("ROB size", [ "64"; "128"; "256" ]);
-    ("L1 I/D size (KB)", [ "16"; "32"; "64" ]);
-    ("L2 size (KB)", [ "128"; "256"; "512" ]);
-    ("L3 size (MB)", [ "2"; "4"; "8" ]);
+    ("dispatch width", [ 2; 4; 6 ]);
+    ("ROB size", [ 64; 128; 256 ]);
+    ("L1 I/D size (KB)", [ 16; 32; 64 ]);
+    ("L2 size (KB)", [ 128; 256; 512 ]);
+    ("L3 size (MB)", [ 2; 4; 8 ]);
   ]
 
+let design_space_axes =
+  List.map
+    (fun (axis, values) -> (axis, List.map string_of_int values))
+    design_space_grid
+
+(* Cheap name assembly: a streamed sweep builds one point per evaluation,
+   and [Printf.sprintf] there costs a visible fraction of it. *)
+let design_point ~width ~rob ~l1_kb ~l2_kb ~l3_mb =
+  let i = string_of_int in
+  {
+    reference with
+    name =
+      String.concat ""
+        [ "w"; i width; "-rob"; i rob; "-l1_"; i l1_kb; "k-l2_"; i l2_kb;
+          "k-l3_"; i l3_mb; "m" ];
+    core = make_core ~dispatch_width:width ~rob_size:rob;
+    caches = make_caches ~l1_kb ~l2_kb ~l3_mb;
+  }
+
 let design_space =
-  let widths = [ 2; 4; 6 ] in
-  let robs = [ 64; 128; 256 ] in
-  let l1s = [ 16; 32; 64 ] in
-  let l2s = [ 128; 256; 512 ] in
-  let l3s = [ 2; 4; 8 ] in
-  List.concat_map
-    (fun w ->
-      List.concat_map
-        (fun rob ->
-          List.concat_map
-            (fun l1 ->
-              List.concat_map
-                (fun l2 ->
-                  List.map
-                    (fun l3 ->
-                      {
-                        reference with
-                        name =
-                          Printf.sprintf "w%d-rob%d-l1_%dk-l2_%dk-l3_%dm" w rob l1 l2 l3;
-                        core = make_core ~dispatch_width:w ~rob_size:rob;
-                        caches = make_caches ~l1_kb:l1 ~l2_kb:l2 ~l3_mb:l3;
-                      })
-                    l3s)
-                l2s)
-            l1s)
-        robs)
-    widths
+  let points =
+    List.fold_right
+      (fun (_, values) rest ->
+        List.concat_map (fun v -> List.map (fun vs -> v :: vs) rest) values)
+      design_space_grid [ [] ]
+  in
+  List.map
+    (function
+      | [ width; rob; l1_kb; l2_kb; l3_mb ] ->
+        design_point ~width ~rob ~l1_kb ~l2_kb ~l3_mb
+      | _ -> assert false)
+    points
 
 let of_name name =
   match name with

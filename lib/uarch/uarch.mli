@@ -109,8 +109,16 @@ val design_space : t list
     Issue-queue size and port/functional-unit counts scale with the
     dispatch width; all other parameters follow [reference]. *)
 
+val design_space_grid : (string * int list) list
+(** Axis label and the three values per axis, in [design_space] order
+    (width outermost, L3 fastest). *)
+
 val design_space_axes : (string * string list) list
-(** Axis name and the three values per axis — the rows of Table 6.3. *)
+(** [design_space_grid] as text — the rows of Table 6.3. *)
+
+val design_point : width:int -> rob:int -> l1_kb:int -> l2_kb:int -> l3_mb:int -> t
+(** One Table 6.3 point, named like ["w4-rob128-l1_32k-l2_256k-l3_8m"]:
+    [reference] with the given core and cache sizes. *)
 
 val of_name : string -> (t, Fault.t) result
 (** Look up a configuration by user-supplied name: ["reference"],

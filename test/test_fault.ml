@@ -235,24 +235,38 @@ let test_checkpoint_unterminated_record () =
       Alcotest.(check (list int)) "later appends survive" [ 0; 2; 3 ]
         (restored_indices path))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let test_checkpoint_header_mismatch () =
   with_temp (fun path ->
       Sys.remove path;
-      let refused what header =
+      let remedy = "delete it or choose another --checkpoint path" in
+      let mismatch = [ "written by another run or an older format"; remedy ] in
+      let refused what ~says header =
         match
           Checkpoint.open_ path ~header ~decode:(fun _ -> Some ())
         with
         | Ok (t, _) ->
           Checkpoint.close t;
           Alcotest.failf "accepted %s" what
-        | Error (Fault.Bad_input _) -> ()
+        | Error (Fault.Bad_input { message; _ }) ->
+          List.iter
+            (fun part ->
+              if not (contains message part) then
+                Alcotest.failf "%s: %S does not say %S" what message part)
+            says
         | Error ft -> Alcotest.failf "%s: wrong fault: %s" what (Fault.to_string ft)
       in
       append_records path [ (0, Ok (vec 0)) ];
       let before = In_channel.with_open_bin path In_channel.input_all in
-      refused "a checkpoint from a different sweep"
-        (Checkpoint.point_header ~workload:"gcc" ~n_points:7 ~width:6);
-      refused "a per-point log as a block log"
+      let other = Checkpoint.point_header ~workload:"gcc" ~n_points:7 ~width:6 in
+      (* the raw headers follow the explanation *)
+      refused "a checkpoint from a different sweep" other
+        ~says:(mismatch @ [ String.escaped header; String.escaped other ]);
+      refused "a per-point log as a block log" ~says:mismatch
         (Checkpoint.block_header ~workload:"gcc" ~n_points:5 ~width:6
            ~block_size:5 ~offset:0 ~length:5);
       Alcotest.(check string) "refused file untouched" before
@@ -262,9 +276,9 @@ let test_checkpoint_header_mismatch () =
       Out_channel.with_open_bin path (fun oc ->
           Printf.fprintf oc "%s %s\n"
             (Crc32.to_hex (Crc32.string v2)) v2);
-      refused "an older-format log" header;
+      refused "an older-format log" ~says:mismatch header;
       Out_channel.with_open_bin path (fun oc -> output_string oc "garbage\n");
-      refused "garbage" header)
+      refused "garbage" ~says:[ "not a checkpoint log"; remedy ] header)
 
 let test_run_id_digests_inputs () =
   let id = Checkpoint.run_id ~workload:"gcc" in

@@ -625,7 +625,7 @@ let () =
         [
           Alcotest.test_case "subset quality" `Quick
             test_subset_quality_perfect_and_degraded;
-          Alcotest.test_case "refinement quality >= 0.95 on 243 space" `Quick
+          Alcotest.test_case "quality >= 0.95 on the default space" `Quick
             test_refinement_quality_on_enumerable_space;
           Alcotest.test_case "combined refine: no faults at jobs 4" `Quick
             test_combined_refine_parallel_no_faults;

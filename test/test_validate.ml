@@ -130,7 +130,7 @@ let both_non_increasing bench seed ~small ~large =
 
 let prop_direction_rob =
   QCheck.Test.make
-    ~name:"model and sim agree: ROB 64 -> 256 never increases CPI" ~count:4
+    ~name:"ROB 64->256 never raises either CPI" ~count:4
     QCheck.(pair bench_gen (int_range 1 100))
     (fun (bench, seed) ->
       both_non_increasing bench seed
@@ -202,7 +202,7 @@ let synthetic_point ~model ~sim =
   }
 
 let prop_identical_stacks_zero_error =
-  QCheck.Test.make ~name:"identical stacks produce zero error everywhere"
+  QCheck.Test.make ~name:"identical stacks produce zero error"
     ~count:100 stack_gen
     (fun stack ->
       let pt = synthetic_point ~model:stack ~sim:stack in
@@ -230,7 +230,7 @@ let prop_component_decomposition =
 (* ---- 10: checkpoint float vectors round-trip bit-exactly ---- *)
 
 let prop_vec_checkpoint_roundtrip =
-  QCheck.Test.make ~name:"vec checkpoint round-trips payloads bit-exactly"
+  QCheck.Test.make ~name:"vec checkpoint round-trips payloads"
     ~count:25
     QCheck.(
       pair (int_range 1 8)
