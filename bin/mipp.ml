@@ -571,7 +571,11 @@ let validate_cmd =
     Arg.(value & opt string "sim" & info [ "matrix" ] ~docv:"MATRIX" ~doc)
   in
   let vinstructions_arg =
-    let doc = "Instructions to profile and simulate per point." in
+    let doc =
+      "Instructions to profile and simulate per point.  Each workload's \
+       micro-op stream is recorded once and held while its points run: 24 \
+       bytes per micro-op, about 28 MB per million gcc instructions."
+    in
     Arg.(
       value
       & opt int Validate.default_n_instructions

@@ -80,12 +80,11 @@ let set_of t line =
   let h = line * 0x9E3779B97F4A7C1 in
   (h lxor (h asr 29)) land (t.n_sets - 1)
 
-let find_way t base line =
-  let rec go w = if w = t.assoc then -1
-    else if t.tags.(base + w) = line then w
-    else go (w + 1)
-  in
-  go 0
+(* The way of [line] in the set at [base], searching from way [w]; -1. *)
+let rec find_way t base line w =
+  if w = t.assoc then -1
+  else if t.tags.(base + w) = line then w
+  else find_way t base line (w + 1)
 
 let lru_way t base =
   let best = ref 0 in
@@ -109,7 +108,7 @@ let install t base line =
 
 let insert t line =
   let base = set_of t line * t.assoc in
-  match find_way t base line with
+  match find_way t base line 0 with
   | -1 -> ignore (install t base line)
   | w -> touch t base w
 
@@ -117,7 +116,7 @@ let access t addr =
   let line = line_of t addr in
   let base = set_of t line * t.assoc in
   t.n_accesses <- t.n_accesses + 1;
-  match find_way t base line with
+  match find_way t base line 0 with
   | -1 ->
     t.n_misses <- t.n_misses + 1;
     if install t base line then begin
@@ -132,7 +131,7 @@ let access t addr =
 let probe t addr =
   let line = line_of t addr in
   let base = set_of t line * t.assoc in
-  find_way t base line <> -1
+  find_way t base line 0 <> -1
 
 let fill t addr = insert t (line_of t addr)
 

@@ -340,19 +340,23 @@ let model_sweep_result ?(options = Interval_model.default_options) ?jobs
 
 let sim_sweep_result ?jobs ?checkpoint ?block_size ?keep_going ~spec ~seed
     ~n_instructions configs =
-  sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
-    ~workload:
-      (run_name ~checkpoint ~workload:spec.Workload_spec.wname (fun () ->
-           [
-             "sim";
-             marshal configs;
-             marshal spec;
-             string_of_int seed;
-             string_of_int n_instructions;
-           ]))
-    ~eval_point:(fun index config ->
-      of_sim config ~index (Simulator.run config spec ~seed ~n_instructions))
-    configs
+  Result.bind
+    (Fault.protect ~context:"workload" (fun () ->
+         Uop_stream.record spec ~seed ~n_instructions))
+    (fun stream ->
+      sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
+        ~workload:
+          (run_name ~checkpoint ~workload:spec.Workload_spec.wname (fun () ->
+               [
+                 "sim";
+                 marshal configs;
+                 marshal spec;
+                 string_of_int seed;
+                 string_of_int n_instructions;
+               ]))
+        ~eval_point:(fun index config ->
+          of_sim config ~index (Simulator.run_stream config stream))
+        configs)
 
 (* ---- Streaming engine ---- *)
 

@@ -30,8 +30,6 @@ val of_prediction :
     the activity-based power estimate keeps the analytical activity
     factors. *)
 
-val of_sim : Uarch.t -> index:int -> Sim_result.t -> eval
-
 type point_result = (eval, Fault.t) result
 
 type outcome = {
@@ -163,8 +161,10 @@ val sim_sweep_result :
   n_instructions:int ->
   Uarch.t list ->
   (outcome, Fault.t) result
-(** Detailed-simulation counterpart; each design point simulates the
-    workload from the same seed, so results are independent of [jobs].
+(** Detailed-simulation counterpart; the workload's stream is recorded once
+    (an invalid [spec] is an outer [Error]) and every design point replays
+    it, so results are independent of [jobs].  The stream is held for
+    the whole sweep: 24 bytes per micro-op, linear in [n_instructions].
     The checkpoint header digests the config list, [spec], [seed] and
     [n_instructions]. *)
 

@@ -7,6 +7,7 @@ type ideal = {
 let real = { no_branch_miss = false; no_icache_miss = false; no_dcache_miss = false }
 
 let classes = Array.of_list Isa.all_classes
+let branch_class = Isa.class_index Isa.Branch
 let perfect = { no_branch_miss = true; no_icache_miss = true; no_dcache_miss = true }
 
 (* Dispatch-stall reasons, for cycle accounting. *)
@@ -17,7 +18,7 @@ let not_done = max_int
 type state = {
   cfg : Uarch.t;
   idl : ideal;
-  gen : Workload_gen.t;
+  cur : Uop_stream.cursor;  (* the micro-op to dispatch next *)
   hier : Hierarchy.t;
   predictor : Predictor.t;
   prefetcher : Stride_prefetcher.t;
@@ -29,7 +30,11 @@ type state = {
   e_issued : bool array;
   e_pending : int array;  (* producers not yet issued *)
   e_ready_at : int array;  (* latest completion among issued producers *)
-  waiters : int list array;  (* consumers (global indices) of this slot *)
+  (* Each slot's consumers, as a chain of links: link [2 * cs + k] stands
+     for operand [k] (0 or 1) of the micro-op in slot [cs]; -1 ends it. *)
+  first_waiter : int array;
+  next_waiter : int array;
+  deferred : int array;  (* select's scratch: ready globals left for next cycle *)
   e_addr : int array;
   e_static : int array;
   e_begins : bool array;
@@ -55,11 +60,8 @@ type state = {
   mutable fetch_resume_at : int;
   mutable resume_reason : reason;
   mutable blocking_branch : int;  (* global idx of unresolved mispredict; -1 *)
-  mutable pending_uop : Isa.uop option;
-  mutable pending_icache_done : bool;
-  mutable uop_queue : Isa.uop list;  (* rest of the current instruction *)
-  mutable fetched_instructions : int;
-  n_instructions : int;
+  mutable pending_icache_done : bool;  (* the I-cache check of [cur] is done *)
+  mutable stall : reason;  (* what this cycle's dispatch is charged to *)
   (* Memory subsystem timing. *)
   outstanding : Int_heap.t;  (* completion times of in-flight L1D misses *)
   completion_heap : Int_heap.t;  (* completion times of issued micro-ops *)
@@ -94,7 +96,7 @@ let reason_index = function
   | R_llc_hit -> 3
   | R_dram -> 4
 
-let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
+let create ?shared_l3 ?shared_bus cfg idl cur ~ts_interval =
   let cap = cfg.Uarch.core.rob_size in
   let n_class = Isa.n_classes in
   let fu_of =
@@ -107,7 +109,7 @@ let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
   {
     cfg;
     idl;
-    gen;
+    cur;
     hier = Hierarchy.create ?shared_l3 cfg.caches;
     predictor = Predictor.create cfg.predictor;
     prefetcher =
@@ -119,7 +121,9 @@ let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
     e_issued = Array.make cap false;
     e_pending = Array.make cap 0;
     e_ready_at = Array.make cap 0;
-    waiters = Array.make cap [];
+    first_waiter = Array.make cap (-1);
+    next_waiter = Array.make (2 * cap) (-1);
+    deferred = Array.make cap 0;
     e_addr = Array.make cap 0;
     e_static = Array.make cap 0;
     e_begins = Array.make cap false;
@@ -149,11 +153,8 @@ let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
     fetch_resume_at = 0;
     resume_reason = R_base;
     blocking_branch = -1;
-    pending_uop = None;
     pending_icache_done = false;
-    uop_queue = [];
-    fetched_instructions = 0;
-    n_instructions;
+    stall = R_base;
     outstanding = Int_heap.create ();
     completion_heap = Int_heap.create ();
     pending_fills = Hashtbl.create 256;
@@ -183,31 +184,6 @@ let slot t g = g mod t.cap
 let global_of_slot t s = t.head + ((s - slot t t.head + t.cap) mod t.cap)
 
 (* ---- Front-end ---- *)
-
-let next_uop t =
-  match t.pending_uop with
-  | Some _ as u -> u
-  | None -> (
-    match t.uop_queue with
-    | u :: rest ->
-      t.uop_queue <- rest;
-      t.pending_uop <- Some u;
-      t.pending_uop
-    | [] ->
-      if t.fetched_instructions >= t.n_instructions then None
-      else begin
-        t.fetched_instructions <- t.fetched_instructions + 1;
-        match Workload_gen.next_instruction t.gen with
-        | [] -> None
-        | u :: rest ->
-          t.uop_queue <- rest;
-          t.pending_uop <- Some u;
-          t.pending_uop
-      end)
-
-let consume_uop t =
-  t.pending_uop <- None;
-  t.pending_icache_done <- false
 
 let inst_fetch_penalty t level =
   let c = t.cfg.Uarch.caches and m = t.cfg.Uarch.memory in
@@ -245,10 +221,15 @@ let mshr_start t =
     Int_heap.pop t.outstanding
   else t.cycle
 
-(* Returns (completion cycle, level index 0..3). *)
-let load_completion t ~addr ~static_id =
+let served t s level finish =
+  t.e_level.(s) <- level;
+  finish
+
+(* Returns the completion cycle of the load in slot [s], and records the
+   level that served it (0..3) in [e_level]. *)
+let load_completion t s ~addr ~static_id =
   let c = t.cfg.Uarch.caches in
-  if t.idl.no_dcache_miss then (t.cycle + c.l1d.latency, 0)
+  if t.idl.no_dcache_miss then served t s 0 (t.cycle + c.l1d.latency)
   else begin
     let line = addr asr 6 in
     (* Coalesce with an in-flight prefetch of the same line. *)
@@ -279,27 +260,27 @@ let load_completion t ~addr ~static_id =
     | Some ready ->
       (* The line is (or will be) in L2 courtesy of the prefetcher; pay
          any remaining fill time plus the L2 hit latency (Eq 4.13). *)
-      (t.cycle + max c.l1d.latency (max 0 (ready - t.cycle) + c.l2.latency), 1)
+      served t s 1 (t.cycle + max c.l1d.latency (max 0 (ready - t.cycle) + c.l2.latency))
     | None -> (
       match level with
-      | Hierarchy.L1 -> (t.cycle + c.l1d.latency, 0)
+      | Hierarchy.L1 -> served t s 0 (t.cycle + c.l1d.latency)
       | Hierarchy.L2 ->
         let start = mshr_start t in
         let finish = start + c.l2.latency in
         Int_heap.push t.outstanding finish;
-        (finish, 1)
+        served t s 1 finish
       | Hierarchy.L3 ->
         let start = mshr_start t in
         let finish = start + c.l3.latency in
         Int_heap.push t.outstanding finish;
-        (finish, 2)
+        served t s 2 finish
       | Hierarchy.Dram ->
         t.dram_loads <- t.dram_loads + 1;
         let start = mshr_start t in
         let finish = dram_completion t ~start in
         Int_heap.push t.outstanding finish;
         record_dram_interval t ~start ~finish;
-        (finish, 3))
+        served t s 3 finish)
   end
 
 let store_side_effects t ~addr =
@@ -314,19 +295,25 @@ let store_side_effects t ~addr =
 
 (* ---- Issue ---- *)
 
+(* The first of [ports] from index [i] not used this cycle; -1 if none. *)
+let rec free_port t ports i =
+  if i = Array.length ports then -1
+  else if t.port_stamp.(ports.(i)) < t.cycle then ports.(i)
+  else free_port t ports (i + 1)
+
+(* The first unit instance from index [i] free right now; -1 if none. *)
+let rec free_unit t busy i =
+  if i >= Array.length busy then -1
+  else if busy.(i) <= t.cycle then i
+  else free_unit t busy (i + 1)
+
 (* Claims a free port and unit for class [cls_idx] this cycle; returns the
    unit latency, or -1 when none is free. *)
 let try_allocate_fu t cls_idx =
   match t.fu_of.(cls_idx) with
   | None -> -1
   | Some fu ->
-    let ports = t.ports_of.(cls_idx) in
-    let rec free_port i =
-      if i = Array.length ports then -1
-      else if t.port_stamp.(ports.(i)) < t.cycle then ports.(i)
-      else free_port (i + 1)
-    in
-    let p = free_port 0 in
+    let p = free_port t t.ports_of.(cls_idx) 0 in
     if p < 0 then -1
     else if fu.pipelined then begin
       if t.class_issue_stamp.(cls_idx) < t.cycle then begin
@@ -343,11 +330,7 @@ let try_allocate_fu t cls_idx =
     else begin
       (* Non-pipelined: need an instance that is free right now. *)
       let busy = t.fu_busy.(cls_idx) in
-      let rec find i = if i >= Array.length busy then -1
-        else if busy.(i) <= t.cycle then i
-        else find (i + 1)
-      in
-      let inst = find 0 in
+      let inst = free_unit t busy 0 in
       if inst < 0 then -1
       else begin
         busy.(inst) <- t.cycle + fu.unit_latency;
@@ -364,20 +347,24 @@ let wake t s ready_at =
   if ready_at <= t.cycle then Int_heap.push t.ready_heap (global_of_slot t s)
   else Int_heap.push t.wake_heap ((ready_at * t.cap) + s)
 
-let issue t s finish level =
+let rec hand_over t finish link =
+  if link >= 0 then begin
+    let cs = link lsr 1 in
+    t.e_ready_at.(cs) <- max t.e_ready_at.(cs) finish;
+    t.e_pending.(cs) <- t.e_pending.(cs) - 1;
+    if t.e_pending.(cs) = 0 then wake t cs t.e_ready_at.(cs);
+    hand_over t finish t.next_waiter.(link)
+  end
+
+(* A load's [e_level] is set by [load_completion]; every other micro-op
+   keeps the -1 it was dispatched with. *)
+let issue t s finish =
   t.e_issued.(s) <- true;
   t.e_done.(s) <- finish;
-  t.e_level.(s) <- level;
   Int_heap.push t.completion_heap finish;
   t.iq_count <- t.iq_count - 1;
-  List.iter
-    (fun c ->
-      let cs = slot t c in
-      t.e_ready_at.(cs) <- max t.e_ready_at.(cs) finish;
-      t.e_pending.(cs) <- t.e_pending.(cs) - 1;
-      if t.e_pending.(cs) = 0 then wake t cs t.e_ready_at.(cs))
-    t.waiters.(s);
-  t.waiters.(s) <- []
+  hand_over t finish t.first_waiter.(s);
+  t.first_waiter.(s) <- -1
 
 (* Select: every ready micro-op, oldest first, tries for a port and unit;
    the ones that get none wait for the next cycle. *)
@@ -388,31 +375,51 @@ let issue_stage t =
     Int_heap.push t.ready_heap (global_of_slot t s)
   done;
   let issued_any = ref false in
-  let deferred = ref [] in
+  let n_deferred = ref 0 in
   while not (Int_heap.is_empty t.ready_heap) do
     let g = Int_heap.pop t.ready_heap in
     let s = slot t g in
     let cls_idx = t.e_cls.(s) in
     let fu_latency = try_allocate_fu t cls_idx in
-    if fu_latency < 0 then deferred := g :: !deferred
+    if fu_latency < 0 then begin
+      t.deferred.(!n_deferred) <- g;
+      incr n_deferred
+    end
     else begin
-      let finish, level =
+      let finish =
         match classes.(cls_idx) with
-        | Isa.Load -> load_completion t ~addr:t.e_addr.(s) ~static_id:t.e_static.(s)
+        | Isa.Load -> load_completion t s ~addr:t.e_addr.(s) ~static_id:t.e_static.(s)
         | Isa.Store ->
           store_side_effects t ~addr:t.e_addr.(s);
-          (t.cycle + fu_latency, -1)
-        | _ -> (t.cycle + fu_latency, -1)
+          t.cycle + fu_latency
+        | _ -> t.cycle + fu_latency
       in
-      issue t s finish level;
+      issue t s finish;
       issued_any := true
     end
   done;
-  List.iter (Int_heap.push t.ready_heap) !deferred;
+  for i = 0 to !n_deferred - 1 do
+    Int_heap.push t.ready_heap t.deferred.(i)
+  done;
   !issued_any
 
 (* ---- Dispatch ---- *)
 
+(* Operand [k] of the micro-op in slot [s] is the result of micro-op [d]:
+   wait on it while it is in flight and not yet issued. *)
+let depend t s k d =
+  if d >= t.head then begin
+    let ds = slot t d in
+    if t.e_issued.(ds) then t.e_ready_at.(s) <- max t.e_ready_at.(s) t.e_done.(ds)
+    else begin
+      let link = (2 * s) + k in
+      t.e_pending.(s) <- t.e_pending.(s) + 1;
+      t.next_waiter.(link) <- t.first_waiter.(ds);
+      t.first_waiter.(ds) <- link
+    end
+  end
+
+(* Dispatches up to the width; returns how many, and sets [t.stall]. *)
 let dispatch_stage t =
   let core = t.cfg.Uarch.core in
   let dispatched = ref 0 in
@@ -441,84 +448,78 @@ let dispatch_stage t =
       stall := R_base;
       blocked := true
     end
+    else if Uop_stream.at_end t.cur then blocked := true
     else begin
-      match next_uop t with
-      | None -> blocked := true
-      | Some u ->
-        (* I-cache check on instruction boundaries. *)
-        let icache_stall =
-          if u.begins_instruction && not t.pending_icache_done then begin
-            t.l1i_accesses <- t.l1i_accesses + 1;
-            t.pending_icache_done <- true;
-            if t.idl.no_icache_miss then false
-            else begin
-              let iaddr = u.static_id * Workload_gen.instruction_bytes in
-              let level = Hierarchy.access_inst t.hier iaddr in
-              let penalty = inst_fetch_penalty t level in
-              if penalty > 0 then begin
-                t.fetch_resume_at <- t.cycle + penalty;
-                t.resume_reason <- R_icache;
-                true
-              end
-              else false
+      let w0 = Uop_stream.word0 t.cur in
+      (* I-cache check on instruction boundaries. *)
+      let icache_stall =
+        if Uop_stream.begins_instruction w0 && not t.pending_icache_done then begin
+          t.l1i_accesses <- t.l1i_accesses + 1;
+          t.pending_icache_done <- true;
+          if t.idl.no_icache_miss then false
+          else begin
+            let iaddr = Uop_stream.static_id w0 * Workload_gen.instruction_bytes in
+            let level = Hierarchy.access_inst t.hier iaddr in
+            let penalty = inst_fetch_penalty t level in
+            if penalty > 0 then begin
+              t.fetch_resume_at <- t.cycle + penalty;
+              t.resume_reason <- R_icache;
+              true
             end
+            else false
           end
-          else false
-        in
-        if icache_stall then begin
-          (* The micro-op stays pending; it dispatches after the fill. *)
-          stall := R_icache;
-          blocked := true
         end
-        else begin
-          consume_uop t;
-          let g = t.tail in
-          let s = slot t g in
-          let cls_idx = Isa.class_index u.cls in
-          t.e_cls.(s) <- cls_idx;
-          t.e_done.(s) <- not_done;
-          t.e_issued.(s) <- false;
-          t.e_addr.(s) <- u.addr;
-          t.e_static.(s) <- u.static_id;
-          t.e_begins.(s) <- u.begins_instruction;
-          t.e_level.(s) <- -1;
-          t.tail <- t.tail + 1;
-          (* Wakeup: wait on every in-flight producer not yet issued. *)
-          t.e_pending.(s) <- 0;
-          t.e_ready_at.(s) <- 0;
-          let depend d =
-            if d >= t.head then begin
-              let ds = slot t d in
-              if t.e_issued.(ds) then t.e_ready_at.(s) <- max t.e_ready_at.(s) t.e_done.(ds)
-              else begin
-                t.e_pending.(s) <- t.e_pending.(s) + 1;
-                t.waiters.(ds) <- g :: t.waiters.(ds)
-              end
-            end
+        else false
+      in
+      if icache_stall then begin
+        (* The micro-op stays pending; it dispatches after the fill. *)
+        stall := R_icache;
+        blocked := true
+      end
+      else begin
+        let w1 = Uop_stream.word1 t.cur and addr = Uop_stream.word2 t.cur in
+        Uop_stream.advance t.cur;
+        t.pending_icache_done <- false;
+        let g = t.tail in
+        let s = slot t g in
+        let cls_idx = Uop_stream.class_index w0 in
+        let static_id = Uop_stream.static_id w0 in
+        t.e_cls.(s) <- cls_idx;
+        t.e_done.(s) <- not_done;
+        t.e_issued.(s) <- false;
+        t.e_addr.(s) <- addr;
+        t.e_static.(s) <- static_id;
+        t.e_begins.(s) <- Uop_stream.begins_instruction w0;
+        t.e_level.(s) <- -1;
+        t.tail <- t.tail + 1;
+        (* Wakeup: wait on every in-flight producer not yet issued. *)
+        t.e_pending.(s) <- 0;
+        t.e_ready_at.(s) <- 0;
+        let dep1 = Uop_stream.dep1 w1 and dep2 = Uop_stream.dep2 w1 in
+        if dep1 > 0 then depend t s 0 (g - dep1);
+        if dep2 > 0 && dep2 <> dep1 then depend t s 1 (g - dep2);
+        if t.e_pending.(s) = 0 then wake t s t.e_ready_at.(s);
+        t.iq_count <- t.iq_count + 1;
+        t.uops_by_class.(cls_idx) <- t.uops_by_class.(cls_idx) + 1;
+        incr dispatched;
+        if cls_idx = branch_class then begin
+          t.branches <- t.branches + 1;
+          let correct =
+            if t.idl.no_branch_miss then true
+            else
+              Predictor.predict_and_update t.predictor ~static_id
+                ~taken:(Uop_stream.taken w0)
           in
-          if u.dep1 > 0 then depend (g - u.dep1);
-          if u.dep2 > 0 && u.dep2 <> u.dep1 then depend (g - u.dep2);
-          if t.e_pending.(s) = 0 then wake t s t.e_ready_at.(s);
-          t.iq_count <- t.iq_count + 1;
-          t.uops_by_class.(cls_idx) <- t.uops_by_class.(cls_idx) + 1;
-          incr dispatched;
-          if u.cls = Isa.Branch then begin
-            t.branches <- t.branches + 1;
-            let correct =
-              if t.idl.no_branch_miss then true
-              else
-                Predictor.predict_and_update t.predictor ~static_id:u.static_id
-                  ~taken:u.taken
-            in
-            if not correct then begin
-              t.branch_miss <- t.branch_miss + 1;
-              t.blocking_branch <- g
-            end
+          if not correct then begin
+            t.branch_miss <- t.branch_miss + 1;
+            t.blocking_branch <- g
           end
         end
+      end
     end
   done;
-  (!dispatched, !stall)
+  t.stall <- (if !dispatched > 0 then R_base else !stall);
+  !dispatched
 
 (* ---- Commit ---- *)
 
@@ -557,16 +558,18 @@ let next_event_cycle t =
   if not (Int_heap.is_empty t.completion_heap) then
     best := min !best (Int_heap.min_elt t.completion_heap);
   if t.fetch_resume_at > t.cycle then best := min !best t.fetch_resume_at;
-  Array.iter
-    (fun busy -> Array.iter (fun b -> if b > t.cycle then best := min !best b) busy)
-    t.fu_busy;
+  for c = 0 to Array.length t.fu_busy - 1 do
+    let busy = t.fu_busy.(c) in
+    for i = 0 to Array.length busy - 1 do
+      if busy.(i) > t.cycle then best := min !best busy.(i)
+    done
+  done;
   if !best = max_int then t.cycle + 1 else !best
 
-let finished t =
-  t.fetched_instructions >= t.n_instructions && t.pending_uop = None
-  && t.uop_queue = [] && t.head = t.tail
+let finished t = t.head = t.tail && Uop_stream.at_end t.cur
 
-(* One cycle's worth of work for one core (no time advancement). *)
+(* One cycle's worth of work for one core (no time advancement); [true]
+   when anything committed, issued or dispatched. *)
 let step t =
   (* Resolve a blocking mispredicted branch whose execution completed. *)
   if t.blocking_branch >= 0 then begin
@@ -579,19 +582,14 @@ let step t =
   end;
   let committed = commit_stage t in
   let issued = issue_stage t in
-  let dispatched, stall = dispatch_stage t in
-  (committed, issued, dispatched, stall)
+  let dispatched = dispatch_stage t in
+  committed > 0 || issued || dispatched > 0
 
-(* Attribute [delta] cycles to the right stack component and advance the
-   core's clock. *)
-let account t ~committed ~issued ~dispatched ~stall ~delta =
-  let reason =
-    if dispatched > 0 then R_base
-    else if committed > 0 || issued then stall
-    else stall
-  in
-  t.stall_cycles.(reason_index reason) <-
-    t.stall_cycles.(reason_index reason) +. float_of_int delta;
+(* Attribute [delta] cycles to the last step's stack component and advance
+   the core's clock. *)
+let account t ~delta =
+  let r = reason_index t.stall in
+  t.stall_cycles.(r) <- t.stall_cycles.(r) +. float_of_int delta;
   t.cycle <- t.cycle + delta
 
 let build_result t name =
@@ -647,19 +645,24 @@ let build_result t name =
     r_activity = activity;
   }
 
-let run ?(ideal = real) ?(time_series_interval = 10_000) cfg spec ~seed ~n_instructions =
-  let gen = Workload_gen.create spec ~seed in
-  let t = create cfg ideal gen ~n_instructions ~ts_interval:time_series_interval in
+let simulate ideal time_series_interval cfg cur name =
+  let t = create cfg ideal cur ~ts_interval:time_series_interval in
   while not (finished t) do
-    let committed, issued, dispatched, stall = step t in
-    if committed = 0 && (not issued) && dispatched = 0 then begin
+    if step t then account t ~delta:1
+    else
       (* Nothing moved: fast-forward to the next event. *)
-      let target = max (t.cycle + 1) (next_event_cycle t) in
-      account t ~committed ~issued ~dispatched ~stall ~delta:(target - t.cycle)
-    end
-    else account t ~committed ~issued ~dispatched ~stall ~delta:1
+      account t ~delta:(max (t.cycle + 1) (next_event_cycle t) - t.cycle)
   done;
-  build_result t spec.Workload_spec.wname
+  build_result t name
+
+let run ?(ideal = real) ?(time_series_interval = 10_000) cfg spec ~seed ~n_instructions =
+  simulate ideal time_series_interval cfg
+    (Uop_stream.window spec ~seed ~n_instructions)
+    spec.Workload_spec.wname
+
+let run_stream ?(ideal = real) ?(time_series_interval = 10_000) cfg stream =
+  simulate ideal time_series_interval cfg (Uop_stream.cursor stream)
+    (Uop_stream.name stream)
 
 (* ---- Multi-core: private L1/L2, shared LLC and memory bus, one clock
    (the thesis' §8.2.1 extension). ---- *)
@@ -672,9 +675,9 @@ let run_shared ?(ideal = real) ?(time_series_interval = 10_000) cfg workloads
   let cores =
     List.map
       (fun (spec, seed) ->
-        let gen = Workload_gen.create spec ~seed in
         ( spec.Workload_spec.wname,
-          create ~shared_l3 ~shared_bus cfg ideal gen ~n_instructions
+          create ~shared_l3 ~shared_bus cfg ideal
+            (Uop_stream.window spec ~seed ~n_instructions)
             ~ts_interval:time_series_interval ))
       workloads
     |> Array.of_list
@@ -694,20 +697,12 @@ let run_shared ?(ideal = real) ?(time_series_interval = 10_000) cfg workloads
     (* Step every unfinished core at the current (common) cycle, then
        advance all clocks together: by one when anyone made progress, to
        the earliest next event otherwise. *)
-    let results =
-      Array.mapi
-        (fun i (_, t) -> if done_at.(i) < 0 then Some (step t) else None)
-        cores
-    in
-    let any_progress =
-      Array.exists
-        (function
-          | Some (c, issued, d, _) -> c > 0 || issued || d > 0
-          | None -> false)
-        results
-    in
+    let any_progress = ref false in
+    Array.iteri
+      (fun i (_, t) -> if done_at.(i) < 0 && step t then any_progress := true)
+      cores;
     let delta =
-      if any_progress then 1
+      if !any_progress then 1
       else begin
         let target = ref max_int in
         Array.iteri
@@ -721,10 +716,7 @@ let run_shared ?(ideal = real) ?(time_series_interval = 10_000) cfg workloads
     in
     Array.iteri
       (fun i (_, t) ->
-        match results.(i) with
-        | Some (committed, issued, dispatched, stall) ->
-          account t ~committed ~issued ~dispatched ~stall ~delta
-        | None -> t.cycle <- t.cycle + delta)
+        if done_at.(i) < 0 then account t ~delta else t.cycle <- t.cycle + delta)
       cores
   done;
   Array.to_list

@@ -36,7 +36,13 @@ val run :
   Sim_result.t
 (** Simulate [n_instructions] instructions of the workload from a fresh
     (cold) machine state.  [time_series_interval] (default 10_000
-    instructions) sets the CPI-trace granularity. *)
+    instructions) sets the CPI-trace granularity.  Memory is bounded for
+    any [n_instructions]: the stream is generated a chunk at a time. *)
+
+val run_stream :
+  ?ideal:ideal -> ?time_series_interval:int -> Uarch.t -> Uop_stream.t -> Sim_result.t
+(** [run] over a recorded stream, bit-identical to it.  The stream is only
+    read, so one recording serves any number of runs and domains. *)
 
 val run_shared :
   ?ideal:ideal ->

@@ -1,12 +1,12 @@
 (* Model-vs-simulator differential validation.
 
-   One workload is profiled once; then every micro-architecture in the
-   matrix is evaluated by both engines — the analytical interval model
-   on the profile, the cycle simulator on the regenerated stream — and
-   the two keyed CPI stacks are diffed per Cpi_stack.component.  The
-   matrix evaluation is an instance of Sweep.run_points, so it inherits
-   the sweep engine's parallel fan-out, per-point fault isolation and
-   bit-identical checkpoint/resume.
+   One workload is profiled once and its micro-op stream recorded once;
+   then every micro-architecture in the matrix is evaluated by both
+   engines — the interval model on the profile, the cycle simulator
+   replaying the stream — and the two keyed CPI stacks are diffed per
+   Cpi_stack.component.  The matrix evaluation is an instance of
+   Sweep.run_points, so it inherits the sweep engine's parallel fan-out,
+   per-point fault isolation and bit-identical checkpoint/resume.
 
    Error conventions: CPI errors are (model - sim) / sim, signed, so a
    positive error is model over-prediction.  Component errors are
@@ -332,6 +332,7 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
   (* Build the config-independent structures before the fan-out, as the
      model sweep does: workers then only read them. *)
   Profile.prepare profile;
+  let stream = Uop_stream.record spec ~seed ~n_instructions in
   Result.map
     (workload_report ~stats ~workload:spec.Workload_spec.wname)
     (Sweep.run_points ?jobs ?checkpoint ?keep_going
@@ -353,7 +354,7 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
        ~eval_point:(fun i ->
          let u = configs_a.(i) in
          let pred = Interval_model.predict ~options u profile in
-         let sim = Simulator.run u spec ~seed ~n_instructions in
+         let sim = Simulator.run_stream u stream in
          let p = point ~index:i u pred sim in
          match calibrate with
          | None -> p

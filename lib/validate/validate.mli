@@ -157,14 +157,16 @@ val run_workload :
   spec:Workload_spec.t ->
   Uarch.t list ->
   (workload_report, Fault.t) result
-(** Profile the workload once, then evaluate every config with both
-    engines under {!Sweep.run_points}: [jobs]-way parallel,
-    fault-isolated per point, and [?checkpoint] doubles as resume via the
-    same CRC-per-line log as the design sweeps.  The log's header names
-    the workload and digests everything the report depends on — [spec],
-    [seed], [n_instructions], [options], the config list and the
-    calibrator's key — so a log of any other run (a design sweep, another
-    seed, another or no calibrator) is refused, never resumed.  The
+(** Profile the workload and record its micro-op stream once
+    ({!Uop_stream.record}), then evaluate every config with both engines
+    (the simulator replays the stream) under {!Sweep.run_points}:
+    [jobs]-way parallel, fault-isolated per point, and [?checkpoint]
+    doubles as resume via the same CRC-per-line log as the design sweeps.
+    The log's header names the workload and digests everything the
+    report depends on — [spec], [seed], [n_instructions], [options], the
+    config list and the calibrator's key — so a log of any other run (a
+    design sweep, another seed, another or no calibrator) is refused,
+    never resumed.  The
     outer [Error] is reserved for whole-run failures (unreadable or
     mismatched checkpoint).
 
@@ -173,7 +175,10 @@ val run_workload :
     report (MAPE, component tables, trends, gate) measures the
     corrected model; checkpoints then store calibrated values.  The
     calibrator corrects CPI only: model watts stay those of the raw
-    prediction's activity. *)
+    prediction's activity.
+
+    The stream is held for the whole fan-out: memory grows by 24 bytes
+    per micro-op, linear in [n_instructions], on top of the profile. *)
 
 (** {1 Reporting} *)
 

@@ -3,8 +3,9 @@
     Expands a {!Workload_spec.t} into a deterministic dynamic micro-op
     stream.  The stream is regenerable: two generators created with the same
     spec and seed produce identical streams, so the profiler and the
-    cycle-level simulator can walk the same "execution" without storing a
-    trace.
+    cycle-level simulator walk the same "execution".  The simulator reads
+    it packed, through {!Uop_stream}: recorded once and replayed for every
+    configuration, or generated one chunk at a time for a single run.
 
     Program structure: each phase owns [n_bodies] loop bodies of
     [body_size] static instructions.  A body executes repeatedly for

@@ -524,6 +524,13 @@ let test_sweep_rejects_invalid_profile () =
   | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft)
   | Ok _ -> Alcotest.fail "swept a NaN-poisoned profile"
 
+let test_sim_sweep_rejects_invalid_spec () =
+  let spec = { Workload_spec.wname = "x"; phase_length = 1; phases = [||] } in
+  match Sweep.sim_sweep_result ~spec ~seed:1 ~n_instructions:1_000 mini_space with
+  | Error (Fault.Bad_input _) -> ()
+  | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft)
+  | Ok _ -> Alcotest.fail "simulated a workload with no phases"
+
 let test_stop_on_first_fault_without_keep_going () =
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
       ~n_instructions:20_000 in
@@ -626,6 +633,8 @@ let () =
             test_unterminated_record_is_torn;
           Alcotest.test_case "invalid profile rejected" `Quick
             test_sweep_rejects_invalid_profile;
+          Alcotest.test_case "invalid spec rejected (sim)" `Quick
+            test_sim_sweep_rejects_invalid_spec;
           Alcotest.test_case "stop without keep-going" `Quick
             test_stop_on_first_fault_without_keep_going;
         ] );

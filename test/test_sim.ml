@@ -211,6 +211,29 @@ let prop_cycles_scale_with_instructions =
       let b = Simulator.run Uarch.reference spec ~seed ~n_instructions:10_000 in
       b.r_cycles > a.r_cycles)
 
+(* Replaying a recorded stream is the windowed run, bit for bit. *)
+let test_run_stream_matches_run () =
+  let n = 12_000 in
+  let bits r = Marshal.to_string (r : Sim_result.t) [] in
+  List.iter
+    (fun (name, ideal, time_series_interval, config) ->
+      let spec = Benchmarks.find name in
+      let stream = Uop_stream.record spec ~seed:3 ~n_instructions:n in
+      let direct =
+        Simulator.run ~ideal ~time_series_interval config spec ~seed:3 ~n_instructions:n
+      in
+      let replayed = Simulator.run_stream ~ideal ~time_series_interval config stream in
+      Alcotest.(check bool) (name ^ " bit-identical") true (bits direct = bits replayed))
+    [
+      ("mcf", Simulator.real, 10_000, Uarch.reference);
+      ("gcc", Simulator.perfect, 10_000, Uarch.reference);
+      ("GemsFDTD", Simulator.real, 1_500, Uarch.low_power);
+      ( "sjeng",
+        Simulator.real,
+        4_000,
+        Uarch.with_prefetcher_kind Uarch.reference Uarch.Pf_stride );
+    ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -239,6 +262,7 @@ let () =
           Alcotest.test_case "activity factors" `Quick test_activity_factors;
           Alcotest.test_case "llc component" `Quick test_slow_llc_shows_llc_component;
           QCheck_alcotest.to_alcotest prop_cycles_scale_with_instructions;
+          Alcotest.test_case "run_stream = run" `Quick test_run_stream_matches_run;
         ] );
       ( "multicore",
         [

@@ -455,6 +455,84 @@ let test_shipped_workload_files () =
             (Workload_gen.instructions_emitted g))
       files
 
+(* ---- Packed streams ---- *)
+
+(* Every micro-op of a stream, decoded through a cursor with the same
+   accessors the simulator reads. *)
+let decode stream =
+  let c = Uop_stream.cursor stream in
+  let classes = Array.of_list Isa.all_classes in
+  let rec go acc =
+    if Uop_stream.at_end c then List.rev acc
+    else begin
+      let w0 = Uop_stream.word0 c and w1 = Uop_stream.word1 c in
+      let u =
+        {
+          Isa.cls = classes.(Uop_stream.class_index w0);
+          dep1 = Uop_stream.dep1 w1;
+          dep2 = Uop_stream.dep2 w1;
+          addr = Uop_stream.word2 c;
+          taken = Uop_stream.taken w0;
+          static_id = Uop_stream.static_id w0;
+          begins_instruction = Uop_stream.begins_instruction w0;
+        }
+      in
+      Uop_stream.advance c;
+      go (u :: acc)
+    end
+  in
+  go []
+
+(* A recorded stream of n > Uop_stream.chunk_uops instructions (so at
+   least one chunk boundary) decodes to the generator's own micro-ops, in
+   order, every field. *)
+let prop_stream_decodes_to_generator =
+  QCheck.Test.make ~name:"stream decodes to generator uops" ~count:12
+    QCheck.(
+      triple
+        (int_range 0 (List.length Benchmarks.names - 1))
+        (int_range 0 1000)
+        (int_range (Uop_stream.chunk_uops + 1) 6000))
+    (fun (b, seed, n) ->
+      let spec = Benchmarks.find (List.nth Benchmarks.names b) in
+      let stream = Uop_stream.record spec ~seed ~n_instructions:n in
+      let gen = Workload_gen.create spec ~seed in
+      let expected = ref [] in
+      Workload_gen.iter_uops gen ~n_instructions:n ~f:(fun u ->
+          expected := u :: !expected);
+      let decoded = decode stream in
+      List.length decoded > Uop_stream.chunk_uops
+      && Uop_stream.name stream = spec.wname
+      && decoded = List.rev !expected)
+
+let test_stream_refuses_oversized_fields () =
+  let refuses field (u : Isa.uop) =
+    match Uop_stream.of_list [ Isa.nop; u ] with
+    | _ -> Alcotest.failf "packed an oversized %s" field
+    | exception Invalid_argument msg ->
+      if not (String.starts_with ~prefix:("Uop_stream: " ^ field ^ " ") msg) then
+        Alcotest.failf "error %S does not name %s" msg field
+  in
+  refuses "dep1" { Isa.nop with dep1 = Uop_stream.max_dep };
+  refuses "dep2" { Isa.nop with dep2 = Uop_stream.max_dep };
+  refuses "dep1" { Isa.nop with dep1 = -1 };
+  refuses "static_id" { Isa.nop with static_id = Uop_stream.max_static_id };
+  refuses "static_id" { Isa.nop with static_id = -1 };
+  (* The largest values that fit round-trip exactly. *)
+  let u =
+    {
+      Isa.cls = Branch;
+      dep1 = Uop_stream.max_dep - 1;
+      dep2 = Uop_stream.max_dep - 1;
+      addr = max_int;
+      taken = true;
+      static_id = Uop_stream.max_static_id - 1;
+      begins_instruction = false;
+    }
+  in
+  Alcotest.(check bool) "extremes round-trip" true
+    (decode (Uop_stream.of_list [ u ]) = [ u ])
+
 let () =
   Alcotest.run "workload"
     [
@@ -488,6 +566,12 @@ let () =
         ] );
       ( "spec",
         [ Alcotest.test_case "validation" `Quick test_validation_rejects_bad_specs ] );
+      ( "uop_stream",
+        [
+          QCheck_alcotest.to_alcotest prop_stream_decodes_to_generator;
+          Alcotest.test_case "refuses oversized fields" `Quick
+            test_stream_refuses_oversized_fields;
+        ] );
       ( "parser",
         [
           Alcotest.test_case "round-trips all 29 benchmarks" `Quick
