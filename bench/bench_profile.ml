@@ -1,5 +1,5 @@
-(* Sharded profiling pipeline: throughput against the legacy profiler,
-   bit-identity gates and shard-boundary error (BENCH_profile.json). *)
+(* Sharded profiling pipeline: throughput, bit-identity gates and
+   shard-boundary error (BENCH_profile.json). *)
 
 let profile_shards () =
   Table.section "Sharded profiling pipeline — warm-up windows";
@@ -7,20 +7,17 @@ let profile_shards () =
   let spec = Benchmarks.find bench in
   let n = 400_000 in
   let seed = Harness.seed in
-  (* --- profiling throughput: legacy monolith vs sharded pipeline.
-     Each timed run keeps only scalars and the serialized string alive,
-     and the heap is compacted in between: on this allocation-heavy path
-     the live major heap left by a previous profile would otherwise be
-     charged (as GC marking work) to whichever variant runs later. *)
+  (* --- profiling throughput, sequential and sharded.  Each timed run
+     keeps only scalars and the serialized string alive, and the heap is
+     compacted in between: the live major heap left by a previous
+     profile would otherwise be charged (as GC marking work) to whichever
+     variant runs later. *)
   let profile_stats f =
     Gc.compact ();
     let p, s = Harness.time f in
     (Profile_io.to_binary_string p, Profile.cold_miss_rate p, s)
   in
-  let s_legacy, legacy_cold, legacy_s =
-    profile_stats (fun () -> Profiler.profile_legacy spec ~seed ~n_instructions:n)
-  in
-  let s_seq1, _, seq1_s =
+  let s_seq1, seq1_cold, seq1_s =
     profile_stats (fun () -> Profiler.profile spec ~jobs:1 ~seed ~n_instructions:n)
   in
   let jobs_requested = 4 in
@@ -39,44 +36,45 @@ let profile_shards () =
     profile_stats (fun () ->
         Profiler.profile spec ~jobs:4 ~seed ~n_instructions:n)
   in
-  let jobs1_identical = s_seq1 = s_legacy in
-  let exact_identical = s_exact = s_legacy in
-  (* Hard acceptance gates: the sharded pipeline at jobs:1 IS the legacy
-     profiler, and unbounded warm-up removes all boundary error. *)
+  let s_recorded, _, _ =
+    profile_stats (fun () ->
+        Profiler.profile_stream (Uop_stream.record spec ~seed ~n_instructions:n))
+  in
+  let jobs1_identical = s_seq1 = s_recorded in
+  let exact_identical = s_exact = s_seq1 in
+  (* Hard acceptance gates: at jobs:1 the generated stream profiles
+     exactly as the recorded one, and unbounded warm-up removes all
+     boundary error. *)
   if not jobs1_identical then
-    failwith "profile_shards: jobs:1 output differs from the legacy profiler";
+    failwith
+      "profile_shards: jobs:1 output differs from the recorded stream's profile";
   if not exact_identical then
     failwith
-      "profile_shards: unbounded-warm-up sharded output differs from the \
-       legacy profiler";
+      "profile_shards: unbounded-warm-up sharded output differs from jobs:1";
   let boundary_cold_error =
-    if legacy_cold = 0.0 then 0.0
-    else Float.abs (warm_cold -. legacy_cold) /. legacy_cold
+    if seq1_cold = 0.0 then 0.0
+    else Float.abs (warm_cold -. seq1_cold) /. seq1_cold
   in
   let ips s = float_of_int n /. s in
-  (* legacy/sharded is an algorithmic ratio; only the sharded pipeline's
-     own jobs:1 run over its jobs:N run is a parallel speedup, and with
-     one effective job there is none to report. *)
+  (* The jobs:1 run over the jobs:N run is the parallel speedup; with one
+     effective job there is none to report. *)
   let parallel_speedup =
     if jobs = 1 then None else Some (seq1_s /. sharded_s)
   in
   Table.print ~header:[ "variant"; "seconds"; "instr/sec"; "speedup" ]
     ~rows:
       [
-        [ "legacy sequential"; Table.fmt_f ~decimals:3 legacy_s;
-          Table.fmt_f ~decimals:0 (ips legacy_s); "1.00" ];
         [ "sharded, jobs=1"; Table.fmt_f ~decimals:3 seq1_s;
-          Table.fmt_f ~decimals:0 (ips seq1_s);
-          Table.fmt_f ~decimals:2 (legacy_s /. seq1_s) ];
+          Table.fmt_f ~decimals:0 (ips seq1_s); "1.00" ];
         [ Printf.sprintf "sharded, jobs=%d (warmup %d)" jobs
             Profiler.default_warmup;
           Table.fmt_f ~decimals:3 sharded_s;
           Table.fmt_f ~decimals:0 (ips sharded_s);
-          Table.fmt_f ~decimals:2 (legacy_s /. sharded_s) ];
+          Table.fmt_f ~decimals:2 (seq1_s /. sharded_s) ];
       ];
   Printf.printf
-    "jobs:1 bit-identical to legacy: %b; unbounded-warm-up shards \
-     bit-identical: %b\n\
+    "jobs:1 bit-identical to the recorded stream's profile: %b; \
+     unbounded-warm-up shards bit-identical: %b\n\
      cold-rate error across 4 shard boundaries (warmup %d): %.4f\n"
     jobs1_identical exact_identical Profiler.default_warmup
     boundary_cold_error;
@@ -88,14 +86,12 @@ let profile_shards () =
         ("jobs_requested", int jobs_requested);
         ("jobs_effective", int jobs);
         ("warmup_instructions", int Profiler.default_warmup);
-        ("legacy_seconds", Num legacy_s);
         ("sharded_jobs1_seconds", Num seq1_s);
         ("sharded_seconds", Num sharded_s);
         ("instr_per_sec_seq", Num (ips seq1_s));
         ("instr_per_sec_sharded", Num (ips sharded_s));
-        ("sharded_vs_legacy_speedup", Num (legacy_s /. sharded_s));
         ("parallel_speedup", Harness.num_opt parallel_speedup);
-        ("cold_rate_seq", Num legacy_cold);
+        ("cold_rate_seq", Num seq1_cold);
         ("cold_rate_sharded", Num warm_cold);
         ("boundary_cold_error", Num boundary_cold_error);
         ("bit_identical", Bool (jobs1_identical && exact_identical));

@@ -16,6 +16,12 @@ val create : ?history_bits:int -> unit -> t
     linear fit to predictor miss rates on this workload suite. *)
 
 val observe : t -> static_id:int -> taken:bool -> unit
+(** Counts [taken] under the branch's current history, then shifts it
+    into the history.  A (static branch, history) pair is kept as the one
+    int [static_id lsl history_bits lor history], so [observe] and
+    {!prime} raise [Invalid_argument] for a negative [static_id] or one
+    above [max_int asr history_bits], rather than let two pairs
+    collide. *)
 
 val prime : t -> static_id:int -> taken:bool -> unit
 (** Update the local-history register of [static_id] without recording the

@@ -5,10 +5,10 @@ let window_depths (uops : Isa.uop array) ~lo ~hi =
   let depth = Array.make n 0 in
   for i = 0 to n - 1 do
     let u = uops.(lo + i) in
-    let producer_depth dep =
-      if dep > 0 && i - dep >= 0 then depth.(i - dep) else 0
-    in
-    depth.(i) <- 1 + max (producer_depth u.dep1) (producer_depth u.dep2)
+    (* Compared inline: [max] is polymorphic, a C call per micro-op. *)
+    let p1 = if u.dep1 > 0 && i - u.dep1 >= 0 then depth.(i - u.dep1) else 0 in
+    let p2 = if u.dep2 > 0 && i - u.dep2 >= 0 then depth.(i - u.dep2) else 0 in
+    depth.(i) <- 1 + if p1 > p2 then p1 else p2
   done;
   depth
 
@@ -72,8 +72,9 @@ let load_depth_distribution ~window uops =
     let load_depth = Array.make w 0 in
     for i = 0 to w - 1 do
       let u : Isa.uop = uops.(!lo + i) in
-      let ancestor dep = if dep > 0 && i - dep >= 0 then load_depth.(i - dep) else 0 in
-      let inherited = max (ancestor u.dep1) (ancestor u.dep2) in
+      let a1 = if u.dep1 > 0 && i - u.dep1 >= 0 then load_depth.(i - u.dep1) else 0 in
+      let a2 = if u.dep2 > 0 && i - u.dep2 >= 0 then load_depth.(i - u.dep2) else 0 in
+      let inherited = if a1 > a2 then a1 else a2 in
       if u.cls = Isa.Load then begin
         load_depth.(i) <- inherited + 1;
         Histogram.add hist load_depth.(i)

@@ -146,10 +146,10 @@ let finalize_mt ~cfg ~index ~start_instruction ~instructions (b : mt_builder) =
 type stream_state = {
   ss_entropy : Entropy.t;
   (* Data-side reuse tracking: line -> index of its last access. *)
-  ss_last_access : (int, int) Hashtbl.t;
+  ss_last_access : Reuse_table.t;
   mutable ss_mem_idx : int;
   (* Instruction-side reuse tracking. *)
-  ss_inst_last : (int, int) Hashtbl.t;
+  ss_inst_last : Reuse_table.t;
   mutable ss_inst_idx : int;
   ss_inst_hist : Histogram.t;
   mutable ss_inst_cold : int;
@@ -158,6 +158,7 @@ type stream_state = {
   mutable ss_inst_cold_exact : int;
   mutable ss_data_accesses : int;
   mutable ss_data_cold : int;
+  mutable ss_uops : int;  (* region micro-ops, warm-up excluded *)
   ss_line_shift : int;
   mutable ss_current : mt_builder option;
 }
@@ -169,9 +170,9 @@ let new_stream_state cfg =
   in
   {
     ss_entropy = Entropy.create ~history_bits:cfg.entropy_history_bits ();
-    ss_last_access = Hashtbl.create 65536;
+    ss_last_access = Reuse_table.create 4096;
     ss_mem_idx = 0;
-    ss_inst_last = Hashtbl.create 4096;
+    ss_inst_last = Reuse_table.create 1024;
     ss_inst_idx = 0;
     ss_inst_hist = Histogram.create ();
     ss_inst_cold = 0;
@@ -180,9 +181,17 @@ let new_stream_state cfg =
     ss_inst_cold_exact = 0;
     ss_data_accesses = 0;
     ss_data_cold = 0;
+    ss_uops = 0;
     ss_line_shift = line_shift;
     ss_current = None;
   }
+
+let branch = Isa.class_index Isa.Branch
+let load = Isa.class_index Isa.Load
+let store = Isa.class_index Isa.Store
+
+let inst_line st w0 =
+  (Uop_word.static_id w0 * Workload_gen.instruction_bytes) asr st.ss_line_shift
 
 (* Warm-up consumer: advance the reuse tables, access indices and branch
    history registers exactly as [process] would, but record nothing — no
@@ -191,153 +200,172 @@ let new_stream_state cfg =
    them.  With an unbounded warm-up the tables a shard starts its region
    with are exactly the sequential profiler's tables at that point, which
    is what makes the merged profile bit-identical. *)
-let warm_process st (u : Isa.uop) =
-  if u.cls = Isa.Branch then
-    Entropy.prime st.ss_entropy ~static_id:u.static_id ~taken:u.taken;
-  if u.begins_instruction then begin
-    let iline = (u.static_id * Workload_gen.instruction_bytes) asr st.ss_line_shift in
-    Hashtbl.replace st.ss_inst_last iline st.ss_inst_idx;
+let warm_process st w0 _w1 w2 =
+  let cls = Uop_word.class_index w0 in
+  if cls = branch then
+    Entropy.prime st.ss_entropy ~static_id:(Uop_word.static_id w0)
+      ~taken:(Uop_word.taken w0);
+  if Uop_word.begins_instruction w0 then begin
+    ignore (Reuse_table.exchange st.ss_inst_last (inst_line st w0) st.ss_inst_idx);
     st.ss_inst_idx <- st.ss_inst_idx + 1
   end;
-  if Isa.is_memory u then begin
-    let line = u.addr asr st.ss_line_shift in
-    Hashtbl.replace st.ss_last_access line st.ss_mem_idx;
+  if cls = load || cls = store then begin
+    ignore
+      (Reuse_table.exchange st.ss_last_access (w2 asr st.ss_line_shift)
+         st.ss_mem_idx);
     st.ss_mem_idx <- st.ss_mem_idx + 1
   end
 
-let process st (u : Isa.uop) =
+(* Per-static-load statistics of a recorded load at micro-trace offset
+   [pos]; [prev] is its line's previous access index, or -1. *)
+let record_static_load st b ~pos ~static_id ~addr ~prev =
+  let sb =
+    match Hashtbl.find_opt b.statics static_id with
+    | Some sb -> sb
+    | None ->
+      let sb =
+        {
+          b_static_id = static_id;
+          b_first_pos = pos;
+          b_count = 0;
+          b_last_pos = pos;
+          b_last_addr = addr;
+          b_spacing = Histogram.create ();
+          b_strides = Histogram.create ();
+          b_reuse = Histogram.create ();
+          b_cold = 0;
+        }
+      in
+      Hashtbl.replace b.statics static_id sb;
+      sb
+  in
+  if sb.b_count > 0 then begin
+    Histogram.add sb.b_spacing (pos - sb.b_last_pos);
+    Histogram.add sb.b_strides (addr - sb.b_last_addr)
+  end;
+  if prev >= 0 then Histogram.add sb.b_reuse (st.ss_mem_idx - prev - 1)
+  else sb.b_cold <- sb.b_cold + 1;
+  sb.b_count <- sb.b_count + 1;
+  sb.b_last_pos <- pos;
+  sb.b_last_addr <- addr
+
+(* One region micro-op, from its packed words.  Only a micro-op that
+   goes into a micro-trace buffer is decoded into an [Isa.uop]. *)
+let process st w0 w1 w2 =
   let recording = st.ss_current in
+  let sampled = Option.is_some recording in
+  let cls = Uop_word.class_index w0 in
+  st.ss_uops <- st.ss_uops + 1;
   (match recording with
   | Some b ->
-    push_uop b u;
-    if u.cls = Isa.Branch then b.branches <- b.branches + 1
+    push_uop b (Uop_word.decode w0 w1 w2);
+    if cls = branch then b.branches <- b.branches + 1
   | None -> ());
   (* Branch entropy is maintained over the full stream: histories must
      not be broken by sampling gaps. *)
-  if u.cls = Isa.Branch then
-    Entropy.observe st.ss_entropy ~static_id:u.static_id ~taken:u.taken;
+  if cls = branch then
+    Entropy.observe st.ss_entropy ~static_id:(Uop_word.static_id w0)
+      ~taken:(Uop_word.taken w0);
   (* Instruction-side reuse distances. *)
-  if u.begins_instruction then begin
-    let iline = (u.static_id * Workload_gen.instruction_bytes) asr st.ss_line_shift in
+  if Uop_word.begins_instruction w0 then begin
     st.ss_inst_accesses <- st.ss_inst_accesses + 1;
-    (match Hashtbl.find_opt st.ss_inst_last iline with
-    | Some prev ->
-      if recording <> None then begin
+    let prev = Reuse_table.exchange st.ss_inst_last (inst_line st w0) st.ss_inst_idx in
+    if prev >= 0 then begin
+      if sampled then begin
         Histogram.add st.ss_inst_hist (st.ss_inst_idx - prev - 1);
         st.ss_inst_samples <- st.ss_inst_samples + 1
       end
-    | None ->
+    end
+    else begin
       st.ss_inst_cold_exact <- st.ss_inst_cold_exact + 1;
-      if recording <> None then begin
+      if sampled then begin
         st.ss_inst_cold <- st.ss_inst_cold + 1;
         st.ss_inst_samples <- st.ss_inst_samples + 1
-      end);
-    Hashtbl.replace st.ss_inst_last iline st.ss_inst_idx;
+      end
+    end;
     st.ss_inst_idx <- st.ss_inst_idx + 1
   end;
   (* Data-side reuse distances + per-static-load distributions. *)
-  if Isa.is_memory u then begin
-    let line = u.addr asr st.ss_line_shift in
-    let prev = Hashtbl.find_opt st.ss_last_access line in
+  if cls = load || cls = store then begin
+    let prev =
+      Reuse_table.exchange st.ss_last_access (w2 asr st.ss_line_shift) st.ss_mem_idx
+    in
     st.ss_data_accesses <- st.ss_data_accesses + 1;
-    if prev = None then st.ss_data_cold <- st.ss_data_cold + 1;
+    if prev < 0 then st.ss_data_cold <- st.ss_data_cold + 1;
     (match recording with
     | Some b ->
       let pos = b.u_len - 1 in
       b.mem_samples <- b.mem_samples + 1;
-      let is_store = u.cls = Isa.Store in
-      (match prev with
-      | Some p ->
-        let rd = st.ss_mem_idx - p - 1 in
-        Histogram.add (if is_store then b.reuse_store else b.reuse_load) rd
-      | None ->
+      let is_store = cls = store in
+      if prev >= 0 then
+        Histogram.add
+          (if is_store then b.reuse_store else b.reuse_load)
+          (st.ss_mem_idx - prev - 1)
+      else begin
         b.mem_cold <- b.mem_cold + 1;
         if is_store then b.store_cold <- b.store_cold + 1
-        else b.cold_load_positions <- pos :: b.cold_load_positions);
-      if not is_store then begin
-        let sb =
-          match Hashtbl.find_opt b.statics u.static_id with
-          | Some sb -> sb
-          | None ->
-            let sb =
-              {
-                b_static_id = u.static_id;
-                b_first_pos = pos;
-                b_count = 0;
-                b_last_pos = pos;
-                b_last_addr = u.addr;
-                b_spacing = Histogram.create ();
-                b_strides = Histogram.create ();
-                b_reuse = Histogram.create ();
-                b_cold = 0;
-              }
-            in
-            Hashtbl.replace b.statics u.static_id sb;
-            sb
-        in
-        if sb.b_count > 0 then begin
-          Histogram.add sb.b_spacing (pos - sb.b_last_pos);
-          Histogram.add sb.b_strides (u.addr - sb.b_last_addr)
-        end;
-        (match prev with
-        | Some p -> Histogram.add sb.b_reuse (st.ss_mem_idx - p - 1)
-        | None -> sb.b_cold <- sb.b_cold + 1);
-        sb.b_count <- sb.b_count + 1;
-        sb.b_last_pos <- pos;
-        sb.b_last_addr <- u.addr
-      end
+        else b.cold_load_positions <- pos :: b.cold_load_positions
+      end;
+      if not is_store then
+        record_static_load st b ~pos ~static_id:(Uop_word.static_id w0) ~addr:w2
+          ~prev
     | None -> ());
-    Hashtbl.replace st.ss_last_access line st.ss_mem_idx;
     st.ss_mem_idx <- st.ss_mem_idx + 1
   end
+
+(* Feeds the micro-ops of the next [k] instructions of [cur] to [f];
+   returns how many instructions that was, fewer than [k] only at the
+   end of the stream. *)
+let feed cur k f =
+  let n = ref 0 in
+  while
+    (not (Uop_stream.at_end cur))
+    && (!n < k || not (Uop_word.begins_instruction (Uop_stream.word0 cur)))
+  do
+    let w0 = Uop_stream.word0 cur in
+    if Uop_word.begins_instruction w0 then incr n;
+    f w0 (Uop_stream.word1 cur) (Uop_stream.word2 cur);
+    Uop_stream.advance cur
+  done;
+  !n
 
 (* One profiled stream region, ready to merge. *)
 type shard = {
   sh_microtraces : Profile.microtrace list;  (* in reverse stream order *)
   sh_state : stream_state;
-  sh_instructions : int;  (* instructions in [start, start+length) *)
-  sh_uops : int;  (* uops expanded from those instructions *)
+  sh_instructions : int;  (* instructions in the region *)
+  sh_uops : int;  (* uops of those instructions *)
 }
 
-(* Profile the region [start, start+length) of the stream defined by
-   (spec, seed).  The generator is recreated from the seed and
-   fast-forwarded, so workers share no mutable state.  [warmup]
-   instructions before [start] are run through [warm_process] first. *)
-let profile_region ~cfg spec ~seed ~start ~length ~warmup =
-  let gen = Workload_gen.create spec ~seed in
+(* Profile the stream under [cur], which holds [warm] warm-up
+   instructions and then the region: the rest of the stream, from
+   dynamic instruction [start] on.  The warm-up only primes the tables
+   ([warm_process]). *)
+let profile_region ~cfg cur ~start ~warm =
   let st = new_stream_state cfg in
-  let warm_start = max 0 (start - warmup) in
-  Workload_gen.fast_forward gen ~to_instruction:warm_start;
-  if start > warm_start then
-    Workload_gen.iter_uops gen ~n_instructions:(start - warm_start)
-      ~f:(warm_process st);
-  let uops0 = Workload_gen.uops_emitted gen in
+  ignore (feed cur warm (warm_process st));
   let microtraces = ref [] in
   let mt_count = ref 0 in
   let consumed = ref 0 in
-  while !consumed < length do
-    let mt_len = min cfg.microtrace_instructions (length - !consumed) in
-    let b = new_mt_builder (2 * mt_len) in
+  while not (Uop_stream.at_end cur) do
+    let b = new_mt_builder (2 * cfg.microtrace_instructions) in
     st.ss_current <- Some b;
-    let start_instruction = Workload_gen.instructions_emitted gen in
-    Workload_gen.iter_uops gen ~n_instructions:mt_len ~f:(process st);
+    let start_instruction = start + !consumed in
+    let mt_len = feed cur cfg.microtrace_instructions (process st) in
     st.ss_current <- None;
     microtraces :=
       finalize_mt ~cfg ~index:!mt_count ~start_instruction ~instructions:mt_len b
       :: !microtraces;
     incr mt_count;
     consumed := !consumed + mt_len;
-    let skip = min (cfg.window_instructions - mt_len) (length - !consumed) in
-    if skip > 0 then begin
-      Workload_gen.iter_uops gen ~n_instructions:skip ~f:(process st);
-      consumed := !consumed + skip
-    end
+    let skip = cfg.window_instructions - mt_len in
+    if skip > 0 then consumed := !consumed + feed cur skip (process st)
   done;
   {
     sh_microtraces = !microtraces;
     sh_state = st;
-    sh_instructions = Workload_gen.instructions_emitted gen - start;
-    sh_uops = Workload_gen.uops_emitted gen - uops0;
+    sh_instructions = !consumed;
+    sh_uops = st.ss_uops;
   }
 
 (* Split [0, n_instructions) into at most [shards] contiguous regions whose
@@ -429,172 +457,23 @@ let profile ?(config = default_config) ?(jobs = 1) ?(warmup = default_warmup)
   let shards =
     Parallel.map_array ~jobs
       (fun (start, length) ->
-        (* The first shard has no prefix to warm from; it is exact. *)
-        let warmup = if start = 0 then 0 else warmup in
-        profile_region ~cfg spec ~seed ~start ~length ~warmup)
+        (* Each worker regenerates its own window of the stream from the
+           shared seed, so workers share no mutable state.  The first
+           shard has no prefix to warm from; it is exact. *)
+        let warm = min warmup start in
+        let cur =
+          Uop_stream.window ~start:(start - warm) spec ~seed
+            ~n_instructions:(warm + length)
+        in
+        profile_region ~cfg cur ~start ~warm)
       bounds
   in
   merge_shards ~cfg ~workload:spec.Workload_spec.wname shards
 
-(* The pre-sharding profiler, kept verbatim as the reference the sharded
-   pipeline is pinned against: tests and the profile_shards bench assert
-   that [profile ~jobs:1] (and [profile ~jobs:k ~warmup:max_int]) produce
-   bit-identical serialized profiles. *)
-let profile_legacy ?(config = default_config) spec ~seed ~n_instructions =
-  let cfg = config in
-  let gen = Workload_gen.create spec ~seed in
-  let entropy = Entropy.create ~history_bits:cfg.entropy_history_bits () in
-  (* Data-side reuse tracking: line -> index of its last access. *)
-  let last_access : (int, int) Hashtbl.t = Hashtbl.create 65536 in
-  let mem_idx = ref 0 in
-  (* Instruction-side reuse tracking. *)
-  let inst_last : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let inst_idx = ref 0 in
-  let inst_hist = Histogram.create () in
-  let inst_cold = ref 0 in
-  let inst_samples = ref 0 in
-  let inst_accesses = ref 0 in
-  let inst_cold_exact = ref 0 in
-  let data_accesses = ref 0 in
-  let data_cold = ref 0 in
-  let line_shift =
-    let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
-    go 0 cfg.line_bytes
-  in
-  let microtraces = ref [] in
-  let mt_count = ref 0 in
-  let current : mt_builder option ref = ref None in
-  let process (u : Isa.uop) =
-    let recording = !current in
-    (match recording with
-    | Some b ->
-      push_uop b u;
-      if u.cls = Isa.Branch then b.branches <- b.branches + 1
-    | None -> ());
-    if u.cls = Isa.Branch then
-      Entropy.observe entropy ~static_id:u.static_id ~taken:u.taken;
-    if u.begins_instruction then begin
-      let iline = (u.static_id * Workload_gen.instruction_bytes) asr line_shift in
-      incr inst_accesses;
-      (match Hashtbl.find_opt inst_last iline with
-      | Some prev ->
-        if recording <> None then begin
-          Histogram.add inst_hist (!inst_idx - prev - 1);
-          incr inst_samples
-        end
-      | None ->
-        incr inst_cold_exact;
-        if recording <> None then begin
-          incr inst_cold;
-          incr inst_samples
-        end);
-      Hashtbl.replace inst_last iline !inst_idx;
-      incr inst_idx
-    end;
-    if Isa.is_memory u then begin
-      let line = u.addr asr line_shift in
-      let prev = Hashtbl.find_opt last_access line in
-      incr data_accesses;
-      if prev = None then incr data_cold;
-      (match recording with
-      | Some b ->
-        let pos = b.u_len - 1 in
-        b.mem_samples <- b.mem_samples + 1;
-        let is_store = u.cls = Isa.Store in
-        (match prev with
-        | Some p ->
-          let rd = !mem_idx - p - 1 in
-          Histogram.add (if is_store then b.reuse_store else b.reuse_load) rd
-        | None ->
-          b.mem_cold <- b.mem_cold + 1;
-          if is_store then b.store_cold <- b.store_cold + 1
-          else b.cold_load_positions <- pos :: b.cold_load_positions);
-        if not is_store then begin
-          let sb =
-            match Hashtbl.find_opt b.statics u.static_id with
-            | Some sb -> sb
-            | None ->
-              let sb =
-                {
-                  b_static_id = u.static_id;
-                  b_first_pos = pos;
-                  b_count = 0;
-                  b_last_pos = pos;
-                  b_last_addr = u.addr;
-                  b_spacing = Histogram.create ();
-                  b_strides = Histogram.create ();
-                  b_reuse = Histogram.create ();
-                  b_cold = 0;
-                }
-              in
-              Hashtbl.replace b.statics u.static_id sb;
-              sb
-          in
-          if sb.b_count > 0 then begin
-            Histogram.add sb.b_spacing (pos - sb.b_last_pos);
-            Histogram.add sb.b_strides (u.addr - sb.b_last_addr)
-          end;
-          (match prev with
-          | Some p -> Histogram.add sb.b_reuse (!mem_idx - p - 1)
-          | None -> sb.b_cold <- sb.b_cold + 1);
-          sb.b_count <- sb.b_count + 1;
-          sb.b_last_pos <- pos;
-          sb.b_last_addr <- u.addr
-        end
-      | None -> ());
-      Hashtbl.replace last_access line !mem_idx;
-      incr mem_idx
-    end
-  in
-  let consumed = ref 0 in
-  while !consumed < n_instructions do
-    let mt_len = min cfg.microtrace_instructions (n_instructions - !consumed) in
-    let b = new_mt_builder (2 * mt_len) in
-    current := Some b;
-    let start_instruction = Workload_gen.instructions_emitted gen in
-    Workload_gen.iter_uops gen ~n_instructions:mt_len ~f:process;
-    current := None;
-    microtraces :=
-      finalize_mt ~cfg ~index:!mt_count ~start_instruction ~instructions:mt_len b
-      :: !microtraces;
-    incr mt_count;
-    consumed := !consumed + mt_len;
-    let skip = min (cfg.window_instructions - mt_len) (n_instructions - !consumed) in
-    if skip > 0 then begin
-      Workload_gen.iter_uops gen ~n_instructions:skip ~f:process;
-      consumed := !consumed + skip
-    end
-  done;
-  let mts = Array.of_list (List.rev !microtraces) in
-  let total_uops = Workload_gen.uops_emitted gen in
-  let total_instr = Workload_gen.instructions_emitted gen in
-  let branch_uops =
-    Array.fold_left (fun acc mt -> acc + mt.Profile.mt_branches) 0 mts
-  in
-  let sampled_uops = Array.fold_left (fun acc mt -> acc + mt.Profile.mt_uops) 0 mts in
-  {
-    Profile.p_workload = spec.Workload_spec.wname;
-    p_window_instructions = cfg.window_instructions;
-    p_microtrace_instructions = cfg.microtrace_instructions;
-    p_total_instructions = total_instr;
-    p_line_bytes = cfg.line_bytes;
-    p_microtraces = mts;
-    p_entropy = Entropy.linear_entropy entropy;
-    p_branch_fraction =
-      (if sampled_uops = 0 then 0.0
-       else float_of_int branch_uops /. float_of_int sampled_uops);
-    p_uops_per_instruction =
-      (if total_instr = 0 then 1.0
-       else float_of_int total_uops /. float_of_int total_instr);
-    p_reuse_inst = inst_hist;
-    p_inst_cold_fraction =
-      (if !inst_accesses = 0 then 0.0
-       else float_of_int !inst_cold_exact /. float_of_int !inst_accesses);
-    p_inst_samples = !inst_samples;
-    p_data_accesses = !data_accesses;
-    p_data_cold = !data_cold;
-    p_derived = Profile.fresh_derived ();
-  }
+let profile_stream stream =
+  let cfg = default_config in
+  merge_shards ~cfg ~workload:(Uop_stream.name stream)
+    [| profile_region ~cfg (Uop_stream.cursor stream) ~start:0 ~warm:0 |]
 
 let full_instruction_mix spec ~seed ~n_instructions =
   let gen = Workload_gen.create spec ~seed in

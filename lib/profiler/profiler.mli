@@ -1,6 +1,9 @@
 (** The micro-architecture independent profiler (the paper's AIP).
 
     One pass over the dynamic micro-op stream produces a {!Profile.t}.
+    The profiler reads the stream packed ({!Uop_stream}), generated one
+    chunk at a time or recorded; it decodes an {!Isa.uop} record only for
+    the micro-ops that go into a micro-trace.
     Sampling follows Fig 5.1: a [microtrace_instructions]-long burst is
     analyzed at the start of every [window_instructions]-long window; the
     rest of the window is fast-forwarded.  Reuse-distance bookkeeping
@@ -52,11 +55,10 @@ val profile :
     exactly the sequential profiler.  Raises [Invalid_argument] if
     [jobs < 1] or [warmup < 0]. *)
 
-val profile_legacy :
-  ?config:config -> Workload_spec.t -> seed:int -> n_instructions:int -> Profile.t
-(** The pre-sharding single-pass profiler, kept verbatim as the reference
-    implementation: {!profile}[ ~jobs:1] must serialize bit-identically to
-    it (pinned by tests and the profile_shards bench). *)
+val profile_stream : Uop_stream.t -> Profile.t
+(** The profile of a recorded stream, named after its workload:
+    {!profile}[ ~jobs:1] of the spec, seed and length it was recorded
+    with, byte for byte, without generating the stream again. *)
 
 val full_instruction_mix :
   Workload_spec.t -> seed:int -> n_instructions:int -> Isa.Class_counts.t

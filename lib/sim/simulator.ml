@@ -453,12 +453,12 @@ let dispatch_stage t =
       let w0 = Uop_stream.word0 t.cur in
       (* I-cache check on instruction boundaries. *)
       let icache_stall =
-        if Uop_stream.begins_instruction w0 && not t.pending_icache_done then begin
+        if Uop_word.begins_instruction w0 && not t.pending_icache_done then begin
           t.l1i_accesses <- t.l1i_accesses + 1;
           t.pending_icache_done <- true;
           if t.idl.no_icache_miss then false
           else begin
-            let iaddr = Uop_stream.static_id w0 * Workload_gen.instruction_bytes in
+            let iaddr = Uop_word.static_id w0 * Workload_gen.instruction_bytes in
             let level = Hierarchy.access_inst t.hier iaddr in
             let penalty = inst_fetch_penalty t level in
             if penalty > 0 then begin
@@ -482,20 +482,20 @@ let dispatch_stage t =
         t.pending_icache_done <- false;
         let g = t.tail in
         let s = slot t g in
-        let cls_idx = Uop_stream.class_index w0 in
-        let static_id = Uop_stream.static_id w0 in
+        let cls_idx = Uop_word.class_index w0 in
+        let static_id = Uop_word.static_id w0 in
         t.e_cls.(s) <- cls_idx;
         t.e_done.(s) <- not_done;
         t.e_issued.(s) <- false;
         t.e_addr.(s) <- addr;
         t.e_static.(s) <- static_id;
-        t.e_begins.(s) <- Uop_stream.begins_instruction w0;
+        t.e_begins.(s) <- Uop_word.begins_instruction w0;
         t.e_level.(s) <- -1;
         t.tail <- t.tail + 1;
         (* Wakeup: wait on every in-flight producer not yet issued. *)
         t.e_pending.(s) <- 0;
         t.e_ready_at.(s) <- 0;
-        let dep1 = Uop_stream.dep1 w1 and dep2 = Uop_stream.dep2 w1 in
+        let dep1 = Uop_word.dep1 w1 and dep2 = Uop_word.dep2 w1 in
         if dep1 > 0 then depend t s 0 (g - dep1);
         if dep2 > 0 && dep2 <> dep1 then depend t s 1 (g - dep2);
         if t.e_pending.(s) = 0 then wake t s t.e_ready_at.(s);
@@ -508,7 +508,7 @@ let dispatch_stage t =
             if t.idl.no_branch_miss then true
             else
               Predictor.predict_and_update t.predictor ~static_id
-                ~taken:(Uop_stream.taken w0)
+                ~taken:(Uop_word.taken w0)
           in
           if not correct then begin
             t.branch_miss <- t.branch_miss + 1;

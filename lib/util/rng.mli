@@ -6,14 +6,12 @@
     has a 64-bit state and passes BigCrush. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: drawing an [int], a [bool] or
+    a geometric sample allocates nothing. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
-
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
 
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t].  The two
@@ -22,9 +20,6 @@ val split : t -> t
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
@@ -38,8 +33,10 @@ val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success of a
     Bernoulli([p]) process; mean [(1-p)/p].  [p] must be in (0, 1]. *)
 
-val exponential : t -> float -> float
-(** [exponential t mean] samples an exponential distribution. *)
+val geometric_of_log : t -> float -> int
+(** [geometric_of_log t (log (1. -. p))] is [geometric t p], drawn the
+    same way, for [p] in (0, 1): a caller that draws often with one [p]
+    computes the logarithm once. *)
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Box-Muller normal sample. *)

@@ -327,12 +327,14 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
     ?keep_going ?(seed = 1)
     ?(n_instructions = default_n_instructions) ?calibrate ~spec configs =
   let configs_a = Array.of_list configs in
-  let profile = Profiler.profile spec ~seed ~n_instructions in
+  (* Profile the recorded stream the simulator replays, so the stream is
+     generated once. *)
+  let stream = Uop_stream.record spec ~seed ~n_instructions in
+  let profile = Profiler.profile_stream stream in
   let stats = profile_stats profile in
   (* Build the config-independent structures before the fan-out, as the
      model sweep does: workers then only read them. *)
   Profile.prepare profile;
-  let stream = Uop_stream.record spec ~seed ~n_instructions in
   Result.map
     (workload_report ~stats ~workload:spec.Workload_spec.wname)
     (Sweep.run_points ?jobs ?checkpoint ?keep_going

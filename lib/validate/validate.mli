@@ -157,9 +157,10 @@ val run_workload :
   spec:Workload_spec.t ->
   Uarch.t list ->
   (workload_report, Fault.t) result
-(** Profile the workload and record its micro-op stream once
-    ({!Uop_stream.record}), then evaluate every config with both engines
-    (the simulator replays the stream) under {!Sweep.run_points}:
+(** Record the workload's micro-op stream once and profile it from the
+    recording ({!Profiler.profile_stream}), then evaluate every config
+    with both engines (the simulator replays the stream) under
+    {!Sweep.run_points}:
     [jobs]-way parallel, fault-isolated per point, and [?checkpoint]
     doubles as resume via the same CRC-per-line log as the design sweeps.
     The log's header names the workload and digests everything the

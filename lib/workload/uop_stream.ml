@@ -1,102 +1,70 @@
 let chunk_uops = 4096
-let words = 3
+let words = Uop_word.words
 let chunk_words = chunk_uops * words
-let max_dep = 1 lsl 31
-let max_static_id = 1 lsl 57
 
 type t = { name : string; chunks : int array array }
 
-(* ---- Packing ---- *)
+(* ---- Filling ---- *)
 
-let check_dep field d =
-  if d < 0 || d >= max_dep then
-    invalid_arg
-      (Printf.sprintf "Uop_stream: %s distance %d does not fit in 31 bits" field d)
-
-let pack chunk i (u : Isa.uop) =
-  check_dep "dep1" u.dep1;
-  check_dep "dep2" u.dep2;
-  if u.static_id < 0 || u.static_id >= max_static_id then
-    invalid_arg
-      (Printf.sprintf "Uop_stream: static_id %d does not fit in 57 bits" u.static_id);
-  let w = i * words in
-  chunk.(w) <-
-    (u.static_id lsl 6)
-    lor (Bool.to_int u.begins_instruction lsl 5)
-    lor (Bool.to_int u.taken lsl 4)
-    lor Isa.class_index u.cls;
-  chunk.(w + 1) <- (u.dep1 lsl 31) lor u.dep2;
-  chunk.(w + 2) <- u.addr
-
-(* The producing side of a stream: instructions still to take from
-   [next_instruction], and micro-ops taken but not yet packed (the rest of
-   an instruction that straddled the previous chunk's end). *)
+(* The producing side of a stream: [emit] packs the next instruction at a
+   word offset and returns its micro-op count, and [left] instructions
+   remain.  Chunks are filled in a buffer with room for one more
+   instruction past [chunk_words]: an instruction that begins on the
+   chunk's last slot spills its other micro-ops there, and the next fill
+   moves them to the front. *)
 type source = {
-  next_instruction : unit -> Isa.uop list;
+  emit : int array -> int -> int;
   mutable left : int;
-  mutable carry : Isa.uop list;
+  mutable spilled : int;  (* micro-ops waiting past [chunk_words] *)
 }
 
-let source spec ~seed ~n_instructions =
-  let gen = Workload_gen.create spec ~seed in
-  {
-    next_instruction = (fun () -> Workload_gen.next_instruction gen);
-    left = n_instructions;
-    carry = [];
-  }
+let buffer_words = (chunk_uops + Workload_gen.max_uops_per_instruction) * words
 
-(* Packs micro-ops into [chunk] from its start; returns how many, fewer
+let source ?(start = 0) spec ~seed ~n_instructions =
+  let gen = Workload_gen.create spec ~seed in
+  Workload_gen.fast_forward gen ~to_instruction:start;
+  { emit = Workload_gen.emit gen; left = n_instructions; spilled = 0 }
+
+(* Packs micro-ops into [buf] from its start; returns how many, fewer
    than [chunk_uops] only once the stream is exhausted. *)
-let fill src chunk =
-  let n = ref 0 in
-  let rec put = function
-    | [] -> ()
-    | u :: rest as uops ->
-      if !n = chunk_uops then src.carry <- uops
-      else begin
-        pack chunk !n u;
-        incr n;
-        put rest
-      end
-  in
-  let carry = src.carry in
-  src.carry <- [];
-  put carry;
+let fill src buf =
+  let n = ref src.spilled in
+  Array.blit buf chunk_words buf 0 (!n * words);
   while !n < chunk_uops && src.left > 0 do
     src.left <- src.left - 1;
-    put (src.next_instruction ())
+    n := !n + src.emit buf (!n * words)
   done;
-  !n
+  src.spilled <- max 0 (!n - chunk_uops);
+  min !n chunk_uops
 
-(* Full chunks as they are; the last trimmed to its exact size. *)
-let collect ~name next =
+(* Every chunk copied out at its exact size, so all are full but the
+   last. *)
+let collect ~name src =
+  let buf = Array.make buffer_words 0 in
   let rec go acc =
-    let chunk = Array.make chunk_words 0 in
-    let n = next chunk in
-    if n = chunk_uops then go (chunk :: acc)
-    else
-      let acc = if n = 0 then acc else Array.sub chunk 0 (n * words) :: acc in
-      { name; chunks = Array.of_list (List.rev acc) }
+    let n = fill src buf in
+    let acc = if n = 0 then acc else Array.sub buf 0 (n * words) :: acc in
+    if n = chunk_uops then go acc
+    else { name; chunks = Array.of_list (List.rev acc) }
   in
   go []
 
 let record spec ~seed ~n_instructions =
-  let src = source spec ~seed ~n_instructions in
-  collect ~name:spec.Workload_spec.wname (fill src)
+  collect ~name:spec.Workload_spec.wname (source spec ~seed ~n_instructions)
 
 let of_list uops =
-  collect ~name:"" (fill { next_instruction = (fun () -> []); left = 0; carry = uops })
+  let rest = ref uops in
+  let emit buf w =
+    match !rest with
+    | [] -> 0
+    | u :: tl ->
+      rest := tl;
+      Uop_word.pack buf w u;
+      1
+  in
+  collect ~name:"" { emit; left = List.length uops; spilled = 0 }
 
 let name t = t.name
-
-(* ---- Decoding ---- *)
-
-let class_index w0 = w0 land 15
-let taken w0 = w0 land 16 <> 0
-let begins_instruction w0 = w0 land 32 <> 0
-let static_id w0 = w0 lsr 6
-let dep1 w1 = w1 lsr 31
-let dep2 w1 = w1 land (max_dep - 1)
 
 (* ---- Cursors ---- *)
 
@@ -112,14 +80,14 @@ type cursor = {
 let cursor t =
   { chunk = [||]; pos = 0; limit = 0; next_chunk = 0; recorded = t.chunks; window = None }
 
-let window spec ~seed ~n_instructions =
+let window ?start spec ~seed ~n_instructions =
   {
-    chunk = Array.make chunk_words 0;
+    chunk = Array.make buffer_words 0;
     pos = 0;
     limit = 0;
     next_chunk = 0;
     recorded = [||];
-    window = Some (source spec ~seed ~n_instructions);
+    window = Some (source ?start spec ~seed ~n_instructions);
   }
 
 let refill c =

@@ -1,21 +1,14 @@
 (** Packed micro-op streams.
 
-    A workload's dynamic micro-op stream packed three words per micro-op
-    into chunks of {!chunk_uops} micro-ops, so it can be recorded once
-    and replayed by every consumer instead of regenerated by each.  The
-    words of micro-op [i] of a chunk are at [3 * i], [3 * i + 1] and
-    [3 * i + 2]:
+    A workload's dynamic micro-op stream in the three-word form of
+    {!Uop_word}, in chunks of {!chunk_uops} micro-ops, so it can be
+    recorded once and replayed by every consumer instead of regenerated
+    by each.  The words of micro-op [i] of a chunk are at [3 * i],
+    [3 * i + 1] and [3 * i + 2].
 
-    - [static_id lsl 6 lor begins_instruction lsl 5 lor taken lsl 4 lor
-      class_index];
-    - [dep1 lsl 31 lor dep2];
-    - [addr].
-
-    That is 24 bytes per micro-op on a 64-bit host.
-
-    The stream is filled from {!Workload_gen.next_instruction}.  A
-    recorded stream is read-only: any number of cursors, in any number of
-    domains, may replay it at once. *)
+    The stream is filled by {!Workload_gen.emit}, which writes straight
+    into the chunk.  A recorded stream is read-only: any number of
+    cursors, in any number of domains, may replay it at once. *)
 
 type t
 (** A recorded stream: every chunk full but the last, which is trimmed
@@ -29,7 +22,9 @@ val record : Workload_spec.t -> seed:int -> n_instructions:int -> t
     from a fresh {!Workload_gen.create}[ spec ~seed]. *)
 
 val of_list : Isa.uop list -> t
-(** A stream holding the given micro-ops, in order, named [""]. *)
+(** A stream holding the given micro-ops, in order, named [""].  Raises
+    [Invalid_argument] for a field that does not fit
+    ({!Uop_word.write}). *)
 
 val name : t -> string
 (** The workload's name. *)
@@ -38,17 +33,19 @@ val name : t -> string
 
     A cursor walks a stream front to back.  The current micro-op's three
     words are read with {!word0}, {!word1} and {!word2} and decoded with
-    the field accessors below; none of them allocates. *)
+    the field accessors of {!Uop_word}; none of them allocates. *)
 
 type cursor
 
 val cursor : t -> cursor
 (** Replays a recorded stream from its first micro-op. *)
 
-val window : Workload_spec.t -> seed:int -> n_instructions:int -> cursor
-(** The stream {!record} would hold, generated one chunk at a time into
-    a single reused chunk, so memory stays bounded for any
-    [n_instructions]. *)
+val window :
+  ?start:int -> Workload_spec.t -> seed:int -> n_instructions:int -> cursor
+(** The [n_instructions] instructions of the stream from instruction
+    [start] (default 0) on, generated one chunk at a time into a single
+    reused chunk, so memory stays bounded for any [n_instructions].  At
+    the default [start] this is the stream {!record} would hold. *)
 
 val at_end : cursor -> bool
 (** [true] once every micro-op has been read.  Otherwise the cursor is
@@ -61,34 +58,3 @@ val advance : cursor -> unit
 val word0 : cursor -> int
 val word1 : cursor -> int
 val word2 : cursor -> int
-
-val class_index : int -> int
-(** Of a {!word0}: the micro-op's {!Isa.class_index}. *)
-
-val taken : int -> bool
-(** Of a {!word0}. *)
-
-val begins_instruction : int -> bool
-(** Of a {!word0}. *)
-
-val static_id : int -> int
-(** Of a {!word0}. *)
-
-val dep1 : int -> int
-(** Of a {!word1}. *)
-
-val dep2 : int -> int
-(** Of a {!word1}. *)
-
-(** {1 Limits}
-
-    Packing raises [Invalid_argument] naming the field, and never
-    truncates, for a micro-op whose [dep1] or [dep2] is negative or at
-    least {!max_dep}, or whose [static_id] is negative or at least
-    {!max_static_id}. *)
-
-val max_dep : int
-(** [2^31]. *)
-
-val max_static_id : int
-(** [2^57]. *)

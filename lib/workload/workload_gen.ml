@@ -31,6 +31,8 @@ type phase_state = {
   ps_spec : phase;
   ps_bodies : body array;
   ps_chain_last : int array;  (* uop index of the last member of each chain *)
+  ps_near_p : float;  (* 1 / dep_mean *)
+  ps_near_log_q : float;  (* log (1 - ps_near_p), computed once *)
 }
 
 type t = {
@@ -38,9 +40,16 @@ type t = {
   spec : Workload_spec.t;
   phases : phase_state array;
   mutable instr_count : int;
+  (* Where instruction [instr_count] sits (see [locate]). *)
+  mutable phase_idx : int;
+  mutable phase_left : int;  (* instructions before the next phase *)
+  mutable body_idx : int;
+  mutable burst_left : int;  (* instructions before the next body *)
+  mutable slot_idx : int;
   mutable uop_count : int;
   mutable last_load_uop : int;  (* uop index of the most recent load; -1 *)
   mutable unique_cursor : int;  (* bump allocator for Unique loads *)
+  scratch : int array;  (* one instruction's packed micro-ops *)
 }
 
 (* Region allocation: 1 GiB-spaced regions keep every static structure's
@@ -171,7 +180,24 @@ let build_phase rng ~space_offset ~code_base ~phase_idx ~store_region (p : phase
     ps_spec = p;
     ps_bodies = Array.init p.n_bodies build_body;
     ps_chain_last = Array.make p.n_chains (-1);
+    ps_near_p = 1.0 /. p.dep_mean;
+    ps_near_log_q = log (1.0 -. (1.0 /. p.dep_mean));
   }
+
+(* Instruction i runs slot [i mod body_size] of body
+   [i / body_burst mod n_bodies] of phase [i / phase_length mod phases].
+   [locate] works that out for [instr_count]; [emit] then steps it one
+   instruction at a time and locates again only at a phase change, so
+   the per-instruction path divides nothing. *)
+let locate t =
+  let i = t.instr_count and len = t.spec.phase_length in
+  t.phase_idx <- i / len mod Array.length t.phases;
+  t.phase_left <- len - (i mod len);
+  let ps = t.phases.(t.phase_idx) in
+  let p = ps.ps_spec in
+  t.body_idx <- i / p.body_burst mod Array.length ps.ps_bodies;
+  t.burst_left <- p.body_burst - (i mod p.body_burst);
+  t.slot_idx <- i mod p.body_size
 
 let create spec ~seed =
   (match Workload_spec.validate spec with
@@ -194,15 +220,25 @@ let create spec ~seed =
           ~store_region p)
       spec.phases
   in
-  {
-    rng;
-    spec;
-    phases;
-    instr_count = 0;
-    uop_count = 0;
-    last_load_uop = -1;
-    unique_cursor = space_offset + (200_000 * region_size);
-  }
+  let t =
+    {
+      rng;
+      spec;
+      phases;
+      instr_count = 0;
+      phase_idx = 0;
+      phase_left = 0;
+      body_idx = 0;
+      burst_left = 0;
+      slot_idx = 0;
+      uop_count = 0;
+      last_load_uop = -1;
+      unique_cursor = space_offset + (200_000 * region_size);
+      scratch = Array.make (2 * Uop_word.words) 0;
+    }
+  in
+  locate t;
+  t
 
 let align8 x = x land lnot 7
 
@@ -223,142 +259,175 @@ let next_load_address t (ls : load_state) =
     t.unique_cursor <- t.unique_cursor + 64;
     addr
 
-let current_phase t =
-  let idx = t.instr_count / t.spec.phase_length mod Array.length t.phases in
-  t.phases.(idx)
+(* log (1 - p) of the far producers' geometric(0.002), computed once. *)
+let far_log_q = log (1.0 -. 0.002)
 
 (* Sample a register-dependence distance in micro-ops.  A producer exists
    with probability [dep_prob]; near producers sit 1 + geometric(dep_mean)
    back, far producers (fraction [far_dep_frac]) hundreds of micro-ops back
    so they fall outside any realistic ROB window.  0 means "no producer"
    (also when the sampled producer predates the stream). *)
-let sample_dep t (p : phase) =
+let sample_dep t (ps : phase_state) =
+  let p = ps.ps_spec in
   if not (Rng.bernoulli t.rng p.dep_prob) then 0
   else begin
     let d =
       if Rng.bernoulli t.rng p.far_dep_frac then
-        512 + Rng.geometric t.rng 0.002
-      else
-        let pr = 1.0 /. p.dep_mean in
-        1 + Rng.geometric t.rng pr
+        512 + Rng.geometric_of_log t.rng far_log_q
+      else if ps.ps_near_p > 0.0 && ps.ps_near_p < 1.0 then
+        1 + Rng.geometric_of_log t.rng ps.ps_near_log_q
+      else 1 + Rng.geometric t.rng ps.ps_near_p
     in
     if d > t.uop_count then 0 else d
   end
 
-let sample_dep2 t (p : phase) =
-  if Rng.bernoulli t.rng p.dep2_prob then sample_dep t p else 0
+let sample_dep2 t (ps : phase_state) =
+  if Rng.bernoulli t.rng ps.ps_spec.dep2_prob then sample_dep t ps else 0
 
+(* Distance back to the chain's last member; 0 when there is none (the
+   caller then samples a dependence instead). *)
 let chain_dep t (ps : phase_state) chain =
-  if chain < 0 then None
+  if chain < 0 then 0
   else
     let last = ps.ps_chain_last.(chain) in
-    if last < 0 then None
-    else
-      let d = t.uop_count - last in
-      if d <= 0 then None else Some d
+    if last < 0 || last >= t.uop_count then 0 else t.uop_count - last
 
 let record_chain (ps : phase_state) chain uop_index =
   if chain >= 0 then ps.ps_chain_last.(chain) <- uop_index
 
-(* Build the micro-ops of one dynamic instruction from its slot. *)
-let expand t (ps : phase_state) (slot : slot) : Isa.uop list =
-  let p = ps.ps_spec in
-  let mk ?(dep1 = 0) ?(dep2 = 0) ?(addr = 0) ?(taken = false) ~first cls : Isa.uop =
-    {
-      Isa.cls;
-      dep1;
-      dep2;
-      addr;
-      taken;
-      static_id = slot.sl_static_id;
-      begins_instruction = first;
-    }
-  in
-  let compute_dep () =
-    match chain_dep t ps slot.sl_chain with
-    | Some d -> d
-    | None -> sample_dep t p
-  in
-  let load_dep (ls : load_state) =
-    if ls.ls_load_dep && t.last_load_uop >= 0 then
-      let d = t.uop_count - t.last_load_uop in
-      if d > 0 then d else sample_dep t p
-    else sample_dep t p
-  in
-  let branch_taken (bs : branch_state) =
-    let n = bs.bs_counter in
-    bs.bs_counter <- n + 1;
-    match bs.bs_kind with
-    | Biased pr -> Rng.bernoulli t.rng pr
-    | Loop_every k -> n mod k <> k - 1
-    | Pattern arr -> arr.(n mod Array.length arr)
-  in
+let compute_dep t ps (slot : slot) =
+  let d = chain_dep t ps slot.sl_chain in
+  if d > 0 then d else sample_dep t ps
+
+let load_dep t ps (ls : load_state) =
+  if ls.ls_load_dep && t.last_load_uop >= 0 then
+    let d = t.uop_count - t.last_load_uop in
+    if d > 0 then d else sample_dep t ps
+  else sample_dep t ps
+
+let branch_taken t (bs : branch_state) =
+  let n = bs.bs_counter in
+  bs.bs_counter <- n + 1;
+  match bs.bs_kind with
+  | Biased pr -> Rng.bernoulli t.rng pr
+  | Loop_every k -> n mod k <> k - 1
+  | Pattern arr -> arr.(n mod Array.length arr)
+
+let store_address t (slot : slot) =
+  slot.sl_store_base + align8 (Rng.int t.rng slot.sl_store_footprint)
+
+let int_alu = Isa.class_index Int_alu
+let load = Isa.class_index Load
+let store = Isa.class_index Store
+let branch = Isa.class_index Branch
+
+let compute_class = function
+  | T_alu -> int_alu
+  | T_mul -> Isa.class_index Int_mul
+  | T_div -> Isa.class_index Int_div
+  | T_fp -> Isa.class_index Fp_alu
+  | T_fp_mul -> Isa.class_index Fp_mul
+  | T_fp_div -> Isa.class_index Fp_div
+  | _ -> Isa.class_index Move
+
+let max_uops_per_instruction = 2
+
+let put buf w (slot : slot) ~cls ~begins ~taken ~addr dep1 dep2 =
+  Uop_word.write buf w ~cls ~begins ~taken ~static_id:slot.sl_static_id ~dep1
+    ~dep2 ~addr
+
+(* Writes the micro-ops of one dynamic instruction from its slot, packed,
+   at word [w] of [buf]; returns how many.  The random draws keep the
+   order the stream was defined with: a store draws its second operand's
+   dependence before its first's. *)
+let expand t (ps : phase_state) (slot : slot) buf w =
+  let w2 = w + Uop_word.words in
   match slot.sl_template with
   | T_alu | T_mul | T_div | T_fp | T_fp_mul | T_fp_div | T_move ->
-    let cls : Isa.uop_class =
-      match slot.sl_template with
-      | T_alu -> Int_alu
-      | T_mul -> Int_mul
-      | T_div -> Int_div
-      | T_fp -> Fp_alu
-      | T_fp_mul -> Fp_mul
-      | T_fp_div -> Fp_div
-      | _ -> Move
-    in
-    let dep1 = compute_dep () and dep2 = sample_dep2 t p in
+    let dep1 = compute_dep t ps slot in
+    let dep2 = sample_dep2 t ps in
     record_chain ps slot.sl_chain t.uop_count;
-    [ mk ~dep1 ~dep2 ~first:true cls ]
+    put buf w slot ~cls:(compute_class slot.sl_template) ~begins:true
+      ~taken:false ~addr:0 dep1 dep2;
+    1
   | T_load ->
     let ls = Option.get slot.sl_load in
-    let dep1 = load_dep ls in
+    let dep1 = load_dep t ps ls in
     let addr = next_load_address t ls in
     t.last_load_uop <- t.uop_count;
-    [ mk ~dep1 ~addr ~first:true Load ]
+    put buf w slot ~cls:load ~begins:true ~taken:false ~addr dep1 0;
+    1
   | T_alu_mem ->
     let ls = Option.get slot.sl_load in
-    let dep1 = load_dep ls in
+    let dep1 = load_dep t ps ls in
     let addr = next_load_address t ls in
     t.last_load_uop <- t.uop_count;
-    let load = mk ~dep1 ~addr ~first:true Load in
+    put buf w slot ~cls:load ~begins:true ~taken:false ~addr dep1 0;
     record_chain ps slot.sl_chain (t.uop_count + 1);
-    let alu = mk ~dep1:1 ~dep2:(sample_dep2 t p) ~first:false Int_alu in
-    [ load; alu ]
+    let dep2 = sample_dep2 t ps in
+    put buf w2 slot ~cls:int_alu ~begins:false ~taken:false ~addr:0 1 dep2;
+    2
   | T_store ->
-    let addr = slot.sl_store_base + align8 (Rng.int t.rng slot.sl_store_footprint) in
-    [ mk ~dep1:(sample_dep t p) ~dep2:(sample_dep2 t p) ~addr ~first:true Store ]
+    let addr = store_address t slot in
+    let dep2 = sample_dep2 t ps in
+    let dep1 = sample_dep t ps in
+    put buf w slot ~cls:store ~begins:true ~taken:false ~addr dep1 dep2;
+    1
   | T_store2 ->
-    let addr = slot.sl_store_base + align8 (Rng.int t.rng slot.sl_store_footprint) in
-    let agen = mk ~dep1:(sample_dep t p) ~first:true Int_alu in
-    let st = mk ~dep1:1 ~dep2:(sample_dep t p) ~addr ~first:false Store in
-    [ agen; st ]
+    let addr = store_address t slot in
+    let dep1 = sample_dep t ps in
+    put buf w slot ~cls:int_alu ~begins:true ~taken:false ~addr:0 dep1 0;
+    let dep2 = sample_dep t ps in
+    put buf w2 slot ~cls:store ~begins:false ~taken:false ~addr 1 dep2;
+    2
   | T_branch ->
-    let bs = Option.get slot.sl_branch in
-    let taken = branch_taken bs in
-    [ mk ~dep1:(sample_dep t p) ~taken ~first:true Branch ]
+    let taken = branch_taken t (Option.get slot.sl_branch) in
+    let dep1 = sample_dep t ps in
+    put buf w slot ~cls:branch ~begins:true ~taken ~addr:0 dep1 0;
+    1
   | T_branch_cmp ->
-    let bs = Option.get slot.sl_branch in
-    let taken = branch_taken bs in
-    let cmp = mk ~dep1:(sample_dep t p) ~first:true Int_alu in
-    let br = mk ~dep1:1 ~taken ~first:false Branch in
-    [ cmp; br ]
+    let taken = branch_taken t (Option.get slot.sl_branch) in
+    let dep1 = sample_dep t ps in
+    put buf w slot ~cls:int_alu ~begins:true ~taken:false ~addr:0 dep1 0;
+    put buf w2 slot ~cls:branch ~begins:false ~taken ~addr:0 1 0;
+    2
+
+let emit t buf w =
+  let ps = t.phases.(t.phase_idx) in
+  let n = expand t ps ps.ps_bodies.(t.body_idx).slots.(t.slot_idx) buf w in
+  t.instr_count <- t.instr_count + 1;
+  t.uop_count <- t.uop_count + n;
+  t.phase_left <- t.phase_left - 1;
+  if t.phase_left = 0 then locate t
+  else begin
+    let p = ps.ps_spec in
+    t.slot_idx <- (if t.slot_idx + 1 = p.body_size then 0 else t.slot_idx + 1);
+    t.burst_left <- t.burst_left - 1;
+    if t.burst_left = 0 then begin
+      t.burst_left <- p.body_burst;
+      t.body_idx <-
+        (if t.body_idx + 1 = Array.length ps.ps_bodies then 0 else t.body_idx + 1)
+    end
+  end;
+  n
 
 let next_instruction t =
-  let ps = current_phase t in
-  let p = ps.ps_spec in
-  let body_idx = t.instr_count / p.body_burst mod Array.length ps.ps_bodies in
-  let body = ps.ps_bodies.(body_idx) in
-  let slot = body.slots.(t.instr_count mod p.body_size) in
-  let uops = expand t ps slot in
-  t.instr_count <- t.instr_count + 1;
-  t.uop_count <- t.uop_count + List.length uops;
-  uops
+  let buf = t.scratch in
+  let d i =
+    let w = i * Uop_word.words in
+    Uop_word.decode buf.(w) buf.(w + 1) buf.(w + 2)
+  in
+  match emit t buf 0 with 1 -> [ d 0 ] | _ -> [ d 0; d 1 ]
 
 let iter_uops t ~n_instructions ~f =
   for _ = 1 to n_instructions do
     List.iter f (next_instruction t)
   done
 
-let skip t ~n_instructions = iter_uops t ~n_instructions ~f:(fun _ -> ())
+let skip t ~n_instructions =
+  for _ = 1 to n_instructions do
+    ignore (emit t t.scratch 0)
+  done
 
 let fast_forward t ~to_instruction =
   if to_instruction < t.instr_count then

@@ -116,6 +116,9 @@ let validate t =
     let* () = check (p.body_size > 1) (p.ph_name ^ ": body_size must exceed 1") in
     let* () = check (p.n_bodies >= 1) (p.ph_name ^ ": need at least one body") in
     let* () =
+      check (p.body_burst > 0) (p.ph_name ^ ": body_burst must be positive")
+    in
+    let* () =
       check
         (Array.for_all (fun g -> g.lg_weight >= 0.0) p.load_groups
         && Array.length p.load_groups > 0)

@@ -125,6 +125,35 @@ let test_entropy_counts () =
   Alcotest.(check (float 1e-9)) "empty entropy" 0.0
     (Entropy.linear_entropy (Entropy.create ()))
 
+(* A (branch, history) pair is one int key, static_id lsl history_bits
+   lor history: ids that cannot take the shift are refused rather than
+   folded onto another branch's counts. *)
+let test_entropy_static_id_range () =
+  let e = Entropy.create ~history_bits:4 () in
+  let largest = max_int asr 4 in
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun static_id ->
+      refuses (Printf.sprintf "observe %d" static_id) (fun () ->
+          Entropy.observe e ~static_id ~taken:true);
+      refuses (Printf.sprintf "prime %d" static_id) (fun () ->
+          Entropy.prime e ~static_id ~taken:true))
+    [ -1; min_int; largest + 1; max_int ];
+  Alcotest.(check int) "refusals record nothing" 0 (Entropy.observed_branches e);
+  (* The extremes that fit are two distinct branches: one always taken,
+     one never, so every pattern is perfectly biased. *)
+  for _ = 1 to 200 do
+    Entropy.prime e ~static_id:0 ~taken:false;
+    Entropy.observe e ~static_id:largest ~taken:true;
+    Entropy.observe e ~static_id:0 ~taken:false
+  done;
+  Alcotest.(check int) "observed" 400 (Entropy.observed_branches e);
+  Alcotest.(check bool) "no collision" true (Entropy.linear_entropy e < 0.05)
+
 (* ---- Entropy model ---- *)
 
 let training_set = [ List.nth Benchmarks.all 0; List.nth Benchmarks.all 9;
@@ -214,6 +243,7 @@ let () =
           Alcotest.test_case "pattern branch" `Quick
             test_entropy_pattern_branch_is_predictable;
           Alcotest.test_case "counts" `Quick test_entropy_counts;
+          Alcotest.test_case "static id range" `Quick test_entropy_static_id_range;
           QCheck_alcotest.to_alcotest prop_entropy_bounded;
         ] );
       ( "entropy_model",

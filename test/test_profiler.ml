@@ -537,7 +537,7 @@ let test_binary_rejects_truncation () =
    a no-op overwrite) a successful parse. *)
 let prop_binary_corruption_total =
   let base = lazy (Profile_io.to_binary_string (profile_of "gcc" 20_000)) in
-  QCheck.Test.make ~name:"corrupt binary profiles never escape the result type"
+  QCheck.Test.make ~name:"corrupt bytes never raise"
     ~count:120
     QCheck.(quad (int_range 0 2) (int_bound 100_000) (int_bound 255) (int_range 1 512))
     (fun (mode, pos, byte, span) ->
@@ -565,29 +565,33 @@ let prop_binary_corruption_total =
 (* ---- Sharded profiling ---- *)
 
 let test_shard_jobs1_bit_identical () =
-  (* The sharded pipeline at jobs:1 must be the legacy sequential
-     profiler, down to the serialized byte. *)
+  (* The pipeline at jobs:1, reading the stream as it is generated, must
+     profile exactly as it does a recording of the same stream, down to
+     the serialized byte.  test/golden/profile_digests.expected pins
+     those bytes. *)
   let spec = Benchmarks.find "gcc" in
-  let legacy = Profiler.profile_legacy spec ~seed:1 ~n_instructions:50_000 in
+  let recorded =
+    Profiler.profile_stream (Uop_stream.record spec ~seed:1 ~n_instructions:50_000)
+  in
   let sharded = Profiler.profile spec ~jobs:1 ~seed:1 ~n_instructions:50_000 in
   Alcotest.(check bool) "bit-identical serialization" true
-    (Profile_io.to_binary_string sharded = Profile_io.to_binary_string legacy)
+    (Profile_io.to_binary_string sharded = Profile_io.to_binary_string recorded)
 
 let prop_shard_unbounded_warmup_exact =
   (* With an unbounded warm-up every shard replays the full stream prefix
      before recording, so the merged histograms, entropy and counters must
      equal the single-stream profile exactly — for any shard count and any
      stream length (window-aligned or not). *)
-  QCheck.Test.make ~name:"merged shards = single stream when warm-up unbounded"
+  QCheck.Test.make ~name:"unbounded warm-up = single stream"
     ~count:8
     QCheck.(pair (int_range 2 5) (int_range 15_000 45_000))
     (fun (k, n) ->
       let spec = Benchmarks.find "mcf" in
-      let legacy = Profiler.profile_legacy spec ~seed:3 ~n_instructions:n in
+      let single = Profiler.profile spec ~jobs:1 ~seed:3 ~n_instructions:n in
       let sharded =
         Profiler.profile spec ~jobs:k ~warmup:max_int ~seed:3 ~n_instructions:n
       in
-      Profile_io.to_binary_string sharded = Profile_io.to_binary_string legacy)
+      Profile_io.to_binary_string sharded = Profile_io.to_binary_string single)
 
 let test_shard_merge_renumbering () =
   (* Bounded warm-up: classifications at shard boundaries may shift, but
@@ -618,23 +622,23 @@ let test_shard_bounded_warmup_invariants () =
      rates, never deflate them. *)
   let n = 60_000 in
   let spec = Benchmarks.find "gcc" in
-  let legacy = Profiler.profile_legacy spec ~seed:1 ~n_instructions:n in
+  let single = Profiler.profile spec ~jobs:1 ~seed:1 ~n_instructions:n in
   let sharded = Profiler.profile spec ~jobs:4 ~seed:1 ~n_instructions:n in
-  Alcotest.(check int) "total instructions" legacy.p_total_instructions
+  Alcotest.(check int) "total instructions" single.p_total_instructions
     sharded.p_total_instructions;
   Alcotest.(check int) "microtrace count"
-    (Array.length legacy.p_microtraces)
+    (Array.length single.p_microtraces)
     (Array.length sharded.p_microtraces);
-  Alcotest.(check int) "inst samples" legacy.p_inst_samples
+  Alcotest.(check int) "inst samples" single.p_inst_samples
     sharded.p_inst_samples;
-  Alcotest.(check int) "data accesses" legacy.p_data_accesses
+  Alcotest.(check int) "data accesses" single.p_data_accesses
     sharded.p_data_accesses;
   Alcotest.(check (float 1e-12)) "uops per instruction"
-    legacy.p_uops_per_instruction sharded.p_uops_per_instruction;
+    single.p_uops_per_instruction sharded.p_uops_per_instruction;
   Alcotest.(check bool) "cold rate only inflates" true
-    (Profile.cold_miss_rate sharded >= Profile.cold_miss_rate legacy -. 1e-12);
+    (Profile.cold_miss_rate sharded >= Profile.cold_miss_rate single -. 1e-12);
   Alcotest.(check bool) "data cold only inflates" true
-    (sharded.p_data_cold >= legacy.p_data_cold)
+    (sharded.p_data_cold >= single.p_data_cold)
 
 let test_shard_rejects_bad_args () =
   let spec = Benchmarks.find "gcc" in
@@ -644,6 +648,37 @@ let test_shard_rejects_bad_args () =
   Alcotest.check_raises "negative warmup"
     (Invalid_argument "Profiler.profile: warmup must be >= 0") (fun () ->
       ignore (Profiler.profile spec ~warmup:(-1) ~seed:1 ~n_instructions:1000))
+
+(* ---- Reuse tables ---- *)
+
+(* Against a Hashtbl model, over keys that repeat, that share their low
+   bits or their high bits (lines 1 GiB apart), and that are negative;
+   enough of them to grow the table several times. *)
+let prop_reuse_table_matches_model =
+  QCheck.Test.make ~name:"exchange = Hashtbl model" ~count:30
+    QCheck.(pair (int_range 0 10_000) (int_range 1 5_000))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let t = Reuse_table.create 1 and model = Hashtbl.create 16 in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        let key =
+          match Rng.int rng 4 with
+          | 0 -> Rng.int rng 64
+          | 1 -> Rng.int rng 64 * (1 lsl 24)
+          | 2 -> -1 - Rng.int rng 1000
+          | _ -> Rng.int rng max_int
+        in
+        let expected = Option.value (Hashtbl.find_opt model key) ~default:(-1) in
+        Hashtbl.replace model key i;
+        if Reuse_table.exchange t key i <> expected then ok := false
+      done;
+      !ok && Reuse_table.length t = Hashtbl.length model)
+
+let test_reuse_table_refuses_empty_mark () =
+  Alcotest.check_raises "min_int"
+    (Invalid_argument "Reuse_table.exchange: key min_int") (fun () ->
+      ignore (Reuse_table.exchange (Reuse_table.create 4) min_int 0))
 
 let () =
   Alcotest.run "profiler"
@@ -712,9 +747,15 @@ let () =
           Alcotest.test_case "cold stats consistency" `Quick
             test_cold_stats_consistency;
         ] );
+      ( "reuse_table",
+        [
+          QCheck_alcotest.to_alcotest prop_reuse_table_matches_model;
+          Alcotest.test_case "refuses min_int" `Quick
+            test_reuse_table_refuses_empty_mark;
+        ] );
       ( "sharding",
         [
-          Alcotest.test_case "jobs:1 bit-identical to legacy" `Quick
+          Alcotest.test_case "jobs:1 = recorded stream" `Quick
             test_shard_jobs1_bit_identical;
           QCheck_alcotest.to_alcotest prop_shard_unbounded_warmup_exact;
           Alcotest.test_case "merge renumbers microtraces" `Quick

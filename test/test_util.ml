@@ -114,6 +114,194 @@ let test_rng_split_independence () =
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 5)
 
+(* The first 64 draws of each generator entry point for two fixed seeds,
+   recorded from the boxed-int64 implementation: a faster generator must
+   produce exactly these streams, or every profile and golden moves. *)
+let rng_pinned =
+  [
+    ( 1,
+      [|
+        2612804094800205616; 3439311302766607129; 4477959822570722647;
+        2049245188455445058; 2048809309281742190; 3518229400716132512;
+        4046056672035966761; 2412221600017015133; 1316676407973089130;
+        3661663045011659237; 1863776790465844184; 2792008650874675967;
+        2098030787133347696; 2444557901440084130; 2010535538889790954;
+        770312924007649934; 2976080737507164888; 3760140885435280060;
+        3143809294431675003; 4078227225428351298; 304187700502225361;
+        375458821562863911; 2286842639562384371; 567739532636373419;
+        1323145083568696935; 220905215188921789; 2377415898501913677;
+        3291686831833972202; 201753311246218057; 4601300005926624738;
+        2757106507520767009; 2705192615808197230; 1831619907909962523;
+        2024468963466360839; 1168016233937567493; 2443074741615968195;
+        2507238978215934013; 3450626404420244720; 3772513647100356422;
+        3083250903618602191; 3974481450645818145; 3265900347994376769;
+        1090020573985382488; 3026352214955393004; 4007135219679336480;
+        3870732499490578318; 1496184191253633559; 734085066574227429;
+        4122566125614386204; 4209040466995017054; 1392066365408313693;
+        606828435927674809; 1501950738515540542; 4335786910169597412;
+        1815446266559517347; 404587060835679019; 2799522774030442155;
+        717013418320700723; 4419526762195327124; 4038062713024508436;
+        2427849681724289925; 315300964529434079; 3469608586270031855;
+        2462946970009318550
+      |],
+      [|
+        0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+        0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2; 0x1.869a17ff202ap-1;
+        0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1; 0x1.245c6378d5f8ep-2;
+        0x1.9686b91ce8c2cp-1; 0x1.9dd771dc05592p-2; 0x1.35f9a89a299f1p-1;
+        0x1.d1db3e292ea96p-2; 0x1.0f6683ad21af4p-1; 0x1.be6db6b9bd314p-2;
+        0x1.561670bd2bca4p-3; 0x1.4a694d4d6ffa1p-1; 0x1.a175a1b4ae575p-1;
+        0x1.5d086f2c615f1p-1; 0x1.c4c6306ee7decp-1; 0x1.0e2c46865e98p-4;
+        0x1.4d7973c5c2a4p-4; 0x1.fbc7f43b45522p-2; 0x1.f8410633ef3p-4;
+        0x1.25cc171746aaep-2; 0x1.88680fb82ef6p-5; 0x1.07f2394f0c94ep-1;
+        0x1.6d735dde1a5bep-1; 0x1.6662c8a88b79p-5; 0x1.fed8cfd03212ep-1;
+        0x1.3219ae16258bap-1; 0x1.2c5632cf920f1p-1; 0x1.96b389a1681cap-2;
+        0x1.c185bcbd23738p-2; 0x1.035a0938bbcfep-2; 0x1.0f3c5c44adfdfp-1;
+        0x1.165c0488bc97cp-1; 0x1.7f18b376006aap-1; 0x1.a2d549652dd73p-1;
+        0x1.564f42e37cb62p-1; 0x1.b9418e92c0fc5p-1; 0x1.6a967881103c5p-1;
+        0x1.e410fdfac884p-3; 0x1.4ffe1a710d0ffp-1; 0x1.bce1a2033f8ccp-1;
+        0x1.adbcd59a2590fp-1; 0x1.4c38398463a5ap-2; 0x1.45ffcf51826ccp-3;
+        0x1.c9b26064426e6p-1; 0x1.d34c2008c3dbap-1; 0x1.3519cfbddee8p-2;
+        0x1.0d7c67ea6265cp-3; 0x1.4d8003d2f5abap-2; 0x1.e15e79c853942p-1;
+        0x1.931c2c2c316d2p-2; 0x1.67587272751e8p-4; 0x1.36cf390b359afp-1;
+        0x1.3e6afcf646348p-3; 0x1.eaaa81657fe0cp-1; 0x1.c050a524b49b9p-1;
+        0x1.0d8ba360b9c59p-1; 0x1.180b23a1075bp-4; 0x1.81343502f229fp-1;
+        0x1.117129c2803dap-1
+      |],
+      "0000000010000001000011011100100000100000001000010001000101000100",
+      [|
+        11; 5; 0; 15; 15; 5; 2; 12; 24; 4; 17; 9; 15; 12; 16; 34; 8; 3; 7; 2;
+        53; 48; 13; 40; 24; 59; 12; 6; 61; 0; 10; 10; 18; 16; 26; 12; 11; 5;
+        3; 7; 2; 6; 28; 8; 2; 3; 21; 35; 2; 1; 23; 39; 21; 1; 18; 47; 9; 36;
+        0; 2; 12; 52; 5; 12
+      |],
+      [|
+        1697974441462356039; 2153502007173247514; 3004400282228769863;
+        1132654443127496440; 1152954867435498666; 4583585869649899761;
+        4415851430380983997; 4243244265868361885; 4092231733889310835;
+        789782037971774201; 4039773545897311299; 2035494004428424726;
+        532063908345967083; 300797992796658461; 4323541661943385891;
+        1690656862427629077; 2129200955688518668; 4017963683394421223;
+        555600774650862897; 4436802427432578946; 2511934717037787115;
+        937676569726095877; 4017967093808570826; 4486667330242235556;
+        710090779871398532; 1915502888059280809; 744406280334069222;
+        1184389141890095778; 1644963293357981486; 3661774336016857900;
+        3667160843049839168; 1004647674400187030; 4001498867048750649;
+        4546201246117582194; 4033146443481865044; 3517009656535083192;
+        3357821010567062962; 148476463552058581; 98626957710549894;
+        4597799588040915105; 3665920634951706808; 3670943093183124784;
+        3721559563421596238; 3154514771086583012; 4358908348612945084;
+        1613030153144818117; 3835551303215997399; 9841371127773503;
+        329033912111671788; 566385639417947062; 3154581714615675793;
+        2449321794028661107; 97732882899673420; 1243308667539902240;
+        3976001071906258887; 1167031091995077269; 3063556070533522405;
+        2699752151698627271; 1098276422689676400; 2286457186273443261;
+        2600984418666267309; 3856859856113333548; 71717451720141344;
+        2387592240296982508
+      |] );
+    ( (-24301),
+      [|
+        2365387344093851667; 385423369357687441; 1205221281291637291;
+        2938893190932919356; 1564065351581440292; 1970697965726683991;
+        4318083270229761037; 1620667465294873984; 1856415686548332079;
+        3766628893168735369; 330641023368266949; 1811395824959352628;
+        2196630988877314182; 623541693388602434; 2600615571932509496;
+        4127491877396383133; 4478833699258996099; 1436669024638235300;
+        1452011944495177791; 373511331373554428; 1690338538862509185;
+        3324783043546690513; 3705143749537210129; 1773067624950215736;
+        506381531693032550; 2115609152106338570; 629156564561138376;
+        1258159701751414807; 530333667486602931; 4073130874049353917;
+        4514838880372828469; 3146292783344747878; 3905936770774113310;
+        180479903074949388; 951885952752166670; 640314462699758702;
+        3249420842653864288; 3272006552597096689; 3005252446691883671;
+        2737603998283800973; 1127963712099334850; 2875414939758618146;
+        3738081742296233397; 796956877694403107; 1235117150999832503;
+        2234314440117752074; 4272792521238391607; 1687121261537070206;
+        4466015815902550708; 4393027338130920969; 3475174281225270601;
+        4016679534712769367; 3608797675333917288; 2503715118744297298;
+        1871802916326893175; 3544202530935439181; 1404539427577925644;
+        3046666623556379508; 2809613173807806426; 2064138689575579515;
+        3279235400599341793; 2957196473901361252; 2672915886594437369;
+        2062732650014928088
+      |],
+      [|
+        0x1.069c5a0e87598p-1; 0x1.565320caacbe8p-4; 0x1.0b9ce5eab2112p-2;
+        0x1.46485e4a32f7ap-1; 0x1.5b4ad26868218p-2; 0x1.b59535bceb952p-2;
+        0x1.df674ed944d0ep-1; 0x1.67dc47917ef04p-2; 0x1.9c3503b302d1ep-2;
+        0x1.a22e082cd05cap-1; 0x1.25ab10928261p-4; 0x1.9235ee7d653eep-2;
+        0x1.e7c003f02a5b8p-2; 0x1.14e87bba22578p-3; 0x1.20b9f0ac1317ap-1;
+        0x1.ca3e5ff3ec2c2p-1; 0x1.f1401c28230cap-1; 0x1.3f012ddb95e72p-2;
+        0x1.426952ba1426p-2; 0x1.4bbea4ec86a68p-4; 0x1.77549f1ff0d7cp-2;
+        0x1.712004804ebd9p-1; 0x1.9b5a84e04764fp-1; 0x1.89b339c5be734p-2;
+        0x1.c1c1d47d5869p-4; 0x1.d5c27509add18p-2; 0x1.1766d1fc58b24p-3;
+        0x1.175e1952d9acp-2; 0x1.d707ea49be058p-4; 0x1.c4355798bb1acp-1;
+        0x1.f53f705415f54p-1; 0x1.5d4f04eef51c2p-1; 0x1.b1a566634904ep-1;
+        0x1.4098c1fff08cp-5; 0x1.a6b8e7620f44cp-3; 0x1.1c5b538fb8748p-3;
+        0x1.68c2185261128p-1; 0x1.6b4404fd72674p-1; 0x1.4da6696c0b8bdp-1;
+        0x1.2fef62a7eb29p-1; 0x1.f4eaa0a366c74p-3; 0x1.3f3c3539914f3p-1;
+        0x1.9f02ac50b785ap-1; 0x1.61eb81d988f04p-3; 0x1.1240481415666p-2;
+        0x1.f01e12537be9p-2; 0x1.da6011475ae15p-1; 0x1.769dbd93eed0cp-2;
+        0x1.efd3cdc7e12edp-1; 0x1.e7b958b5cefcbp-1; 0x1.81d264c5a80bap-1;
+        0x1.bdf0e60b59165p-1; 0x1.90a832ec8444dp-1; 0x1.15f7dd14fc3afp-1;
+        0x1.9f9fad5cd3466p-2; 0x1.897c4b642393fp-1; 0x1.37ded2af5d01p-2;
+        0x1.523f7937b0ef1p-1; 0x1.37ee025d6893bp-1; 0x1.ca54b33af4aeep-2;
+        0x1.6c1179c81ce05p-1; 0x1.485094336f6d4p-1; 0x1.28c0d6b277ad8p-1;
+        0x1.ca04c6a96bd6cp-2
+      |],
+      "0110000000100100000100001011100001110000100110000000000000000000",
+      [|
+        13; 48; 26; 8; 21; 16; 1; 20; 17; 3; 51; 18; 14; 39; 11; 2; 0; 22;
+        22; 49; 19; 6; 4; 18; 43; 15; 38; 25; 42; 2; 0; 7; 3; 63; 30; 38; 6;
+        6; 8; 10; 27; 9; 4; 34; 25; 14; 1; 19; 0; 0; 5; 2; 4; 11; 17; 5; 23;
+        8; 9; 15; 6; 8; 10; 15
+      |],
+      [|
+        4318509788418780747; 1722331227406664386; 2532823374823501426;
+        990509562445319431; 1791595127303182594; 3199861079020483885;
+        880594315360719395; 2404227783618565646; 2749644681169384245;
+        2818323241719654814; 3191786535139448625; 1943515072159732101;
+        2893450478968161377; 3740704975913971213; 473148434906234210;
+        4066407640456620340; 4044278759126934474; 3211931633168584949;
+        595336954984824320; 1298674257276528565; 1213784243107614918;
+        3192981533993896364; 1626911101190743360; 2459154487648734195;
+        2036518658070891397; 4536325060944168745; 2824015343646709649;
+        4487627896898490863; 45913771625657581; 1295027707482503205;
+        902639203394315272; 1338867694631146203; 3973077407907678128;
+        486855573263366264; 971729335725834465; 735567573619915890;
+        3298501927068003429; 765597496346114269; 1315969767778314222;
+        1910652503791729303; 3556487325027355276; 677379352395890895;
+        1208976528927123186; 420066297527060976; 3732370744925178940;
+        3533667673242949050; 4114716576925198014; 4032881766997136922;
+        3448593978266270695; 1836302359893712326; 1069829288134807497;
+        2568156790928618292; 2703905299850182282; 1590019574568362740;
+        425443933490596236; 4183791807315344507; 3972455743969521138;
+        1475021485889576031; 3797246116477400278; 1250991757498114668;
+        3713524589253409536; 3785533096337160783; 3251404797797387741;
+        630694128120990670
+      |] );
+  ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (seed, ints, floats, bernoullis, geometrics, splits) ->
+      let draws f = let r = Rng.create seed in Array.init 64 (fun _ -> f r) in
+      let ctx what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check (array int)) (ctx "int") ints
+        (draws (fun r -> Rng.int r max_int));
+      (* Compared by bits, so a last-ulp change fails. *)
+      Alcotest.(check (array int64)) (ctx "float")
+        (Array.map Int64.bits_of_float floats)
+        (Array.map Int64.bits_of_float (draws (fun r -> Rng.float r 1.0)));
+      Alcotest.(check string) (ctx "bernoulli") bernoullis
+        (String.concat ""
+           (Array.to_list
+              (draws (fun r -> if Rng.bernoulli r 0.3 then "1" else "0"))));
+      Alcotest.(check (array int)) (ctx "geometric") geometrics
+        (draws (fun r -> Rng.geometric r 0.05));
+      Alcotest.(check (array int)) (ctx "split") splits
+        (draws (fun r -> Rng.int (Rng.split r) max_int)))
+    rng_pinned
+
 (* ---- Histogram ---- *)
 
 let test_hist_basic () =
@@ -630,6 +818,7 @@ let () =
             test_rng_choose_weighted_errors;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "split independence" `Quick test_rng_split_independence;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
         ] );
       ( "histogram",
         [

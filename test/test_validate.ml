@@ -362,6 +362,25 @@ let test_point_watts_match_direct () =
         (Int64.bits_of_float p.vp_sim_watts))
     wr.wr_points
 
+(* run_workload profiles the stream it records instead of generating it
+   a second time; that profile is the generating profiler's, byte for
+   byte, at a length that ends mid-window. *)
+let test_recorded_profile_identical () =
+  List.iter
+    (fun (name, seed, n_instructions) ->
+      let spec = Benchmarks.find name in
+      let profile =
+        Profiler.profile_stream (Uop_stream.record spec ~seed ~n_instructions)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d n %d" name seed n_instructions)
+        (Digest.to_hex
+           (Digest.string
+              (Profile_io.to_binary_string
+                 (Profiler.profile spec ~jobs:1 ~seed ~n_instructions))))
+        (Digest.to_hex (Digest.string (Profile_io.to_binary_string profile))))
+    [ ("gcc", 1, 12_345); ("mcf", 7, 20_000); ("sjeng", 3, 4_097) ]
+
 (* A log written by one run is refused, not resumed, by a run that
    differs in seed, instruction budget or calibrator.  The branch model
    ignores the profile's entropy here, so the seed and budget reach the
@@ -521,6 +540,8 @@ let () =
             test_checkpoint_resume_identical;
           Alcotest.test_case "point watts match direct estimates" `Quick
             test_point_watts_match_direct;
+          Alcotest.test_case "recorded profile = generated" `Quick
+            test_recorded_profile_identical;
           Alcotest.test_case "checkpoint refuses changed inputs" `Slow
             test_checkpoint_refuses_changed_inputs;
           Alcotest.test_case "gates and summaries" `Quick test_gate_and_summary;

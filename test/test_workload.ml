@@ -281,7 +281,7 @@ let test_skip_equals_consumed_iteration () =
   Alcotest.(check bool) "same continuation" true (next g1 = next g2)
 
 let prop_template_uop_counts =
-  QCheck.Test.make ~name:"template expansion matches template_uop_count" ~count:40
+  QCheck.Test.make ~name:"1-2 uops, first begins" ~count:40
     QCheck.(int_range 0 1000)
     (fun seed ->
       let gen = Workload_gen.create (Benchmarks.find "GemsFDTD") ~seed in
@@ -409,7 +409,21 @@ phase p
   load unique 1.0
   branch pattern TXF 1.0
 "
-    "pattern character"
+    "pattern character";
+  List.iter
+    (fun burst ->
+      expect_error
+        (Printf.sprintf
+           "name x
+phase p
+  mix alu=1.0
+  body 16 bodies 2 burst %d
+  load unique 1.0
+  branch loop 4 1.0
+"
+           burst)
+        "body_burst must be positive")
+    [ 0; -3 ]
 
 let test_parser_sizes () =
   let text =
@@ -459,8 +473,7 @@ let test_shipped_workload_files () =
 
 (* Every micro-op of a stream, decoded through a cursor with the same
    accessors the simulator reads. *)
-let decode stream =
-  let c = Uop_stream.cursor stream in
+let decode_cursor c =
   let classes = Array.of_list Isa.all_classes in
   let rec go acc =
     if Uop_stream.at_end c then List.rev acc
@@ -468,13 +481,13 @@ let decode stream =
       let w0 = Uop_stream.word0 c and w1 = Uop_stream.word1 c in
       let u =
         {
-          Isa.cls = classes.(Uop_stream.class_index w0);
-          dep1 = Uop_stream.dep1 w1;
-          dep2 = Uop_stream.dep2 w1;
+          Isa.cls = classes.(Uop_word.class_index w0);
+          dep1 = Uop_word.dep1 w1;
+          dep2 = Uop_word.dep2 w1;
           addr = Uop_stream.word2 c;
-          taken = Uop_stream.taken w0;
-          static_id = Uop_stream.static_id w0;
-          begins_instruction = Uop_stream.begins_instruction w0;
+          taken = Uop_word.taken w0;
+          static_id = Uop_word.static_id w0;
+          begins_instruction = Uop_word.begins_instruction w0;
         }
       in
       Uop_stream.advance c;
@@ -482,6 +495,8 @@ let decode stream =
     end
   in
   go []
+
+let decode stream = decode_cursor (Uop_stream.cursor stream)
 
 (* A recorded stream of n > Uop_stream.chunk_uops instructions (so at
    least one chunk boundary) decodes to the generator's own micro-ops, in
@@ -505,6 +520,28 @@ let prop_stream_decodes_to_generator =
       && Uop_stream.name stream = spec.wname
       && decoded = List.rev !expected)
 
+(* A window from instruction [start] on holds exactly what the record
+   decoder yields after [start] instructions, across chunk refills and
+   the instructions that straddle them (up to five refills a case, one
+   in six or so straddled). *)
+let prop_window_decodes_to_generator =
+  QCheck.Test.make ~name:"window from any start = generator" ~count:12
+    QCheck.(
+      quad
+        (int_range 0 (List.length Benchmarks.names - 1))
+        (int_range 0 1000)
+        (int_range (Uop_stream.chunk_uops + 1) 20_000)
+        (int_range 0 3000))
+    (fun (b, seed, n, start) ->
+      let spec = Benchmarks.find (List.nth Benchmarks.names b) in
+      let gen = Workload_gen.create spec ~seed in
+      Workload_gen.skip gen ~n_instructions:start;
+      let expected = ref [] in
+      Workload_gen.iter_uops gen ~n_instructions:n ~f:(fun u ->
+          expected := u :: !expected);
+      decode_cursor (Uop_stream.window ~start spec ~seed ~n_instructions:n)
+      = List.rev !expected)
+
 let test_stream_refuses_oversized_fields () =
   let refuses field (u : Isa.uop) =
     match Uop_stream.of_list [ Isa.nop; u ] with
@@ -513,20 +550,20 @@ let test_stream_refuses_oversized_fields () =
       if not (String.starts_with ~prefix:("Uop_stream: " ^ field ^ " ") msg) then
         Alcotest.failf "error %S does not name %s" msg field
   in
-  refuses "dep1" { Isa.nop with dep1 = Uop_stream.max_dep };
-  refuses "dep2" { Isa.nop with dep2 = Uop_stream.max_dep };
+  refuses "dep1" { Isa.nop with dep1 = Uop_word.max_dep };
+  refuses "dep2" { Isa.nop with dep2 = Uop_word.max_dep };
   refuses "dep1" { Isa.nop with dep1 = -1 };
-  refuses "static_id" { Isa.nop with static_id = Uop_stream.max_static_id };
+  refuses "static_id" { Isa.nop with static_id = Uop_word.max_static_id };
   refuses "static_id" { Isa.nop with static_id = -1 };
   (* The largest values that fit round-trip exactly. *)
   let u =
     {
       Isa.cls = Branch;
-      dep1 = Uop_stream.max_dep - 1;
-      dep2 = Uop_stream.max_dep - 1;
+      dep1 = Uop_word.max_dep - 1;
+      dep2 = Uop_word.max_dep - 1;
       addr = max_int;
       taken = true;
-      static_id = Uop_stream.max_static_id - 1;
+      static_id = Uop_word.max_static_id - 1;
       begins_instruction = false;
     }
   in
@@ -569,6 +606,7 @@ let () =
       ( "uop_stream",
         [
           QCheck_alcotest.to_alcotest prop_stream_decodes_to_generator;
+          QCheck_alcotest.to_alcotest prop_window_decodes_to_generator;
           Alcotest.test_case "refuses oversized fields" `Quick
             test_stream_refuses_oversized_fields;
         ] );
