@@ -89,7 +89,7 @@ let calibrate () =
     Profiler.profile (List.hd specs) ~seed:Harness.seed
       ~n_instructions:Harness.n_space
   in
-  let adjust = Calibrate.sweep_adjust model ~profile in
+  let adjust = Calibrate.adjust model in
   let fingerprint jobs =
     List.map
       (fun (e : Sweep.eval) -> Int64.bits_of_float e.sw_cycles)

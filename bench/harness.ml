@@ -156,14 +156,12 @@ let pearson xs ys =
 
 (* ---- Timing and machine-readable reports ---- *)
 
-(* Seconds on the monotonic clock: unlike the wall clock it never steps,
-   so a timed interval cannot come out negative or absorb an NTP jump. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
+(* Timed on the monotonic clock, so an interval cannot come out negative
+   or absorb an NTP jump. *)
 let time f =
-  let t0 = now () in
+  let t0 = Clock.now () in
   let r = f () in
-  (r, now () -. t0)
+  (r, Clock.now () -. t0)
 
 (* The process's peak resident set in MB (Linux VmHWM).  Elsewhere, or
    unreadable, the peak is unmeasured: None, reported as null. *)

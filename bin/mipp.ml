@@ -160,9 +160,9 @@ let warmup_arg =
 let profile_cmd =
   let run bench n seed output spec_file jobs warmup =
     let spec = find_workload bench spec_file in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let p = Profiler.profile spec ~jobs ~warmup ~seed ~n_instructions:n in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Clock.now () -. t0 in
     (match output with
     | Some path ->
       Profile_io.save path p;
@@ -220,9 +220,9 @@ let predict_cmd =
     let u = find_config config in
     let u = if prefetch then Uarch.with_prefetcher u true else u in
     let p = obtain_profile ~bench ~n ~seed profile_file in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let pred = Interval_model.predict u p in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Clock.now () -. t0 in
     let breakdown = Power.estimate u pred.pr_activity in
     Table.section
       (Printf.sprintf "Prediction: %s on %s (%.0f ms model time)" bench u.name
@@ -258,9 +258,9 @@ let simulate_cmd =
     let spec = find_workload bench spec_file in
     let u = find_config config in
     let u = if prefetch then Uarch.with_prefetcher u true else u in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let r = Simulator.run u spec ~seed ~n_instructions:n in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Clock.now () -. t0 in
     let breakdown = Power.estimate u r.r_activity in
     Table.section
       (Printf.sprintf "Simulation: %s on %s (%.2fs, %.0f kIPS)"
@@ -409,9 +409,8 @@ let calibrate_file_arg =
   in
   Arg.(value & opt (some string) None & info [ "calibrate" ] ~docv:"FILE" ~doc)
 
-let load_calibrator = function
-  | None -> None
-  | Some path -> Some (or_die (Calibrate.load path))
+let load_adjust =
+  Option.map (fun path -> Calibrate.adjust (or_die (Calibrate.load path)))
 
 let refine_arg =
   let doc =
@@ -423,10 +422,10 @@ let refine_arg =
   in
   Arg.(value & flag & info [ "refine" ] ~doc)
 
-let run_refine_sweep ~space ~profile:p ~jobs =
-  let t0 = Unix.gettimeofday () in
-  let r = or_die (Refine.model_refine ~jobs ~profile:p space) in
-  let dt = Unix.gettimeofday () -. t0 in
+let run_refine_sweep ~space ~profile:p ~jobs ~adjust =
+  let t0 = Clock.now () in
+  let r = or_die (Refine.model_refine ~jobs ?adjust ~profile:p space) in
+  let dt = Clock.now () -. t0 in
   Table.section
     (Printf.sprintf
        "Refined sweep: %s over %s (%d of %d points in %d rounds, %d failed, \
@@ -456,13 +455,13 @@ let run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~keep_going
     | Ok _ -> ()
     | Error ft -> Mutex.protect lock (fun () -> faults := (i, ft) :: !faults)
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let s =
     or_die
       (Sweep.model_sweep_stream ~jobs ?adjust ?checkpoint ?block_size
          ~keep_going ~on_point ?offset ?length:limit ~profile:p space)
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now () -. t0 in
   let faults = List.sort (fun (i, _) (j, _) -> compare i j) !faults in
   List.iter
     (fun (i, ft) ->
@@ -520,16 +519,8 @@ let sweep_cmd =
     install_checkpoint_flush ~checkpoint;
     let p = obtain_profile ~bench ~n ~seed profile_file in
     let space = or_die (Config_space.find space_name) in
-    let adjust =
-      Option.map (fun m -> Calibrate.sweep_adjust m ~profile:p)
-        (load_calibrator calibrate)
-    in
-    if refine && Option.is_some adjust then
-      or_die
-        (Error
-           (Fault.bad_input ~context:"sweep"
-              "--calibrate is not supported with --refine"));
-    if refine then run_refine_sweep ~space ~profile:p ~jobs
+    let adjust = load_adjust calibrate in
+    if refine then run_refine_sweep ~space ~profile:p ~jobs ~adjust
     else
       run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~keep_going
         ~offset ~limit ~block_size
@@ -604,9 +595,7 @@ let validate_cmd =
   let run benches spec_files matrix n seed jobs calibrate checkpoint
       keep_going gate output matrix_out =
     install_checkpoint_flush ~checkpoint;
-    let calibrate =
-      Option.map Calibrate.calibrator (load_calibrator calibrate)
-    in
+    let adjust = load_adjust calibrate in
     let matrix = or_die (Validate.matrix_of_string matrix) in
     let configs = Validate.matrix_configs matrix in
     let specs =
@@ -623,13 +612,13 @@ let validate_cmd =
         (Error
            (Fault.bad_input ~context:"validate"
               "--checkpoint requires exactly one workload"));
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let reports =
       List.map
         (fun spec ->
           or_die
             (Validate.run_workload ~jobs ?checkpoint ~keep_going ~seed
-               ~n_instructions:n ?calibrate ~spec configs))
+               ~n_instructions:n ?adjust ~spec configs))
         specs
     in
     let report = Validate.summarize reports in
@@ -639,7 +628,7 @@ let validate_cmd =
           in %.2fs, %d jobs)"
          (Validate.matrix_to_string matrix)
          (List.length configs) (List.length specs)
-         (Unix.gettimeofday () -. t0)
+         (Clock.now () -. t0)
          jobs);
     List.iter (Validate.print_workload_report stdout) reports;
     Printf.printf
@@ -772,7 +761,7 @@ let calibrate_cmd =
   in
   let train_cmd =
     let run matrix_file model_out holdout lambda rounds folds gate =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       let rows = or_die (Validate.load_matrix matrix_file) in
       let options = options ~holdout ~lambda ~rounds ~folds in
       let model, ev = or_die (Calibrate.train ~options rows) in
@@ -782,7 +771,7 @@ let calibrate_cmd =
             (%.2fs)"
            (List.length rows) (List.length model.Calibrate.c_feature_names)
            rounds
-           (Unix.gettimeofday () -. t0));
+           (Clock.now () -. t0));
       print_evaluation ev;
       Option.iter
         (fun path ->
@@ -973,7 +962,7 @@ let serve_cmd =
         max_sweep_points = sweep_cap;
         drain_timeout_s = drain;
         fault_injection;
-        calibrator = load_calibrator calibrate;
+        adjust = load_adjust calibrate;
       }
     in
     let server = or_die (Server.create cfg) in
@@ -1079,11 +1068,11 @@ let query_cmd =
     Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
     match op with
     | "ping" ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       (match Client.ping client with
        | Ok () ->
          Printf.printf "pong (%.2f ms)\n"
-           (1000.0 *. (Unix.gettimeofday () -. t0))
+           (1000.0 *. (Clock.now () -. t0))
        | Error f -> query_exit f)
     | "health" ->
       (match Client.health client with

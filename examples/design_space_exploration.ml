@@ -18,15 +18,15 @@ let () =
       exit 1
   in
   Printf.printf "Profiling %s...\n%!" bench;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let profile = Profiler.profile workload ~seed:7 ~n_instructions:200_000 in
-  let t_profile = Unix.gettimeofday () -. t0 in
+  let t_profile = Clock.now () -. t0 in
 
   Printf.printf "Sweeping %d design points analytically...\n%!"
     (List.length Uarch.design_space);
-  let t1 = Unix.gettimeofday () in
+  let t1 = Clock.now () in
   let evals = Sweep.model_sweep ~profile Uarch.design_space in
-  let t_sweep = Unix.gettimeofday () -. t1 in
+  let t_sweep = Clock.now () -. t1 in
   Printf.printf "  profile %.2fs + sweep %.2fs for %d points (%.1f ms/point)\n"
     t_profile t_sweep (List.length evals)
     (1000.0 *. t_sweep /. float_of_int (List.length evals));

@@ -25,9 +25,6 @@ val probe : t -> int -> bool
 val fill : t -> int -> unit
 (** Insert a line without classifying (prefetch fills). *)
 
-val line_of : t -> int -> int
-(** The line index an address maps to. *)
-
 val accesses : t -> int
 val misses : t -> int
 val cold_misses : t -> int

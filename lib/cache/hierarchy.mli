@@ -8,8 +8,6 @@ type t
 
 type level = L1 | L2 | L3 | Dram
 
-val level_to_string : level -> string
-
 val create : ?shared_l3:Cache.t -> Uarch.caches -> t
 (** [create caches] builds a private hierarchy; passing [shared_l3] makes
     this hierarchy use an existing L3 instead of its own — the multi-core

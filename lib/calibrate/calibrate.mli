@@ -128,23 +128,13 @@ val apply_stack :
     degrade to zero, so a calibrated CPI is finite and non-negative
     whenever the input is. *)
 
-val calibrator : t -> Validate.calibrator
-(** {!apply_stack} in the shape {!Validate.run_workload} consumes, keyed
-    by the MD5 digest of the model's {!to_string} encoding. *)
-
-val calibrated_cycles :
-  t ->
-  stats:(string * float) list ->
-  Uarch.t ->
-  Interval_model.prediction ->
-  float
-(** The calibrated cycle count for a prediction (calibrated CPI times
-    instructions) — the {!Sweep.of_prediction} [?cycles] override. *)
-
-val sweep_adjust : t -> profile:Profile.t -> Sweep.adjust
-(** [calibrated_cycles] with the profile statistics computed once up
-    front, keyed like {!calibrator} — the [?adjust] hook for
-    {!Sweep.model_sweep_result} and friends. *)
+val adjust : t -> Sweep.adjust
+(** {!apply_stack} as the engines' correction hook, keyed by the MD5
+    digest of the model's {!to_string} encoding: per profile it computes
+    {!Validate.profile_stats} once, per point it calibrates the
+    prediction's (CPI stack, CPI).  Every surface takes it as [?adjust]:
+    {!Sweep.model_eval} and the sweeps built on it,
+    {!Refine.model_refine}, {!Validate.run_workload} and the daemon. *)
 
 (** {1 Active-learning sampler} *)
 

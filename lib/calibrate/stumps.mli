@@ -31,9 +31,8 @@ val fit :
     gain split remains (including: empty data, constant features, or a
     residual already at its mean everywhere per split side). *)
 
-val predict_one : stump -> float array -> float
 val predict : stump list -> float array -> float
-(** Sum of {!predict_one} over the ensemble (0 for the empty list). *)
+(** Sum of the stumps' predictions for one row (0 for the empty list). *)
 
 val training_loss : stump list -> rows:float array array -> targets:float array -> float
 (** Mean squared error of the ensemble's prediction against [targets] —

@@ -50,7 +50,7 @@ let unframe line =
 let sync_interval_s = 1.0
 
 let maybe_sync t =
-  let now = Unix.gettimeofday () in
+  let now = Clock.now () in
   if now -. t.last_sync >= sync_interval_s then begin
     Retry.fsync t.fd;
     t.last_sync <- now
@@ -78,7 +78,7 @@ let unregister t =
 
 let sync t =
   Retry.fsync t.fd;
-  t.last_sync <- Unix.gettimeofday ()
+  t.last_sync <- Clock.now ()
 
 let sync_all () =
   let snapshot = Mutex.protect active_mutex (fun () -> !active) in
@@ -120,7 +120,7 @@ let open_ path ~header ~decode =
       add_framed header_buf (format_tag ^ header);
       let header_line = Buffer.contents header_buf in
       let start records =
-        let t = { fd; last_sync = Unix.gettimeofday () } in
+        let t = { fd; last_sync = Clock.now () } in
         register t;
         Ok (t, records)
       in

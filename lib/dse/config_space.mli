@@ -43,7 +43,5 @@ val large : t
 (** The generation-scale space (1,451,520 points): wider core and cache
     axes crossed with DRAM latency, bus transfer and DVFS axes. *)
 
-val builtin : t list
-
 val find : string -> (t, Fault.t) result
 (** Look up a built-in space by name. *)

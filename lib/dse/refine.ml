@@ -135,8 +135,8 @@ let run ?(initial_stride = 4) ?(max_rounds = 12) ?(jobs = 1) ~space
       }
   end
 
-let model_refine ?(options = Interval_model.default_options) ?initial_stride
-    ?max_rounds ?jobs ~profile space =
+let model_refine ?options ?initial_stride ?max_rounds ?jobs ?adjust ~profile
+    space =
   match Profile.validate profile with
   | Error ft -> Error ft
   | Ok () ->
@@ -144,9 +144,8 @@ let model_refine ?(options = Interval_model.default_options) ?initial_stride
        structure before the fan-out, in either combine mode, so no
        worker races a first force of a shared lazy. *)
     Profile.prepare profile;
+    let eval = Sweep.model_eval ?options ?adjust profile in
     run ?initial_stride ?max_rounds ?jobs ~space
       ~eval_point:(fun i ->
-        let config = Config_space.config_of_index space i in
-        Sweep.of_prediction config ~index:i
-          (Interval_model.predict ~options config profile))
+        snd (eval (Config_space.config_of_index space i) ~index:i))
       ()

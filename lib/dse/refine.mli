@@ -34,8 +34,10 @@ val model_refine :
   ?initial_stride:int ->
   ?max_rounds:int ->
   ?jobs:int ->
+  ?adjust:Sweep.adjust ->
   profile:Profile.t ->
   Config_space.t ->
   (report, Fault.t) result
-(** {!run} with the analytical model as [eval_point], building each
-    config from its index on demand. *)
+(** {!run} with {!Sweep.model_eval} as [eval_point], building each
+    config from its index on demand; [?adjust] corrects every point as
+    in {!Sweep.model_sweep_result}. *)

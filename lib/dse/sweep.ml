@@ -67,7 +67,8 @@ let eval_of_vec config ~index v =
     sw_ed2p = v.(5);
   }
 
-type adjust = string * (Uarch.t -> Interval_model.prediction -> float)
+type adjust =
+  string * (Profile.t -> Uarch.t -> Interval_model.prediction -> Cpi_stack.t * float)
 
 (* A design point whose prediction came out NaN/infinite is a fault of
    that point, not a value to rank: Pareto fronts and best-under-budget
@@ -314,29 +315,34 @@ let predict_reusing ~options (config : Uarch.t) profile =
       Some { lp_profile = weak; lp_options = options; lp_key = key; lp_pred = pred };
     pred
 
-let model_eval ~options ?adjust ~profile config ~index =
-  let pred = predict_reusing ~options config profile in
-  let cycles = Option.map (fun (_, f) -> f config pred) adjust in
-  of_prediction ?cycles config ~index pred
+let model_eval ?(options = Interval_model.default_options) ?adjust profile =
+  let correct = Option.map (fun (_, f) -> f profile) adjust in
+  fun config ~index ->
+    let pred = predict_reusing ~options config profile in
+    match correct with
+    | None -> (Interval_model.cpi_stack pred, of_prediction config ~index pred)
+    | Some f ->
+      let stack, cpi = f config pred in
+      ( stack,
+        of_prediction ~cycles:(cpi *. pred.pr_instructions) config ~index pred )
+
+(* Validate the profile and build its config-independent structures
+   once, before any fan-out: the worker domains then only read them, and
+   the per-static-load lazies, which [`Combined] mode reads too, are
+   already forced (a racing first force would raise [Lazy.Undefined]). *)
+let prepared profile =
+  Result.map (fun () -> Profile.prepare profile) (Profile.validate profile)
 
 let model_sweep_result ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?block_size ?keep_going ?adjust ~profile configs =
-  match Profile.validate profile with
-  | Error ft -> Error ft
-  | Ok () ->
-    (* Build every config-independent structure of the profile once,
-       before the fan-out: the worker domains then only read them, and
-       the per-static-load lazies, which [`Combined] mode reads too, are
-       already forced (a racing first force would raise
-       [Lazy.Undefined]). *)
-    Profile.prepare profile;
-    sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
-      ~workload:
-        (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
-             "model" :: marshal configs :: model_inputs ~options ~adjust ~profile))
-      ~eval_point:(fun index config ->
-        model_eval ~options ?adjust ~profile config ~index)
-      configs
+  Result.bind (prepared profile) (fun () ->
+      let eval = model_eval ~options ?adjust profile in
+      sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
+        ~workload:
+          (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
+               "model" :: marshal configs :: model_inputs ~options ~adjust ~profile))
+        ~eval_point:(fun index config -> snd (eval config ~index))
+        configs)
 
 let sim_sweep_result ?jobs ?checkpoint ?block_size ?keep_going ~spec ~seed
     ~n_instructions configs =
@@ -606,21 +612,18 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
 let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?block_size ?keep_going ?on_point ?offset ?length ?adjust
     ~profile space =
-  match Profile.validate profile with
-  | Error ft -> Error ft
-  | Ok () ->
-    Profile.prepare profile;
-    run_stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
-      ~workload:
-        (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
-             "model"
-             :: marshal (Config_space.name space, Config_space.axes space)
-             :: model_inputs ~options ~adjust ~profile))
-      ~n_points:(Config_space.size space) ?offset ?length
-      ~eval_point:(fun i ->
-        model_eval ~options ?adjust ~profile
-          (Config_space.config_of_index space i) ~index:i)
-      ()
+  Result.bind (prepared profile) (fun () ->
+      let eval = model_eval ~options ?adjust profile in
+      run_stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
+        ~workload:
+          (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
+               "model"
+               :: marshal (Config_space.name space, Config_space.axes space)
+               :: model_inputs ~options ~adjust ~profile))
+        ~n_points:(Config_space.size space) ?offset ?length
+        ~eval_point:(fun i ->
+          snd (eval (Config_space.config_of_index space i) ~index:i))
+        ())
 
 (* ---- Legacy raising interface ---- *)
 

@@ -40,15 +40,38 @@ type outcome = {
   o_resumed : int;  (** points restored from the checkpoint *)
 }
 
-type adjust = string * (Uarch.t -> Interval_model.prediction -> float)
-(** A correction of the analytical cycle count, [(key, f)]: [f config
-    pred] returns the point's corrected cycles (the grey-box calibrator's
-    hook, see {!of_prediction}) and [key] identifies the correction (a
-    digest of the calibration model), so a checkpoint written under one
-    correction is refused under another.  [f] must be deterministic and
-    thread-safe — it runs on the worker domains — and must not mutate
-    [pred], which may be shared with the point's timing-equivalent
+type adjust =
+  string * (Profile.t -> Uarch.t -> Interval_model.prediction -> Cpi_stack.t * float)
+(** A correction of the analytical prediction, [(key, f)] — the grey-box
+    calibrator's hook, the one every surface applies through
+    {!model_eval}.  [f] is staged: [f profile] does the per-profile work
+    once (one sweep, one validated workload, one daemon request), and the
+    function it returns maps a point's config and raw prediction to the
+    corrected per-instruction (CPI stack, CPI).  The corrected cycles are
+    that CPI times the prediction's instructions (see {!of_prediction}).
+    [key] identifies the correction (a digest of the calibration model),
+    so a checkpoint written under one correction is refused under
+    another.  The per-point function must be deterministic and
+    thread-safe — it runs on the worker domains — and must not mutate the
+    prediction, which may be shared with the point's timing-equivalent
     neighbours. *)
+
+val model_eval :
+  ?options:Interval_model.options ->
+  ?adjust:adjust ->
+  Profile.t ->
+  Uarch.t ->
+  index:int ->
+  Cpi_stack.t * eval
+(** The one design-point evaluator of the analytical model, shared by
+    both sweep engines, {!Refine.model_refine} and the daemon.
+    [model_eval ?options ?adjust profile] runs [adjust]'s per-profile
+    stage once; the function it returns evaluates one point: prediction
+    (reused across timing-equivalent neighbours, see
+    {!model_sweep_result}), then [adjust], then {!of_prediction}.  It
+    returns the point's per-instruction CPI stack (the corrected one
+    under [adjust]) beside its eval.  A profile evaluated on several
+    domains must be {!Profile.prepare}d first. *)
 
 val check_numeric : eval -> (eval, Fault.t) result
 (** Reject an eval containing non-finite numbers as a per-point
@@ -145,8 +168,8 @@ val model_sweep_result :
     prediction, with [pr_uarch] set to each config's own name; the
     result is bit-identical to a predict per point.
 
-    [?adjust] corrects each point's cycle count (see {!adjust});
-    checkpoints store adjusted values under the adjustment's key.
+    [?adjust] corrects each point (see {!adjust}); checkpoints store
+    adjusted values under the adjustment's key.
 
     The outer [Error] is reserved for whole-sweep failures: invalid
     profile, unreadable/mismatched checkpoint. *)

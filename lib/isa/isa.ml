@@ -39,8 +39,6 @@ let class_index = function
 
 let n_classes = 10
 
-let pp_class fmt c = Format.pp_print_string fmt (class_to_string c)
-
 type uop = {
   cls : uop_class;
   dep1 : int;

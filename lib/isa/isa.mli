@@ -24,7 +24,6 @@ val all_classes : uop_class list
 val class_to_string : uop_class -> string
 val class_index : uop_class -> int
 val n_classes : int
-val pp_class : Format.formatter -> uop_class -> unit
 
 type uop = {
   cls : uop_class;

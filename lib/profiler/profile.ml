@@ -118,41 +118,6 @@ let mean_chain t ~which ~rob =
     t.p_microtraces;
   if !weight = 0 then 0.0 else !sum /. float_of_int !weight
 
-let combine select_hist select_cold t =
-  let hist = Histogram.create () in
-  let cold = ref 0 and samples = ref 0 in
-  Array.iter
-    (fun mt ->
-      List.iter
-        (fun h -> Histogram.iter h (fun k c -> Histogram.add hist ~count:c k))
-        (select_hist mt);
-      let c, s = select_cold mt in
-      cold := !cold + c;
-      samples := !samples + s)
-    t.p_microtraces;
-  let cold_fraction =
-    if !samples = 0 then 0.0 else float_of_int !cold /. float_of_int !samples
-  in
-  (hist, cold_fraction)
-
-let combined_reuse_load =
-  combine
-    (fun mt -> [ mt.mt_reuse_load ])
-    (fun mt ->
-      (* Load-side cold touches approximated by total cold minus store cold. *)
-      (max 0 (mt.mt_mem_cold - mt.mt_store_cold),
-       Histogram.total mt.mt_reuse_load + max 0 (mt.mt_mem_cold - mt.mt_store_cold)))
-
-let combined_reuse_store =
-  combine
-    (fun mt -> [ mt.mt_reuse_store ])
-    (fun mt -> (mt.mt_store_cold, Histogram.total mt.mt_reuse_store + mt.mt_store_cold))
-
-let combined_reuse_all =
-  combine
-    (fun mt -> [ mt.mt_reuse_load; mt.mt_reuse_store ])
-    (fun mt -> (mt.mt_mem_cold, mt.mt_mem_samples))
-
 let cold_miss_rate t =
   let cold = ref 0 and samples = ref 0 in
   Array.iter

@@ -104,15 +104,6 @@ val total_mix : t -> Isa.Class_counts.t
 val mean_chain : t -> which:[ `Ap | `Abp | `Cp ] -> rob:int -> float
 (** Micro-trace-weighted average chain length at one ROB size. *)
 
-val combined_reuse_load : t -> Histogram.t * float
-(** Aggregated load reuse histogram and cold fraction over the whole
-    profile — the "combined" evaluation mode of Fig 6.4. *)
-
-val combined_reuse_all : t -> Histogram.t * float
-(** Loads and stores together (for the unified L2/L3 contents). *)
-
-val combined_reuse_store : t -> Histogram.t * float
-
 val cold_miss_rate : t -> float
 (** Fraction of sampled memory accesses that were first touches. *)
 

@@ -57,13 +57,11 @@ type t = {
   mutable supervisor : Thread.t option;
 }
 
-let now () = Unix.gettimeofday ()
-
 (* Call with t.mutex held. *)
-let degraded_locked t = now () < t.degraded_until
+let degraded_locked t = Clock.now () < t.degraded_until
 
 let record_crash_locked t =
-  let t_now = now () in
+  let t_now = Clock.now () in
   t.crashes <- t.crashes + 1;
   t.crash_times <-
     t_now
@@ -225,12 +223,12 @@ let stats t =
       })
 
 let drain t ~timeout_s =
-  let deadline = now () +. timeout_s in
+  let deadline = Clock.now () +. timeout_s in
   Mutex.protect t.mutex (fun () ->
       t.accepting <- false;
       let rec wait () =
         if Queue.is_empty t.queue && t.inflight = 0 then true
-        else if now () >= deadline then false
+        else if Clock.now () >= deadline then false
         else begin
           (* Condition.wait has no timeout; poll at a coarse grain so a
              stuck in-flight job cannot hang shutdown forever. *)

@@ -19,12 +19,9 @@ type t
 val create : capacity:int -> t
 (** [capacity] is the maximum number of resident profiles (>= 1). *)
 
-val key_of_bytes : string -> string
-(** The content key: lowercase MD5 hex digest of the raw bytes. *)
-
 val load : t -> string -> (string, Fault.t) result
 (** Parse, validate, prepare and insert raw profile bytes; returns the
-    content key.  Loading bytes already resident is a cheap no-op
+    content key (the lowercase MD5 hex digest of the bytes).  Loading bytes already resident is a cheap no-op
     (refreshes recency).  Structured [Bad_input] on malformed bytes. *)
 
 val find : t -> string -> (Profile.t, Fault.t) result

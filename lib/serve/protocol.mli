@@ -27,10 +27,6 @@
 
 val version : int
 
-val max_payload : int
-(** Hard cap on the declared payload length (64 MiB).  A corrupt or
-    hostile length prefix must not trigger a giant allocation. *)
-
 type kind = Request | Reply
 
 (** {1 Messages} *)
@@ -90,7 +86,9 @@ val read_frame :
     ([SO_RCVTIMEO]) as a slow-loris guard: a timeout while {e idle}
     (zero bytes of the next frame read) re-checks [should_stop] and
     keeps waiting (or returns [Closed] when stopping), a timeout
-    {e mid-frame} is a [Desync].  Never raises on malformed input. *)
+    {e mid-frame} is a [Desync].  A declared payload over 64 MiB is a
+    [Desync] too: a corrupt or hostile length prefix must not trigger a
+    giant allocation.  Never raises on malformed input. *)
 
 val write_frame : Unix.file_descr -> kind -> string -> unit
 (** Frame and send; transient syscall failures retry on the [Retry]

@@ -13,7 +13,7 @@ type config = {
   degraded_crash_threshold : int;
   degraded_window_s : float;
   degraded_cooldown_s : float;
-  calibrator : Calibrate.t option;
+  adjust : Sweep.adjust option;
 }
 
 let default_config =
@@ -32,7 +32,7 @@ let default_config =
     degraded_crash_threshold = 3;
     degraded_window_s = 10.0;
     degraded_cooldown_s = 5.0;
-    calibrator = None;
+    adjust = None;
   }
 
 (* The one exception that is *meant* to escape per-request isolation:
@@ -90,8 +90,6 @@ type t = {
   mutable runner : Thread.t option;
 }
 
-let now () = Unix.gettimeofday ()
-
 (* ---------------------------------------------------------------- *)
 (* Reply plumbing. *)
 
@@ -129,18 +127,11 @@ let send_fault t conn seq fault = send t conn seq (Protocol.Fault_reply fault)
 
 let check_deadline deadline =
   match deadline with
-  | Some d when now () > d ->
+  | Some d when Clock.now () > d ->
     raise (Fault.Error (Fault.timeout "per-request deadline exceeded"))
   | _ -> ()
 
-let prediction_kv ?calibrated u pred =
-  let cycles, stack =
-    match calibrated with
-    | None -> (None, Interval_model.cpi_stack pred)
-    | Some (stack, cpi) ->
-      (Some (cpi *. pred.Interval_model.pr_instructions), stack)
-  in
-  let ev = Sweep.of_prediction ?cycles u ~index:0 pred in
+let prediction_kv (stack, ev) =
   let ev = Fault.or_raise (Sweep.check_numeric ev) in
   Protocol.float_kv "cpi" ev.Sweep.sw_cpi
   :: Protocol.float_kv "cycles" ev.sw_cycles
@@ -159,17 +150,12 @@ let do_predict t ~rq_profile ~rq_config ~rq_prefetch =
   let profile = Fault.or_raise (Profile_cache.find t.cache rq_profile) in
   let u = Fault.or_raise (Uarch.of_name rq_config) in
   let u = if rq_prefetch then Uarch.with_prefetcher u true else u in
-  let pred = Interval_model.predict u profile in
-  let calibrated =
-    match t.cfg.calibrator with
-    | None -> None
-    | Some cal ->
-      let stats = Validate.profile_stats profile in
-      Some
-        (Calibrate.apply_stack cal ~stats u
-           (Interval_model.cpi_stack pred, Interval_model.cpi pred))
-  in
-  Protocol.Ok_reply { rp_op = "predict"; rp_kv = prediction_kv ?calibrated u pred }
+  Protocol.Ok_reply
+    {
+      rp_op = "predict";
+      rp_kv =
+        prediction_kv (Sweep.model_eval ?adjust:t.cfg.adjust profile u ~index:0);
+    }
 
 let do_sweep t ~deadline ~rq_profile ~rq_space ~rq_offset ~rq_limit =
   let profile = Fault.or_raise (Profile_cache.find t.cache rq_profile) in
@@ -189,6 +175,7 @@ let do_sweep t ~deadline ~rq_profile ~rq_space ~rq_offset ~rq_limit =
                "sweep batch of %d points exceeds per-request cap %d"
                rq_limit t.cfg.max_sweep_points)));
   let n = min rq_limit (size - rq_offset) in
+  let eval = Sweep.model_eval ?adjust:t.cfg.adjust profile in
   let points = ref [] in
   let faulted = ref [] in
   for i = 0 to n - 1 do
@@ -197,10 +184,7 @@ let do_sweep t ~deadline ~rq_profile ~rq_space ~rq_offset ~rq_limit =
     if i land 63 = 0 then check_deadline deadline;
     let index = rq_offset + i in
     let u = Config_space.config_of_index space index in
-    match
-      Sweep.check_numeric
-        (Sweep.of_prediction u ~index (Interval_model.predict u profile))
-    with
+    match Sweep.check_numeric (snd (eval u ~index)) with
     | Ok ev ->
       points :=
         ( "point",
@@ -235,7 +219,7 @@ let health_kv t =
   let i k v = (k, string_of_int v) in
   let a k at = (k, string_of_int (Atomic.get at)) in
   [
-    ("uptime_s", Printf.sprintf "%.3f" (now () -. t.started_at));
+    ("uptime_s", Printf.sprintf "%.3f" (Clock.now () -. t.started_at));
     i "queue_depth" ps.queue_depth;
     i "inflight" ps.inflight;
     i "workers" ps.workers;
@@ -292,7 +276,7 @@ let handle_request t conn (env : Protocol.envelope) =
   let seq = env.rq_seq in
   let deadline =
     Option.map
-      (fun ms -> now () +. (float_of_int ms /. 1000.))
+      (fun ms -> Clock.now () +. (float_of_int ms /. 1000.))
       env.rq_timeout_ms
   in
   let admit ~heavy work =
@@ -409,7 +393,7 @@ let create cfg =
               };
           cache = Profile_cache.create ~capacity:cfg.cache_capacity;
           counters = make_counters ();
-          started_at = now ();
+          started_at = Clock.now ();
           stopping = Atomic.make false;
           threads_mutex = Mutex.create ();
           conn_threads = [];

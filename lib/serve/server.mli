@@ -31,15 +31,17 @@ type config = {
   degraded_crash_threshold : int;
   degraded_window_s : float;
   degraded_cooldown_s : float;
-  calibrator : Calibrate.t option;
-      (** when set, [predict] replies carry the calibrated CPI stack and
-          the cycle-derived metrics re-derived from the calibrated CPI *)
+  adjust : Sweep.adjust option;
+      (** the correction every [predict] and [sweep] reply goes through
+          ({!Sweep.model_eval}); with the calibrator's hook, replies carry
+          the calibrated CPI stack and the cycle-derived metrics
+          re-derived from the calibrated CPI *)
 }
 
 val default_config : config
 (** No listeners set; two workers, queue 64, cache 8, 64 connections,
     10 s receive / 5 s send timeouts, 4096-point sweep cap, 5 s drain,
-    fault injection off, no calibrator. *)
+    fault injection off, no adjustment. *)
 
 type t
 

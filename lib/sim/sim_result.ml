@@ -45,9 +45,6 @@ let cpi_stack t =
   if t.r_instructions = 0 then Cpi_stack.scale k 0.0
   else Cpi_stack.scale k (1.0 /. float_of_int t.r_instructions)
 
-let cpi_per_uop t =
-  if t.r_uops = 0 then 0.0 else float_of_int t.r_cycles /. float_of_int t.r_uops
-
 let mpki t level =
   let stats =
     match level with `L1 -> t.r_l1d | `L2 -> t.r_l2 | `L3 -> t.r_l3

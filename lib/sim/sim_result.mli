@@ -13,12 +13,10 @@ type stack = {
 
 val stack_total : stack -> float
 
-val keyed_stack : stack -> Cpi_stack.t
-(** The canonical keyed view — the same {!Cpi_stack.component} keys the
-    analytical model emits, so the two engines diff structurally. *)
-
 val stack_components : stack -> (string * float) list
-(** [Cpi_stack.labeled_alist] of [keyed_stack] — kept for printing. *)
+(** The stack's labelled components, keyed by the same
+    {!Cpi_stack.component}s the analytical model emits — kept for
+    printing. *)
 
 type t = {
   r_name : string;
@@ -45,10 +43,9 @@ val cpi : t -> float
 (** Cycles per instruction. *)
 
 val cpi_stack : t -> Cpi_stack.t
-(** The measured CPI stack per instruction: [keyed_stack r_stack] scaled
+(** The measured CPI stack per instruction: [r_stack], keyed by
+    {!Cpi_stack.component} so the two engines diff structurally, scaled
     by [1 / r_instructions] (all-zero when no instructions ran). *)
-
-val cpi_per_uop : t -> float
 
 val mpki : t -> [ `L1 | `L2 | `L3 ] -> float
 (** Data-load misses per kilo instruction at a cache level. *)

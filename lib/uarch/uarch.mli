@@ -91,9 +91,6 @@ val make_caches : l1_kb:int -> l2_kb:int -> l3_mb:int -> caches
 (** The reference hierarchy's associativities and latencies with the
     given capacities (64-byte lines throughout). *)
 
-val functional_units_for_width : int -> functional_unit list
-val n_ports_for_width : int -> int
-
 val reference : t
 (** Nehalem-like reference architecture (Table 6.1): 4-wide dispatch,
     128-entry ROB, 32 KB L1s, 256 KB L2, 8 MB L3, 6 issue ports, 10 MSHRs,

@@ -15,9 +15,6 @@
       waiting would only delay signal-heavy workloads), while
       [EAGAIN]/[EWOULDBLOCK] back off exponentially. *)
 
-val default_attempts : int
-(** Backoff attempts before giving up on [EAGAIN]/[EWOULDBLOCK] (8). *)
-
 val backoff_s : attempt:int -> float
 (** Deterministic wait before retry number [attempt] (counted from 0):
     [base * 2^attempt] capped at 100 ms, with [base] = 1 ms.  No jitter
@@ -29,7 +26,7 @@ val is_transient : exn -> bool
 val with_retries : ?attempts:int -> what:string -> (unit -> 'a) -> 'a
 (** Run [f], retrying transient Unix errors: [EINTR] immediately (up to
     1024 times), [EAGAIN]/[EWOULDBLOCK] after the deterministic backoff
-    (up to [attempts] sleeps).  Any other exception, or a transient one
+    (up to [attempts] sleeps, default 8).  Any other exception, or a transient one
     that survives the budget, is re-raised unchanged.  [what] names the
     operation for the exhaustion diagnostic. *)
 

@@ -316,16 +316,9 @@ let default_n_instructions = 60_000
    checked-in workloads on the `Sim matrix. *)
 let default_gate = 0.12
 
-type calibrator =
-  string
-  * (stats:(string * float) list ->
-    Uarch.t ->
-    Cpi_stack.t * float ->
-    Cpi_stack.t * float)
-
 let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
     ?keep_going ?(seed = 1)
-    ?(n_instructions = default_n_instructions) ?calibrate ~spec configs =
+    ?(n_instructions = default_n_instructions) ?adjust ~spec configs =
   let configs_a = Array.of_list configs in
   (* Profile the recorded stream the simulator replays, so the stream is
      generated once. *)
@@ -335,6 +328,7 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
   (* Build the config-independent structures before the fan-out, as the
      model sweep does: workers then only read them. *)
   Profile.prepare profile;
+  let correct = Option.map (fun (_, f) -> f profile) adjust in
   Result.map
     (workload_report ~stats ~workload:spec.Workload_spec.wname)
     (Sweep.run_points ?jobs ?checkpoint ?keep_going
@@ -346,7 +340,7 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
               string_of_int seed;
               string_of_int n_instructions;
               Interval_model.options_key options profile;
-              (match calibrate with
+              (match adjust with
               | None -> "uncalibrated"
               | Some (key, _) -> "calibrated " ^ key);
             ])
@@ -358,15 +352,15 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
          let pred = Interval_model.predict ~options u profile in
          let sim = Simulator.run_stream u stream in
          let p = point ~index:i u pred sim in
-         match calibrate with
+         match correct with
          | None -> p
-         | Some (_, f) ->
+         | Some f ->
            (* The calibrated stack replaces the raw model stack, so every
               downstream error table, trend and gate measures the
               corrected prediction.  The checkpoint payload stores the
               calibrated values too; the header's calibrator key keeps a
               log from being resumed under another calibrator. *)
-           let stack, cpi = f ~stats u (p.vp_model_stack, p.vp_model_cpi) in
+           let stack, cpi = f u pred in
            { p with vp_model_stack = stack; vp_model_cpi = cpi })
        ())
 

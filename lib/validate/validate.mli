@@ -131,21 +131,6 @@ val default_gate : float
     the paper's ~10% headline accuracy plus two points of headroom so
     seed/budget drift does not flap CI. *)
 
-type calibrator =
-  string
-  * (stats:(string * float) list ->
-    Uarch.t ->
-    Cpi_stack.t * float ->
-    Cpi_stack.t * float)
-(** A per-point model correction [(key, f)]: given the workload
-    statistics, the design point and the raw (model stack, model CPI),
-    [f] returns the calibrated pair; [key] identifies the correction (a
-    digest of the calibration model) in checkpoint headers.  Kept
-    abstract as a closure so this library needs no dependency on the
-    calibrator that implements it ([lib/calibrate] depends on this one,
-    not vice versa).  [f] must be deterministic and thread-safe: it runs
-    inside the worker fan-out. *)
-
 val run_workload :
   ?options:Interval_model.options ->
   ?jobs:int ->
@@ -153,7 +138,7 @@ val run_workload :
   ?keep_going:bool ->
   ?seed:int ->
   ?n_instructions:int ->
-  ?calibrate:calibrator ->
+  ?adjust:Sweep.adjust ->
   spec:Workload_spec.t ->
   Uarch.t list ->
   (workload_report, Fault.t) result
@@ -165,17 +150,18 @@ val run_workload :
     doubles as resume via the same CRC-per-line log as the design sweeps.
     The log's header names the workload and digests everything the
     report depends on — [spec], [seed], [n_instructions], [options], the
-    config list and the calibrator's key — so a log of any other run (a
+    config list and the [adjust] key — so a log of any other run (a
     design sweep, another seed, another or no calibrator) is refused,
     never resumed.  The
     outer [Error] is reserved for whole-run failures (unreadable or
     mismatched checkpoint).
 
-    [?calibrate] replaces each point's model stack and CPI with the
-    calibrated prediction before any error is computed, so the whole
-    report (MAPE, component tables, trends, gate) measures the
-    corrected model; checkpoints then store calibrated values.  The
-    calibrator corrects CPI only: model watts stay those of the raw
+    [?adjust] (the calibrator's {!Sweep.adjust} hook, its per-profile
+    stage run once per workload) replaces each point's model stack and
+    CPI with the corrected prediction before any error is computed, so
+    the whole report (MAPE, component tables, trends, gate) measures the
+    corrected model; checkpoints then store corrected values.  The
+    hook corrects CPI only: model watts stay those of the raw
     prediction's activity.
 
     The stream is held for the whole fan-out: memory grows by 24 bytes

@@ -13,12 +13,6 @@ type template =
   | T_branch_cmp
   | T_move
 
-let template_uop_count = function
-  | T_alu_mem | T_store2 | T_branch_cmp -> 2
-  | T_alu | T_mul | T_div | T_fp | T_fp_mul | T_fp_div | T_load | T_store
-  | T_branch | T_move ->
-    1
-
 type stride_pattern = Fixed_strides of int list | Random_in | Unique
 
 type load_group = {

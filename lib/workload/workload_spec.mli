@@ -27,8 +27,6 @@ type template =
   | T_branch_cmp  (** compare-and-branch: ALU µop + dependent branch µop *)
   | T_move  (** register move: 1 µop *)
 
-val template_uop_count : template -> int
-
 (** Memory access pattern of a static load (§4.5's load categories). *)
 type stride_pattern =
   | Fixed_strides of int list

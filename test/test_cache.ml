@@ -88,7 +88,7 @@ let test_set_count_power_of_two () =
   ignore (Hierarchy.create Uarch.reference.caches)
 
 let prop_miss_rate_monotone_in_size =
-  QCheck.Test.make ~name:"bigger cache never misses more on the same trace"
+  QCheck.Test.make ~name:"bigger cache never misses more"
     ~count:30
     QCheck.(pair (int_range 1 1000) (int_range 20 200))
     (fun (seed, n) ->
@@ -107,7 +107,7 @@ let prop_miss_rate_monotone_in_size =
 (* Oracle check: with associativity = number of lines, the cache is fully
    associative; compare against a straightforward list-based LRU. *)
 let prop_fully_associative_matches_oracle =
-  QCheck.Test.make ~name:"fully-associative cache matches list-based LRU oracle"
+  QCheck.Test.make ~name:"fully-assoc cache = LRU oracle"
     ~count:100
     QCheck.(pair (int_range 1 1000) (int_range 2 5))
     (fun (seed, capacity_log) ->

@@ -207,7 +207,7 @@ let test_calibrated_sweep_jobs_bit_exact () =
      counts — the daemon/CLI equivalence rests on this. *)
   let m, _ = Lazy.force trained in
   let profile = Lazy.force gcc_profile in
-  let adjust = Calibrate.sweep_adjust m ~profile in
+  let adjust = Calibrate.adjust m in
   let fingerprint jobs =
     List.map
       (fun (e : Sweep.eval) -> Int64.bits_of_float e.sw_cycles)

@@ -482,7 +482,9 @@ let test_resume_refuses_changed_inputs () =
     | Ok _ -> Alcotest.failf "%s: resumed from another sweep's checkpoint" what
   in
   let keyed key : Sweep.adjust =
-    (key, fun _ (p : Interval_model.prediction) -> p.pr_cycles)
+    ( key,
+      fun _ _ (p : Interval_model.prediction) ->
+        (Interval_model.cpi_stack p, Interval_model.cpi p) )
   in
   let flat =
     { Interval_model.default_options with

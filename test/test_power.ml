@@ -91,7 +91,7 @@ let test_component_names_unique () =
     (List.length (List.sort_uniq compare names))
 
 let prop_power_positive =
-  QCheck.Test.make ~name:"power always positive across design space" ~count:50
+  QCheck.Test.make ~name:"power positive across design space" ~count:50
     QCheck.(int_range 0 242)
     (fun i ->
       let u = List.nth Uarch.design_space i in

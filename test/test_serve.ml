@@ -403,7 +403,7 @@ let test_serve_calibrated_predict_exact () =
      same calibrated stack, down to the bit (hex-float wire format). *)
   let cal = Lazy.force calibrator in
   with_server
-    ~cfg:{ Server.default_config with calibrator = Some cal }
+    ~cfg:{ Server.default_config with adjust = Some (Calibrate.adjust cal) }
     (fun path _server ->
       with_client path (fun client ->
           let key = ok (Client.load client (Lazy.force profile_bytes)) in
@@ -414,15 +414,14 @@ let test_serve_calibrated_predict_exact () =
           let p = Lazy.force profile in
           let pred = Interval_model.predict u p in
           let stats = Validate.profile_stats p in
-          let cycles = Calibrate.calibrated_cycles cal ~stats u pred in
-          Alcotest.(check bool) "calibrated cycles bit-exact" true
-            (Int64.equal
-               (Int64.bits_of_float pr.Client.pr_cycles)
-               (Int64.bits_of_float cycles));
-          let cal_stack, _ =
+          let cal_stack, cal_cpi =
             Calibrate.apply_stack cal ~stats u
               (Interval_model.cpi_stack pred, Interval_model.cpi pred)
           in
+          Alcotest.(check bool) "calibrated cycles bit-exact" true
+            (Int64.equal
+               (Int64.bits_of_float pr.Client.pr_cycles)
+               (Int64.bits_of_float (cal_cpi *. pred.pr_instructions)));
           List.iter
             (fun comp ->
               let name = "stack_" ^ Cpi_stack.to_string comp in
@@ -467,6 +466,59 @@ let test_serve_sweep_exact () =
                    (Int64.bits_of_float p.sp_cpi)
                    (Int64.bits_of_float ev.Sweep.sw_cpi)))
             points))
+
+let test_serve_calibrated_sweep_exact () =
+  (* A daemon configured with a calibration model calibrates its sweep
+     replies exactly as the in-process calibrated sweep does, down to
+     the bit, and not just its predict replies. *)
+  let cal = Lazy.force calibrator in
+  let adjust = Calibrate.adjust cal in
+  let offset = 40 and limit = 9 in
+  let space = Fault.or_raise (Config_space.find "default") in
+  let sweep ?adjust () =
+    List.map Result.get_ok
+      (Fault.or_raise
+         (Sweep.model_sweep_result ?adjust ~profile:(Lazy.force profile)
+            (List.init limit (fun k ->
+                 Config_space.config_of_index space (offset + k)))))
+        .Sweep.o_results
+  in
+  let want = sweep ~adjust () and raw = sweep () in
+  with_server
+    ~cfg:{ Server.default_config with adjust = Some adjust }
+    (fun path _server ->
+      with_client path (fun client ->
+          let key = ok (Client.load client (Lazy.force profile_bytes)) in
+          let points, faulted =
+            ok (Client.sweep client ~profile:key ~space:"default" ~offset ~limit ())
+          in
+          Alcotest.(check int) "no faulted points" 0 faulted;
+          Alcotest.(check int) "every point" limit (List.length points);
+          let bits = Int64.bits_of_float in
+          List.iteri
+            (fun k ((p : Client.sweep_point), (e : Sweep.eval)) ->
+              Alcotest.(check int) "index order" (offset + k) p.sp_index;
+              List.iter
+                (fun (name, got, want) ->
+                  Alcotest.(check int64)
+                    (Printf.sprintf "point %d %s bit-exact" p.sp_index name)
+                    (bits want) (bits got))
+                [
+                  ("cpi", p.sp_cpi, e.sw_cpi);
+                  ("cycles", p.sp_cycles, e.sw_cycles);
+                  ("watts", p.sp_watts, e.sw_watts);
+                  ("seconds", p.sp_seconds, e.sw_seconds);
+                  ("energy_j", p.sp_energy_j, e.sw_energy_j);
+                  ("ed2p", p.sp_ed2p, e.sw_ed2p);
+                ])
+            (List.combine points want);
+          (* The reply must differ from the uncalibrated sweep somewhere,
+             or the wiring is dead. *)
+          Alcotest.(check bool) "calibration changed the cycles" true
+            (List.exists2
+               (fun (p : Client.sweep_point) (r : Sweep.eval) ->
+                 bits p.sp_cycles <> bits r.sw_cycles)
+               points raw)))
 
 let test_serve_bad_requests_fault () =
   with_server (fun path _server ->
@@ -760,6 +812,8 @@ let () =
           Alcotest.test_case "calibrated predict bit-exact" `Quick
             test_serve_calibrated_predict_exact;
           Alcotest.test_case "sweep bit-exact" `Quick test_serve_sweep_exact;
+          Alcotest.test_case "calibrated sweep bit-exact" `Quick
+            test_serve_calibrated_sweep_exact;
           Alcotest.test_case "bad requests fault" `Quick
             test_serve_bad_requests_fault;
           Alcotest.test_case "deadline timeout" `Quick

@@ -206,7 +206,7 @@ let reference_miss_ratio ss ~max_rd ~cache_lines =
 
 let prop_miss_ratio_matches_linear_reference =
   QCheck.Test.make
-    ~name:"binary-search miss ratio bit-identical to linear reference"
+    ~name:"binary-search miss ratio = linear"
     ~count:300
     QCheck.(
       pair

@@ -210,7 +210,9 @@ let test_stream_refuses_changed_inputs () =
           ~profile Config_space.default
       in
       let calibrated : Sweep.adjust =
-        ("k", fun _ (p : Interval_model.prediction) -> p.pr_cycles)
+        ( "k",
+          fun _ _ (p : Interval_model.prediction) ->
+            (Interval_model.cpi_stack p, Interval_model.cpi p) )
       in
       (match run ~adjust:calibrated () with
       | Ok _ -> ()
@@ -419,10 +421,10 @@ let test_reuse_matches_direct_predict () =
 
 let test_reuse_adjust_sees_own_config () =
   let profile = Lazy.force profile_gcc in
-  let adjust (u : Uarch.t) (p : Interval_model.prediction) =
+  let adjust _ (u : Uarch.t) (p : Interval_model.prediction) =
     if p.pr_uarch <> u.name then
       failwith (Printf.sprintf "prediction for %s handed to %s" p.pr_uarch u.name);
-    p.pr_cycles *. u.operating_point.freq_ghz
+    (Interval_model.cpi_stack p, Interval_model.cpi p *. u.operating_point.freq_ghz)
   in
   let _, got = stream_evals ~adjust:("freq", adjust) ~jobs:2 profile in
   let cycles =
@@ -431,9 +433,11 @@ let test_reuse_adjust_sees_own_config () =
         let i = reuse_offset + k in
         let u = Config_space.config_of_index Config_space.large i in
         let e = Option.get e in
+        let pred = Interval_model.predict u profile in
         let want =
-          Sweep.of_prediction ~cycles:(adjust u (Interval_model.predict u profile))
-            u ~index:i (Interval_model.predict u profile)
+          Sweep.of_prediction
+            ~cycles:(snd (adjust profile u pred) *. pred.pr_instructions)
+            u ~index:i pred
         in
         if not (eval_bits_equal e want) then
           Alcotest.failf "adjusted point %d differs from a direct predict" i;
@@ -538,33 +542,61 @@ let test_subset_quality_perfect_and_degraded () =
     (q2.Pareto.sensitivity < 1.0);
   Alcotest.(check bool) "partial pick: hvr < 1" true (q2.hvr < 1.0)
 
+(* A stand-in calibration: staged on the profile like the calibrator's
+   hook, it moves the memory components by a profile-dependent factor. *)
+let memory_heavier : Sweep.adjust =
+  ( "memory-heavier",
+    fun profile ->
+      let k = 1.2 +. (0.5 *. Profile.cold_miss_rate profile) in
+      fun _ pred ->
+        let stack =
+          Cpi_stack.make (fun c ->
+              let v = Cpi_stack.get (Interval_model.cpi_stack pred) c in
+              match c with Llc_hit | Dram -> k *. v | _ -> v)
+        in
+        (stack, Cpi_stack.total stack) )
+
 let test_refinement_quality_on_enumerable_space () =
   let profile = Lazy.force profile_gcc in
   let space = Config_space.default in
-  let evals =
-    Sweep.model_sweep ~profile (Array.to_list (Config_space.materialize space))
-  in
-  let truth = Sweep.pareto_points evals in
-  let rep =
-    match Refine.model_refine ~initial_stride:2 ~profile space with
-    | Ok r -> r
-    | Error ft -> Alcotest.failf "refine: %s" (Fault.to_string ft)
-  in
-  Alcotest.(check bool) "evaluated a strict subset" true
-    (rep.Refine.rf_evaluated < Config_space.size space);
-  let q =
-    Pareto.subset_quality ~truth
-      ~picked_ids:(List.map (fun (p : Pareto.point) -> p.Pareto.pt_id) rep.rf_front)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "sensitivity %.3f >= 0.95" q.Pareto.sensitivity)
-    true (q.Pareto.sensitivity >= 0.95);
-  Alcotest.(check bool)
-    (Printf.sprintf "specificity %.3f >= 0.95" q.specificity)
-    true (q.specificity >= 0.95);
-  Alcotest.(check bool)
-    (Printf.sprintf "hvr %.3f >= 0.95" q.hvr)
-    true (q.hvr >= 0.95)
+  List.iter
+    (fun (what, adjust) ->
+      let evals =
+        Sweep.model_sweep ?adjust ~profile
+          (Array.to_list (Config_space.materialize space))
+      in
+      let truth = Sweep.pareto_points evals in
+      let rep =
+        match Refine.model_refine ~initial_stride:2 ?adjust ~profile space with
+        | Ok r -> r
+        | Error ft -> Alcotest.failf "%s: refine: %s" what (Fault.to_string ft)
+      in
+      Alcotest.(check bool) (what ^ ": evaluated a strict subset") true
+        (rep.Refine.rf_evaluated < Config_space.size space);
+      (* The front's evals are the per-point evals of the same ids. *)
+      Alcotest.(check bool) (what ^ ": front evals non-empty") true
+        (rep.rf_front_evals <> []);
+      List.iter
+        (fun (e : Sweep.eval) ->
+          if not (eval_bits_equal e (List.nth evals e.sw_index)) then
+            Alcotest.failf "%s: front point %d differs from the sweep's" what
+              e.sw_index)
+        rep.rf_front_evals;
+      let q =
+        Pareto.subset_quality ~truth
+          ~picked_ids:
+            (List.map (fun (p : Pareto.point) -> p.Pareto.pt_id) rep.rf_front)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: sensitivity %.3f >= 0.95" what q.Pareto.sensitivity)
+        true (q.Pareto.sensitivity >= 0.95);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: specificity %.3f >= 0.95" what q.specificity)
+        true (q.specificity >= 0.95);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: hvr %.3f >= 0.95" what q.hvr)
+        true (q.hvr >= 0.95))
+    [ ("raw", None); ("adjusted", Some memory_heavier) ]
 
 let test_combined_refine_parallel_no_faults () =
   (* [`Combined] mode reads the per-static-load lazies too; refinement

@@ -591,7 +591,7 @@ let test_fit_multiple_linear () =
     (feq ~eps:1e-4 13.0 (Fit.eval_multiple w [| 3.0; 2.0 |]))
 
 let prop_linear_fit_residual_orthogonal =
-  QCheck.Test.make ~name:"linear fit minimizes squared error vs perturbations"
+  QCheck.Test.make ~name:"linear fit beats perturbations"
     ~count:100
     QCheck.(list_of_size Gen.(int_range 3 20) (pair (float_range 0. 10.) (float_range (-5.) 5.)))
     (fun pts ->

@@ -298,9 +298,9 @@ let test_matrix_sizes () =
     (Result.is_error (Validate.matrix_of_string "enormous"))
 
 let run_quick_result ?options ?checkpoint ?(jobs = 2) ?seed
-    ?(n_instructions = 8_000) ?calibrate () =
+    ?(n_instructions = 8_000) ?adjust () =
   Validate.run_workload ?options ?checkpoint ~jobs ?seed ~n_instructions
-    ?calibrate
+    ?adjust
     ~spec:(Benchmarks.find "gcc")
     (Validate.matrix_configs `Quick)
 
@@ -396,7 +396,9 @@ let test_checkpoint_refuses_changed_inputs () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Sys.remove path;
-      let identity key : Validate.calibrator = (key, fun ~stats:_ _ m -> m) in
+      let identity key : Sweep.adjust =
+        (key, fun _ _ p -> (Interval_model.cpi_stack p, Interval_model.cpi p))
+      in
       let refused what r =
         match r with
         | Error (Fault.Bad_input _) -> ()
@@ -408,17 +410,17 @@ let test_checkpoint_refuses_changed_inputs () =
       refused "another budget"
         (run_quick_result ~checkpoint:path ~n_instructions:9_000 ());
       refused "a calibrator"
-        (run_quick_result ~checkpoint:path ~calibrate:(identity "a") ());
+        (run_quick_result ~checkpoint:path ~adjust:(identity "a") ());
       Sys.remove path;
       ignore
         (Result.get_ok
-           (run_quick_result ~checkpoint:path ~calibrate:(identity "a") ()));
+           (run_quick_result ~checkpoint:path ~adjust:(identity "a") ()));
       refused "another calibrator"
-        (run_quick_result ~checkpoint:path ~calibrate:(identity "b") ());
+        (run_quick_result ~checkpoint:path ~adjust:(identity "b") ());
       refused "no calibrator" (run_quick_result ~checkpoint:path ());
       let again =
         Result.get_ok
-          (run_quick_result ~checkpoint:path ~calibrate:(identity "a") ())
+          (run_quick_result ~checkpoint:path ~adjust:(identity "a") ())
       in
       Alcotest.(check int) "same inputs resume" 9 again.Validate.wr_resumed)
 
