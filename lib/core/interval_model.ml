@@ -113,16 +113,27 @@ let monotone (m1, m2, m3) =
 (* ---- The per-profile memo of config-dependent results ----
 
    A streaming sweep evaluates millions of design points against one
-   profile, and most per-point work inside [evaluate_microtrace] is a pure
-   function of (micro-trace, a few config fields): the per-level miss
-   ratios read only the cache capacities, the dispatch-port schedule and
-   unit limits only the micro-op mix and the port and unit layout, the
-   branch resolution time only (width, ROB, frontend depth, average
-   latency, interval length), and the stride MLP only the LLC size, the
-   ROB and the prefetcher's fields ([Mlp_model.stride] lists them).  Each
-   result is memoized in the profile it was computed from
-   ([Profile.model_memo]), keyed by the exact tuple of inputs its function
-   reads, so it is dropped with the profile and no two profiles alias.
+   profile, and most per-point work is a pure function of a few config
+   fields: the per-level miss ratios read only the cache capacities, the
+   dispatch-port schedule and unit limits only the micro-op mix and the
+   port and unit layout, the chain lengths only the ROB, the branch
+   resolution time only (width, ROB, frontend depth, average latency,
+   interval length), and the stride MLP only the LLC size, the ROB and
+   the prefetcher's fields ([Mlp_model.stride] lists them).  Each result
+   is memoized in the profile it was computed from
+   ([Profile.model_memo]), keyed by the exact inputs its function reads,
+   so it is dropped with the profile and no two profiles alias.
+
+   A predict probes each config-keyed table once, for every micro-trace
+   at a time: the data-side miss ratios by the (L1D, L2, L3) line
+   counts, the i-stream's by (L1I, L2, L3), the chain lengths by the ROB
+   size, and the dispatch entries by the port count and the unit layout
+   (a short list of layouts, compared physically first).  The branch and
+   stride results also depend on per-micro-trace values, so they keep one
+   entry per micro-trace, under an int key that holds the micro-trace
+   index and the float inputs' bit patterns.  Keys are int arrays: a
+   probe hashes and compares the domain's scratch key in place, so a hit
+   allocates nothing, and only a miss stores a copy.
 
    Two tiers.  The back tier lives in the profile behind its own mutex;
    the front tier is the calling domain's lock-free copy for the profile
@@ -138,6 +149,29 @@ let monotone (m1, m2, m3) =
    [cached_average_latency], whose Load term is re-inserted into the fold
    of [Dispatch_model.average_latency] at the same position. *)
 
+(* Structural equality of the unit layouts a config's dispatch limits
+   read, physical first: generated configs of one width share their
+   list. *)
+let rec same_ports (a : int list) (b : int list) =
+  a == b
+  || (match (a, b) with
+     | [], [] -> true
+     | x :: a, y :: b -> x = y && same_ports a b
+     | _ -> false)
+
+let same_unit (a : Uarch.functional_unit) (b : Uarch.functional_unit) =
+  a == b
+  || a.serves == b.serves && a.unit_count = b.unit_count
+     && a.unit_latency = b.unit_latency && a.pipelined = b.pipelined
+     && same_ports a.usable_ports b.usable_ports
+
+let rec same_units (a : Uarch.functional_unit list) b =
+  a == b
+  || (match (a, b) with
+     | [], [] -> true
+     | x :: a, y :: b -> same_unit x y && same_units a b
+     | _ -> false)
+
 module Memo = struct
   type disp = {
     d_total : int;
@@ -149,44 +183,87 @@ module Memo = struct
     d_units_raw : float;  (* unit-limit fold result; [infinity] if none *)
   }
 
+  module Tbl = Hashtbl.Make (struct
+    type t = int array
+
+    let equal (a : t) (b : t) =
+      let n = Array.length a in
+      if n <> Array.length b then false
+      else begin
+        let i = ref 0 in
+        while !i < n && a.(!i) = b.(!i) do
+          incr i
+        done;
+        !i = n
+      end
+
+    let hash (a : t) =
+      let h = ref (Array.length a) in
+      for i = 0 to Array.length a - 1 do
+        h := (!h lxor a.(i)) * 0x100000001b3
+      done;
+      (!h lxor (!h lsr 31)) land max_int
+  end)
+
   type tables = {
-    ratios : (int * int * int * int, float * float * float) Hashtbl.t;
-        (* (slot, l1, l2, l3 lines) -> per-level miss ratios; slot = 2*mt
-           for loads, 2*mt+1 for stores, -1 for the i-stream *)
-    disp : (int * int * Uarch.functional_unit list, disp) Hashtbl.t;
-        (* (mt, ports, functional units) -> dispatch entry *)
-    branch : (int * int * int * int * int64 * int64, float) Hashtbl.t;
-        (* (mt, width, rob, frontend, bits avg_latency, bits between)
-           -> Branch_model.penalty *)
-    stride :
-      (int * int * int * (int * int * int * int) option, Mlp_model.result) Hashtbl.t;
-        (* (mt, llc lines, rob, prefetcher's (table entries, page bytes,
-           width, dram latency) when modelled) -> Mlp_model.stride *)
+    data : float array Tbl.t;
+        (* [l1d; l2; l3 lines] -> per micro-trace, the monotone load
+           ratios m1 m2 m3 and the store LLC ratio s3 *)
+    inst : float array Tbl.t;  (* [l1i; l2; l3 lines] -> i-stream ratios *)
+    chains : float array Tbl.t;
+        (* [rob] -> per micro-trace, critical path then branch path *)
+    mutable disp : (int * Uarch.functional_unit list * disp array) list;
+        (* (ports, functional units) -> per micro-trace dispatch entry *)
+    branch : float Tbl.t;
+        (* [mt; width; rob; frontend; bits avg_latency (2); bits between
+           (2)] -> Branch_model.penalty *)
+    stride : Mlp_model.result Tbl.t;
+        (* [mt; llc lines; rob; 1; table entries; page bytes; width; dram
+           latency] with the prefetcher modelled, [...; 0; 0; 0; 0; 0]
+           without -> Mlp_model.stride *)
   }
 
   let tables () =
     {
-      ratios = Hashtbl.create 64;
-      disp = Hashtbl.create 64;
-      branch = Hashtbl.create 64;
-      stride = Hashtbl.create 64;
+      data = Tbl.create 64;
+      inst = Tbl.create 64;
+      chains = Tbl.create 16;
+      disp = [];
+      branch = Tbl.create 256;
+      stride = Tbl.create 256;
     }
 
-  type shared = { back : tables; lock : Mutex.t }
+  type shared = {
+    back : tables;
+    lock : Mutex.t;
+    chain_heads : float array;  (* [Llc_chain.chain_heads] per micro-trace *)
+  }
 
   type Profile.model_memo += Shared of shared
 
-  type t = { shared : shared; front : tables }
+  (* [key3], [key1] and [key8] are the domain's scratch keys. *)
+  type t = {
+    shared : shared;
+    front : tables;
+    key3 : int array;
+    key1 : int array;
+    key8 : int array;
+  }
 
   let last : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
   (* The calling domain's view of [profile]'s memo.  Holding only the last
      profile's front tier bounds what a long-lived domain keeps. *)
-  let get profile =
+  let get (profile : Profile.t) =
     let shared =
       match
         Profile.model_memo profile (fun () ->
-            Shared { back = tables (); lock = Mutex.create () })
+            Shared
+              {
+                back = tables ();
+                lock = Mutex.create ();
+                chain_heads = Array.map Llc_chain.chain_heads profile.p_microtraces;
+              })
       with
       | Shared s -> s
       | _ -> invalid_arg "Interval_model: foreign model memo"
@@ -195,26 +272,63 @@ module Memo = struct
     match !cell with
     | Some m when m.shared == shared -> m
     | _ ->
-      let m = { shared; front = tables () } in
+      let m =
+        {
+          shared;
+          front = tables ();
+          key3 = Array.make 3 0;
+          key1 = Array.make 1 0;
+          key8 = Array.make 8 0;
+        }
+      in
       cell := Some m;
       m
 
+  (* The value under the scratch [key] once the front tier missed: the
+     back tier's, or [compute ()] stored there; kept in the front tier
+     under a copy of the key.  Callers probe the front tier themselves,
+     so a hit builds no closure. *)
+  let fill m table key compute =
+    let key = Array.copy key in
+    let back = table m.shared.back in
+    let v =
+      match Mutex.protect m.shared.lock (fun () -> Tbl.find_opt back key) with
+      | Some v -> v
+      | None ->
+        let v = compute () in
+        Mutex.protect m.shared.lock (fun () -> Tbl.replace back key v);
+        v
+    in
+    Tbl.replace (table m.front) key v;
+    v
+
   let find m table key compute =
-    let front = table m.front in
-    match Hashtbl.find_opt front key with
-    | Some v -> v
+    match Tbl.find (table m.front) key with
+    | v -> v
+    | exception Not_found -> fill m table key compute
+
+  let rec find_disp n_ports fus = function
+    | [] -> None
+    | (p, f, d) :: rest ->
+      if p = n_ports && same_units f fus then Some d else find_disp n_ports fus rest
+
+  (* [find] for the dispatch entries, whose key is a unit list. *)
+  let disps m ~n_ports ~fus compute =
+    match find_disp n_ports fus m.front.disp with
+    | Some d -> d
     | None ->
-      let back = table m.shared.back in
-      let v =
-        match Mutex.protect m.shared.lock (fun () -> Hashtbl.find_opt back key) with
-        | Some v -> v
+      let back = m.shared.back in
+      let d =
+        match Mutex.protect m.shared.lock (fun () -> find_disp n_ports fus back.disp) with
+        | Some d -> d
         | None ->
-          let v = compute () in
-          Mutex.protect m.shared.lock (fun () -> Hashtbl.replace back key v);
-          v
+          let d = compute () in
+          Mutex.protect m.shared.lock (fun () ->
+              back.disp <- (n_ports, fus, d) :: back.disp);
+          d
       in
-      Hashtbl.replace front key v;
-      v
+      m.front.disp <- (n_ports, fus, d) :: m.front.disp;
+      d
 
   let build_disp (u : Uarch.t) ~(mix : Isa.Class_counts.t) =
     let core = u.core in
@@ -266,7 +380,7 @@ module Memo = struct
   (* [Dispatch_model.average_latency] with the mix-dependent constants
      pre-folded: the Load term is inserted at its original position in the
      class fold, so the result is bit-identical. *)
-  let cached_average_latency d ~load_latency =
+  let[@inline] cached_average_latency d ~load_latency =
     if d.d_total = 0 then 1.0
     else begin
       let w = ref (d.d_prefix +. (d.d_n_load *. load_latency)) in
@@ -277,127 +391,149 @@ module Memo = struct
     end
 end
 
-type mt_eval = {
-  ev_cycles : float;
-  ev_components : components;
-  ev_uops : float;
-  ev_instructions : float;
-  ev_mispredicts : float;
-  ev_load_misses : float * float * float;
-  ev_dram_loads : float;
-  ev_dram_stores : float;
-  ev_mlp : float;
-  ev_limits : Dispatch_model.limits;
-  ev_mix : Isa.Class_counts.t;
-  ev_start : int;
+(* Store [x]'s bit pattern, exactly, in two key slots. *)
+let[@inline] set_bits (key : int array) i x =
+  let b = Int64.bits_of_float x in
+  key.(i) <- Int64.to_int (Int64.shift_right_logical b 32);
+  key.(i + 1) <- Int64.to_int (Int64.logand b 0xFFFF_FFFFL)
+
+(* Everything a predict's micro-trace evaluations share: the per-point
+   constants and the memo's answers for this config, each fetched once.
+   [memo] is the profile's memo in [`Separate] mode, where the
+   micro-traces are the profile's own (immutable, indexed) ones; [None]
+   for the rebuilt [`Combined] micro-trace. *)
+type ctx = {
+  opts : options;
+  u : Uarch.t;
+  memo : Memo.t option;
+  mts : Profile.microtrace array;  (* the micro-traces evaluated *)
+  window : int;  (* instructions each [`Separate] micro-trace stands for *)
+  ratios : float array;
+      (* per micro-trace m1 m2 m3 s3, overrides applied and monotone *)
+  inst : float array;  (* i1 i2 i3, overrides applied and monotone *)
+  disps : Memo.disp array;
+  chain_heads : float array;
+  missrate : float;
+  cold_corr : float;
+  mlp_measured : bool;
+  mutable chains : float array;  (* per micro-trace cp, abp; [||] until read *)
+  acc : float array;  (* the prediction's totals, slots [a_*] *)
+  mix_totals : float array;
 }
 
-(* [memo] is the profile's memo in [`Separate] mode, where [mt] is one of
-   the profile's own (immutable, indexed) micro-traces; [None] for the
-   rebuilt [`Combined] micro-trace. *)
-let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t) ~memo
-    ~inst_ratios ~cold_corr ~load_stack ~store_stack (mt : Profile.microtrace) =
+(* Accumulator slots. *)
+let a_cycles = 0
+let a_instructions = 1
+let a_uops = 2
+let a_mispredicts = 3
+let a_lm1 = 4
+let a_lm2 = 5
+let a_lm3 = 6
+let a_dram_loads = 7
+let a_dram_stores = 8
+let a_base = 9
+let a_branch = 10
+let a_icache = 11
+let a_llc_hit = 12
+let a_dram = 13
+let a_mlp_weighted = 14
+let a_mlp_plain = 15
+let a_width = 16
+let a_deps = 17
+let a_ports = 18
+let a_units = 19
+let n_acc = 20
+
+let classes = Array.of_list Isa.all_classes
+
+(* Chain lengths at the config's ROB size, fetched on first read: only
+   when the critical path or a branch path is asked for, as the uncached
+   model reads them. *)
+let chains c =
+  if Array.length c.chains = 0 then begin
+    let rob = c.u.core.rob_size in
+    let compute () =
+      let v = Array.make (2 * Array.length c.mts) 0.0 in
+      Array.iteri
+        (fun k (mt : Profile.microtrace) ->
+          v.(2 * k) <- Profile.chain_at mt.mt_chains ~which:`Cp rob;
+          v.((2 * k) + 1) <- Profile.chain_at mt.mt_chains ~which:`Abp rob)
+        c.mts;
+      v
+    in
+    c.chains <-
+      (match c.memo with
+      | None -> compute ()
+      | Some m ->
+        m.key1.(0) <- rob;
+        Memo.find m (fun t -> t.Memo.chains) m.key1 compute)
+  end;
+  c.chains
+
+(* Evaluate micro-trace [mt] (the [k]th of this predict) and add its
+   terms, weighted by [scale], to the totals. *)
+let evaluate_microtrace c (mt : Profile.microtrace) ~k =
+  let opts = c.opts and u = c.u in
   let core = u.core in
-  let memoized table key compute =
-    match memo with None -> compute () | Some m -> Memo.find m table key compute
-  in
   let n_uops = float_of_int mt.mt_uops in
   let n_instr = float_of_int mt.mt_instructions in
   let loads = float_of_int (Isa.Class_counts.get mt.mt_mix Isa.Load) in
   let stores = float_of_int (Isa.Class_counts.get mt.mt_mix Isa.Store) in
   let load_fraction = if n_uops = 0.0 then 0.0 else loads /. n_uops in
-  (* ---- Cache miss ratios (per load / per store / per instruction) ----
-     The survival structures are config-independent (built at most once
-     per profile; the rebuilt [`Combined] ones are lazy, so overrides
-     skip them); only the capacity lookups below depend on [u] — and only
-     through the per-level line counts, so the ratios memoize per
-     (micro-trace, capacities). *)
-  let cached_ratios slot stack =
-    let l1 = lines u.caches.l1d and l2 = lines u.caches.l2 and l3 = lines u.caches.l3 in
-    memoized (fun t -> t.Memo.ratios) (slot, l1, l2, l3) (fun () ->
-        miss_ratios (Lazy.force stack) (l1, l2, l3))
+  (* Each micro-trace stands for its whole window. *)
+  let s =
+    if Option.is_none c.memo then 1.0
+    else if n_instr = 0.0 then 0.0
+    else float_of_int c.window /. n_instr
   in
-  let m1, m2, m3 =
-    monotone
-      (match opts.overrides.ov_load_miss_ratios with
-      | Some r -> r
-      | None -> cached_ratios (2 * mt.mt_index) load_stack)
-  in
-  let _s1, _s2, s3 =
-    monotone
-      (match opts.overrides.ov_store_miss_ratios with
-      | Some r -> r
-      | None -> cached_ratios ((2 * mt.mt_index) + 1) store_stack)
-  in
-  let i1, i2, i3 =
-    monotone
-      (match opts.overrides.ov_inst_miss_ratios with
-      | Some r -> r
-      | None -> inst_ratios)
-  in
+  let m1 = c.ratios.(4 * k) and m2 = c.ratios.((4 * k) + 1) in
+  let m3 = c.ratios.((4 * k) + 2) and s3 = c.ratios.((4 * k) + 3) in
+  let i1 = c.inst.(0) and i2 = c.inst.(1) and i3 = c.inst.(2) in
   (* ---- Base component: effective dispatch rate ---- *)
-  let c = u.caches in
+  let ca = u.caches in
   let load_latency =
-    ((1.0 -. m1) *. float_of_int c.l1d.latency)
-    +. ((m1 -. m2) *. float_of_int c.l2.latency)
-    +. (m2 *. float_of_int c.l3.latency)
+    ((1.0 -. m1) *. float_of_int ca.l1d.latency)
+    +. ((m1 -. m2) *. float_of_int ca.l2.latency)
+    +. (m2 *. float_of_int ca.l3.latency)
   in
   let critical_path =
-    if opts.use_critical_path then Profile.chain_at mt.mt_chains ~which:`Cp core.rob_size
-    else 0.0
+    if opts.use_critical_path then (chains c).(2 * k) else 0.0
   in
-  (* [Dispatch_model.compute] with the mix-only parts memoized per
-     (micro-trace, port and unit layout); the recombination mirrors
-     [compute]'s guards and float operations exactly, so limits are
-     bit-identical. *)
-  let avg_latency, limits =
-    match memo with
-    | None ->
-      ( Dispatch_model.average_latency u ~mix:mt.mt_mix ~load_latency,
-        Dispatch_model.compute u ~mix:mt.mt_mix ~critical_path ~load_latency )
-    | Some m ->
-      let d =
-        Memo.find m (fun t -> t.Memo.disp)
-          (mt.mt_index, core.n_ports, core.functional_units)
-          (fun () -> Memo.build_disp u ~mix:mt.mt_mix)
-      in
-      let lim_width = float_of_int core.dispatch_width in
-      let lat = Memo.cached_average_latency d ~load_latency in
-      let lim_dependences =
-        if critical_path <= 0.0 then lim_width
-        else float_of_int core.rob_size /. (lat *. critical_path)
-      in
-      let lim_ports =
-        if d.d_n <= 0.0 then lim_width
-        else if d.d_busiest <= 0.0 then lim_width
-        else d.d_n /. d.d_busiest
-      in
-      let lim_units =
-        if d.d_n <= 0.0 then lim_width
-        else if d.d_units_raw = infinity then lim_width
-        else d.d_units_raw
-      in
-      (lat, { Dispatch_model.lim_width; lim_dependences; lim_ports; lim_units })
+  (* [Dispatch_model.compute] from the mix-only parts of [disps]; the
+     recombination mirrors [compute]'s guards and float operations
+     exactly, so limits are bit-identical. *)
+  let d = c.disps.(k) in
+  let lim_width = float_of_int core.dispatch_width in
+  let avg_latency = Memo.cached_average_latency d ~load_latency in
+  let lim_dependences =
+    if critical_path <= 0.0 then lim_width
+    else float_of_int core.rob_size /. (avg_latency *. critical_path)
   in
-  let limits =
-    if opts.use_port_contention then limits
-    else { limits with lim_ports = limits.lim_width; lim_units = limits.lim_width }
+  let lim_ports =
+    if d.d_n <= 0.0 then lim_width
+    else if d.d_busiest <= 0.0 then lim_width
+    else d.d_n /. d.d_busiest
   in
-  let limits =
-    if opts.use_critical_path then limits
-    else { limits with lim_dependences = limits.lim_width }
+  let lim_units =
+    if d.d_n <= 0.0 then lim_width
+    else if d.d_units_raw = infinity then lim_width
+    else d.d_units_raw
   in
-  let deff = Dispatch_model.effective_rate limits in
+  let lim_ports = if opts.use_port_contention then lim_ports else lim_width in
+  let lim_units = if opts.use_port_contention then lim_units else lim_width in
+  let lim_dependences =
+    if opts.use_critical_path then lim_dependences else lim_width
+  in
+  (* [Dispatch_model.effective_rate] *)
+  let deff =
+    Float.max 0.05
+      (Float.min lim_width (Float.min lim_dependences (Float.min lim_ports lim_units)))
+  in
   let work = if opts.use_uops then n_uops else n_instr in
   let base = work /. deff in
   (* ---- Branch component ---- *)
-  let missrate =
-    match opts.overrides.ov_branch_missrate with
-    | Some r -> r
-    | None -> opts.branch_missrate ~entropy:profile.p_entropy
-  in
   let branches = float_of_int mt.mt_branches in
-  let mispredicts = branches *. missrate in
+  let mispredicts = branches *. c.missrate in
   let branch_cycles =
     if mispredicts <= 0.0 then 0.0
     else begin
@@ -406,7 +542,7 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t) ~me
          for DRAM: the expected number of such loads on the average branch
          path serializes into the resolution time (the leaky bucket only
          accounts for short-latency operations). *)
-      let abp = Profile.chain_at mt.mt_chains ~which:`Abp core.rob_size in
+      let abp = (chains c).((2 * k) + 1) in
       let llc_on_path = abp *. load_fraction *. m3 in
       (* At most one outstanding access gates the branch at a time, and on
          average half its latency has already elapsed (and is charged to
@@ -419,12 +555,24 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t) ~me
          on (micro-trace, width, ROB, frontend depth, avg latency,
          interval length); memoize the exact float result. *)
       let base_penalty =
-        memoized (fun t -> t.Memo.branch)
-          ( mt.mt_index, core.dispatch_width, core.rob_size, core.frontend_depth,
-            Int64.bits_of_float avg_latency, Int64.bits_of_float between )
-          (fun () ->
-            Branch_model.penalty ~chains:mt.mt_chains ~avg_latency ~core
-              ~uops_between_mispredicts:between)
+        match c.memo with
+        | None ->
+          Branch_model.penalty ~chains:mt.mt_chains ~avg_latency ~core
+            ~uops_between_mispredicts:between
+        | Some m -> (
+          let key = m.key8 in
+          key.(0) <- mt.mt_index;
+          key.(1) <- core.dispatch_width;
+          key.(2) <- core.rob_size;
+          key.(3) <- core.frontend_depth;
+          set_bits key 4 avg_latency;
+          set_bits key 6 between;
+          match Memo.Tbl.find m.front.branch key with
+          | v -> v
+          | exception Not_found ->
+            Memo.fill m (fun t -> t.Memo.branch) key (fun () ->
+                Branch_model.penalty ~chains:mt.mt_chains ~avg_latency ~core
+                  ~uops_between_mispredicts:between))
       in
       mispredicts *. (base_penalty +. memory_resolution)
     end
@@ -432,10 +580,9 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t) ~me
   (* ---- I-cache component ---- *)
   let icache_cycles =
     n_instr
-    *. (((i1 -. i2) *. float_of_int c.l2.latency)
-        +. ((i2 -. i3) *. float_of_int c.l3.latency)
-        +. (i3
-            *. float_of_int (u.memory.dram_latency + u.memory.bus_transfer)))
+    *. (((i1 -. i2) *. float_of_int ca.l2.latency)
+        +. ((i2 -. i3) *. float_of_int ca.l3.latency)
+        +. (i3 *. float_of_int (u.memory.dram_latency + u.memory.bus_transfer)))
   in
   (* ---- DRAM component ---- *)
   let llc_load_misses = loads *. m3 in
@@ -445,35 +592,45 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t) ~me
     else
       match opts.mlp_model with
       | `Cold ->
-        Mlp_model.cold_miss ~mt ~cold_scale:cold_corr ~rob_size:core.rob_size
+        Mlp_model.cold_miss ~mt ~cold_scale:c.cold_corr ~rob_size:core.rob_size
           ~llc_load_miss_rate:m3 ~load_fraction
-      | `Stride ->
+      | `Stride -> (
         let model_prefetch =
           opts.model_prefetch && u.prefetcher.pf_enabled
           && u.prefetcher.pf_kind = Uarch.Pf_stride
         in
-        let stride () =
-          Mlp_model.stride ~mt ~uarch:u ~llc_lines:(lines c.l3)
-            ~llc_load_miss_rate:m3 ~model_prefetch
-        in
+        let llc_lines = lines ca.l3 in
         (* [stride] reads the miss rate only to answer [no_mlp] when it is
            not positive, so only that case skips the memo. *)
-        if loads > 0.0 && m3 > 0.0 then
-          memoized (fun t -> t.Memo.stride)
-            ( mt.mt_index, lines c.l3, core.rob_size,
-              if model_prefetch then
-                Some
-                  ( u.prefetcher.pf_table_entries, u.memory.dram_page_bytes,
-                    core.dispatch_width, u.memory.dram_latency )
-              else None )
-            stride
-        else stride ()
+        match c.memo with
+        | Some m when loads > 0.0 && m3 > 0.0 -> (
+          let key = m.key8 in
+          key.(0) <- mt.mt_index;
+          key.(1) <- llc_lines;
+          key.(2) <- core.rob_size;
+          if model_prefetch then begin
+            key.(3) <- 1;
+            key.(4) <- u.prefetcher.pf_table_entries;
+            key.(5) <- u.memory.dram_page_bytes;
+            key.(6) <- core.dispatch_width;
+            key.(7) <- u.memory.dram_latency
+          end
+          else Array.fill key 3 5 0;
+          match Memo.Tbl.find m.front.stride key with
+          | v -> v
+          | exception Not_found ->
+            Memo.fill m (fun t -> t.Memo.stride) key (fun () ->
+                Mlp_model.stride ~mt ~uarch:u ~llc_lines ~llc_load_miss_rate:m3
+                  ~model_prefetch))
+        | _ ->
+          Mlp_model.stride ~mt ~uarch:u ~llc_lines ~llc_load_miss_rate:m3
+            ~model_prefetch)
   in
   (* A measured (overridden) MLP is already *effective*: the simulator's
      MSHR pressure and bus serialization stretched the intervals it was
      computed from, so neither the MSHR cap nor the bus queue applies
      again. *)
-  let mlp_measured = opts.overrides.ov_mlp <> None in
+  let mlp_measured = c.mlp_measured in
   let mlp_raw =
     match opts.overrides.ov_mlp with Some m -> m | None -> mlp_result.mlp
   in
@@ -531,33 +688,42 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t) ~me
   (* ---- Chained LLC hits ---- *)
   let llc_chain_cycles =
     if opts.model_llc_chain then
-      Llc_chain.penalty ~mt ~uarch:u ~llc_hit_rate:(Float.max 0.0 (m2 -. m3))
-        ~load_fraction ~effective_dispatch_rate:deff
+      Llc_chain.penalty ~chain_heads:c.chain_heads.(k) ~mt ~uarch:u
+        ~llc_hit_rate:(Float.max 0.0 (m2 -. m3)) ~load_fraction
+        ~effective_dispatch_rate:deff
     else 0.0
   in
-  let comps =
-    {
-      c_base = base;
-      c_branch = branch_cycles;
-      c_icache = icache_cycles;
-      c_llc_hit = llc_chain_cycles;
-      c_dram = dram_cycles;
-    }
-  in
-  {
-    ev_cycles = components_total comps;
-    ev_components = comps;
-    ev_uops = n_uops;
-    ev_instructions = n_instr;
-    ev_mispredicts = mispredicts;
-    ev_load_misses = (loads *. m1, loads *. m2, loads *. m3);
-    ev_dram_loads = effective_dram_loads;
-    ev_dram_stores = llc_store_misses;
-    ev_mlp = mlp;
-    ev_limits = limits;
-    ev_mix = mt.mt_mix;
-    ev_start = mt.mt_start_instruction;
-  }
+  let cycles = base +. branch_cycles +. icache_cycles +. llc_chain_cycles +. dram_cycles in
+  (* Every total advances once per micro-trace, in micro-trace order, by
+     the same per-element expression as a fold over the evaluations. *)
+  let acc = c.acc in
+  acc.(a_cycles) <- acc.(a_cycles) +. (s *. cycles);
+  acc.(a_instructions) <- acc.(a_instructions) +. (s *. n_instr);
+  acc.(a_uops) <- acc.(a_uops) +. (s *. n_uops);
+  acc.(a_mispredicts) <- acc.(a_mispredicts) +. (s *. mispredicts);
+  acc.(a_lm1) <- acc.(a_lm1) +. (s *. (loads *. m1));
+  acc.(a_lm2) <- acc.(a_lm2) +. (s *. (loads *. m2));
+  acc.(a_lm3) <- acc.(a_lm3) +. (s *. (loads *. m3));
+  acc.(a_dram_loads) <- acc.(a_dram_loads) +. (s *. effective_dram_loads);
+  acc.(a_dram_stores) <- acc.(a_dram_stores) +. (s *. llc_store_misses);
+  acc.(a_base) <- acc.(a_base) +. (s *. base);
+  acc.(a_branch) <- acc.(a_branch) +. (s *. branch_cycles);
+  acc.(a_icache) <- acc.(a_icache) +. (s *. icache_cycles);
+  acc.(a_llc_hit) <- acc.(a_llc_hit) +. (s *. llc_chain_cycles);
+  acc.(a_dram) <- acc.(a_dram) +. (s *. dram_cycles);
+  acc.(a_mlp_weighted) <- acc.(a_mlp_weighted) +. (s *. (mlp *. effective_dram_loads));
+  acc.(a_mlp_plain) <- acc.(a_mlp_plain) +. mlp;
+  acc.(a_width) <- acc.(a_width) +. (s *. (lim_width *. n_uops));
+  acc.(a_deps) <- acc.(a_deps) +. (s *. (lim_dependences *. n_uops));
+  acc.(a_ports) <- acc.(a_ports) +. (s *. (lim_ports *. n_uops));
+  acc.(a_units) <- acc.(a_units) +. (s *. (lim_units *. n_uops));
+  for j = 0 to Array.length classes - 1 do
+    let cls = classes.(j) in
+    let i = Isa.class_index cls in
+    c.mix_totals.(i) <-
+      c.mix_totals.(i) +. (s *. float_of_int (Isa.Class_counts.get mt.mt_mix cls))
+  done;
+  (mt.mt_start_instruction, if n_instr = 0.0 then 0.0 else cycles /. n_instr)
 
 (* Merge all micro-traces into one averaged profile — the ISPASS'15
    "combined" evaluation mode (contrast of Fig 6.4). *)
@@ -645,137 +811,160 @@ let combined_microtrace (profile : Profile.t) : Profile.microtrace =
 
 let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
   let memo = Memo.get profile in
+  let ov = options.overrides in
+  let ca = u.caches in
   (* The i-stream stack is the profile's own in both modes, so its ratios
-     always memoize; slot -1 keeps them apart from every micro-trace. *)
-  let inst_ratios =
-    let l1 = lines u.caches.l1i and l2 = lines u.caches.l2 and l3 = lines u.caches.l3 in
-    Memo.find memo (fun t -> t.Memo.ratios) (-1, l1, l2, l3) (fun () ->
-        miss_ratios (Profile.stacks profile).inst_stack (l1, l2, l3))
+     always memoize. *)
+  let inst_raw =
+    let l1 = lines ca.l1i and l2 = lines ca.l2 and l3 = lines ca.l3 in
+    let key = memo.key3 in
+    key.(0) <- l1;
+    key.(1) <- l2;
+    key.(2) <- l3;
+    Memo.find memo (fun t -> t.Memo.inst) key (fun () ->
+        let i1, i2, i3 = miss_ratios (Profile.stacks profile).inst_stack (l1, l2, l3) in
+        [| i1; i2; i3 |])
   in
-  let cold_corr = Profile.cold_correction profile in
-  let evals =
+  let inst =
+    let i1, i2, i3 =
+      monotone
+        (match ov.ov_inst_miss_ratios with
+        | Some r -> r
+        | None -> (inst_raw.(0), inst_raw.(1), inst_raw.(2)))
+    in
+    [| i1; i2; i3 |]
+  in
+  (* Per micro-trace m1 m2 m3 s3 from [load] and [store] ratio triples
+     (the overrides, or the stacks' through [load_stack]/[store_stack]);
+     built once per config and micro-trace set. *)
+  let data_ratios n ~load ~store =
+    let r = Array.make (4 * n) 0.0 in
+    for k = 0 to n - 1 do
+      let m1, m2, m3 = monotone (load k) in
+      let _, _, s3 = monotone (store k) in
+      r.(4 * k) <- m1;
+      r.((4 * k) + 1) <- m2;
+      r.((4 * k) + 2) <- m3;
+      r.((4 * k) + 3) <- s3
+    done;
+    r
+  in
+  let l1 = lines ca.l1d and l2 = lines ca.l2 and l3 = lines ca.l3 in
+  let mts, ratios, disps, chain_heads, memo_opt =
     match options.combine with
     | `Separate ->
-      (* The profile's own stacks, built once with its i-stream stack. *)
-      let stacks = Profile.stacks profile in
-      Array.map
-        (fun (mt : Profile.microtrace) ->
-          evaluate_microtrace options u profile ~memo:(Some memo) ~inst_ratios
-            ~cold_corr
-            ~load_stack:(Lazy.from_val stacks.load_stacks.(mt.mt_index))
-            ~store_stack:(Lazy.from_val stacks.store_stacks.(mt.mt_index))
-            mt)
-        profile.p_microtraces
+      let mts = profile.p_microtraces in
+      let n = Array.length mts in
+      (* Overridden sides skip the stacks; only the plain model's ratios
+         are a function of the capacities alone, so only they memoize. *)
+      let ratios ~load ~store =
+        let from select ov k =
+          match ov with
+          | Some r -> r
+          | None -> miss_ratios (select (Profile.stacks profile)).(k) (l1, l2, l3)
+        in
+        data_ratios n
+          ~load:(from (fun s -> s.Profile.load_stacks) load)
+          ~store:(from (fun s -> s.Profile.store_stacks) store)
+      in
+      let ratios =
+        match (ov.ov_load_miss_ratios, ov.ov_store_miss_ratios) with
+        | None, None ->
+          let key = memo.key3 in
+          key.(0) <- l1;
+          key.(1) <- l2;
+          key.(2) <- l3;
+          Memo.find memo (fun t -> t.Memo.data) key (fun () ->
+              ratios ~load:None ~store:None)
+        | load, store -> ratios ~load ~store
+      in
+      let disps =
+        let core = u.core in
+        Memo.disps memo ~n_ports:core.n_ports ~fus:core.functional_units (fun () ->
+            Array.map (fun (mt : Profile.microtrace) -> Memo.build_disp u ~mix:mt.mt_mix) mts)
+      in
+      (mts, ratios, disps, memo.shared.chain_heads, Some memo)
     | `Combined ->
       (* The merged micro-trace (and its histograms) is rebuilt per call,
-         so its stacks belong to no profile — build them directly. *)
+         so its stacks belong to no profile — build them directly, and
+         only for the sides the overrides leave to the model. *)
       let mt = combined_microtrace profile in
-      let load_cold = Profile.load_cold_fraction profile mt in
-      let store_cold = Profile.store_cold_fraction profile mt in
-      [|
-        evaluate_microtrace options u profile ~memo:None ~inst_ratios ~cold_corr
-          ~load_stack:
-            (lazy
-              (Statstack.of_reuse_histogram ~cold_fraction:load_cold
-                 mt.mt_reuse_load))
-          ~store_stack:
-            (lazy
-              (Statstack.of_reuse_histogram ~cold_fraction:store_cold
-                 mt.mt_reuse_store))
-          mt;
-      |]
+      let stack cold h = Statstack.of_reuse_histogram ~cold_fraction:cold h in
+      let ratios =
+        data_ratios 1
+          ~load:(fun _ ->
+            match ov.ov_load_miss_ratios with
+            | Some r -> r
+            | None ->
+              miss_ratios
+                (stack (Profile.load_cold_fraction profile mt) mt.mt_reuse_load)
+                (l1, l2, l3))
+          ~store:(fun _ ->
+            match ov.ov_store_miss_ratios with
+            | Some r -> r
+            | None ->
+              miss_ratios
+                (stack (Profile.store_cold_fraction profile mt) mt.mt_reuse_store)
+                (l1, l2, l3))
+      in
+      ( [| mt |], ratios, [| Memo.build_disp u ~mix:mt.mt_mix |],
+        [| Llc_chain.chain_heads mt |], None )
   in
-  (* Each micro-trace stands for its whole window. *)
-  let scale_of ev =
-    if ev.ev_instructions = 0.0 then 0.0
-    else
-      float_of_int profile.p_window_instructions /. ev.ev_instructions
+  let n = Array.length mts in
+  let c =
+    {
+      opts = options;
+      u;
+      memo = memo_opt;
+      mts;
+      window = profile.p_window_instructions;
+      ratios;
+      inst;
+      disps;
+      chain_heads;
+      missrate =
+        (match ov.ov_branch_missrate with
+        | Some r -> r
+        | None -> options.branch_missrate ~entropy:profile.p_entropy);
+      cold_corr = Profile.cold_correction profile;
+      mlp_measured = Option.is_some ov.ov_mlp;
+      chains = [||];
+      acc = Array.make n_acc 0.0;
+      mix_totals = Array.make Isa.n_classes 0.0;
+    }
   in
-  let scale_of =
-    match options.combine with `Combined -> fun _ -> 1.0 | `Separate -> scale_of
-  in
-  (* One pass over the evaluations, accumulating every total with the same
-     per-element expression and summation order as independent
-     [fold_left]s would (each accumulator advances once per element, in
-     array order, so dropping the per-total closures changes no bits). *)
-  let cycles = ref 0.0 and instructions = ref 0.0 and uops = ref 0.0 in
-  let mispredicts = ref 0.0 in
-  let lm1 = ref 0.0 and lm2 = ref 0.0 and lm3 = ref 0.0 in
-  let dram_loads = ref 0.0 and dram_stores = ref 0.0 in
-  let c_base = ref 0.0 and c_branch = ref 0.0 and c_icache = ref 0.0 in
-  let c_llc_hit = ref 0.0 and c_dram = ref 0.0 in
-  let mlp_weighted = ref 0.0 and mlp_plain = ref 0.0 in
-  let l_width = ref 0.0 and l_deps = ref 0.0 and l_ports = ref 0.0 in
-  let l_units = ref 0.0 in
-  for k = 0 to Array.length evals - 1 do
-    let ev = evals.(k) in
-    let s = scale_of ev in
-    cycles := !cycles +. (s *. ev.ev_cycles);
-    instructions := !instructions +. (s *. ev.ev_instructions);
-    uops := !uops +. (s *. ev.ev_uops);
-    mispredicts := !mispredicts +. (s *. ev.ev_mispredicts);
-    (let a, b, c = ev.ev_load_misses in
-     lm1 := !lm1 +. (s *. a);
-     lm2 := !lm2 +. (s *. b);
-     lm3 := !lm3 +. (s *. c));
-    dram_loads := !dram_loads +. (s *. ev.ev_dram_loads);
-    dram_stores := !dram_stores +. (s *. ev.ev_dram_stores);
-    c_base := !c_base +. (s *. ev.ev_components.c_base);
-    c_branch := !c_branch +. (s *. ev.ev_components.c_branch);
-    c_icache := !c_icache +. (s *. ev.ev_components.c_icache);
-    c_llc_hit := !c_llc_hit +. (s *. ev.ev_components.c_llc_hit);
-    c_dram := !c_dram +. (s *. ev.ev_components.c_dram);
-    mlp_weighted := !mlp_weighted +. (s *. (ev.ev_mlp *. ev.ev_dram_loads));
-    mlp_plain := !mlp_plain +. ev.ev_mlp;
-    l_width := !l_width +. (s *. (ev.ev_limits.lim_width *. ev.ev_uops));
-    l_deps := !l_deps +. (s *. (ev.ev_limits.lim_dependences *. ev.ev_uops));
-    l_ports := !l_ports +. (s *. (ev.ev_limits.lim_ports *. ev.ev_uops));
-    l_units := !l_units +. (s *. (ev.ev_limits.lim_units *. ev.ev_uops))
-  done;
-  let cycles = !cycles and instructions = !instructions and uops = !uops in
-  let mispredicts = !mispredicts in
-  let lm1 = !lm1 and lm2 = !lm2 and lm3 = !lm3 in
-  let dram_loads = !dram_loads and dram_stores = !dram_stores in
+  let series = Array.init n (fun k -> evaluate_microtrace c mts.(k) ~k) in
+  let acc = c.acc in
+  let cycles = acc.(a_cycles) and instructions = acc.(a_instructions) in
+  let uops = acc.(a_uops) in
+  let lm1 = acc.(a_lm1) and lm2 = acc.(a_lm2) and lm3 = acc.(a_lm3) in
+  let dram_loads = acc.(a_dram_loads) and dram_stores = acc.(a_dram_stores) in
   let comps =
     {
-      c_base = !c_base;
-      c_branch = !c_branch;
-      c_icache = !c_icache;
-      c_llc_hit = !c_llc_hit;
-      c_dram = !c_dram;
+      c_base = acc.(a_base);
+      c_branch = acc.(a_branch);
+      c_icache = acc.(a_icache);
+      c_llc_hit = acc.(a_llc_hit);
+      c_dram = acc.(a_dram);
     }
   in
   (* DRAM-weighted MLP; plain average when there are no misses. *)
   let mlp =
-    if dram_loads > 0.0 then !mlp_weighted /. dram_loads
-    else begin
-      let n = Array.length evals in
-      if n = 0 then 1.0 else !mlp_plain /. float_of_int n
-    end
+    if dram_loads > 0.0 then acc.(a_mlp_weighted) /. dram_loads
+    else if n = 0 then 1.0
+    else acc.(a_mlp_plain) /. float_of_int n
   in
   let limits =
     let w = Float.max 1.0 uops in
     {
-      Dispatch_model.lim_width = !l_width /. w;
-      lim_dependences = !l_deps /. w;
-      lim_ports = !l_ports /. w;
-      lim_units = !l_units /. w;
+      Dispatch_model.lim_width = acc.(a_width) /. w;
+      lim_dependences = acc.(a_deps) /. w;
+      lim_ports = acc.(a_ports) /. w;
+      lim_units = acc.(a_units) /. w;
     }
   in
-  let i1, i2, i3 = inst_ratios in
   let sm3 = if dram_stores > 0.0 then dram_stores else 0.0 in
-  let mix_totals = Array.make Isa.n_classes 0.0 in
-  Array.iter
-    (fun ev ->
-      let s = scale_of ev in
-      List.iter
-        (fun cls ->
-          let i = Isa.class_index cls in
-          mix_totals.(i) <-
-            mix_totals.(i)
-            +. (s *. float_of_int (Isa.Class_counts.get ev.ev_mix cls)))
-        Isa.all_classes)
-    evals;
+  let mix_totals = c.mix_totals in
   let branches_total = mix_totals.(Isa.class_index Isa.Branch) in
   let memory_accesses =
     mix_totals.(Isa.class_index Isa.Load) +. mix_totals.(Isa.class_index Isa.Store)
@@ -792,19 +981,11 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
       a_uops_by_class = mix_totals;
       a_l1i_accesses = instructions;
       a_l1d_accesses = memory_accesses;
-      a_l2_accesses = lm1 +. store_l1_misses +. (instructions *. i1);
-      a_l3_accesses = lm2 +. store_l1_misses +. (instructions *. i2);
-      a_dram_accesses = dram_loads +. dram_stores +. (instructions *. i3);
+      a_l2_accesses = lm1 +. store_l1_misses +. (instructions *. inst_raw.(0));
+      a_l3_accesses = lm2 +. store_l1_misses +. (instructions *. inst_raw.(1));
+      a_dram_accesses = dram_loads +. dram_stores +. (instructions *. inst_raw.(2));
       a_branch_lookups = branches_total;
     }
-  in
-  let series =
-    Array.map
-      (fun ev ->
-        ( ev.ev_start,
-          if ev.ev_instructions = 0.0 then 0.0 else ev.ev_cycles /. ev.ev_instructions
-        ))
-      evals
   in
   {
     pr_workload = profile.p_workload;
@@ -814,7 +995,7 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
     pr_uops = uops;
     pr_components = comps;
     pr_mlp = mlp;
-    pr_branch_mispredicts = mispredicts;
+    pr_branch_mispredicts = acc.(a_mispredicts);
     pr_load_misses = (lm1, lm2, lm3);
     pr_dram_loads = dram_loads;
     pr_limits = limits;

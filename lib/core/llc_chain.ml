@@ -1,16 +1,14 @@
-let penalty ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_hit_rate
-    ~load_fraction ~effective_dispatch_rate =
+let chain_heads (mt : Profile.microtrace) =
+  if Histogram.is_empty mt.mt_load_depth then 1.0
+  else Float.max 0.05 (Histogram.frequency mt.mt_load_depth 1)
+
+let penalty ~chain_heads:f1 ~(mt : Profile.microtrace) ~(uarch : Uarch.t)
+    ~llc_hit_rate ~load_fraction ~effective_dispatch_rate =
   if llc_hit_rate <= 0.0 || load_fraction <= 0.0 then 0.0
   else begin
     let rob = float_of_int uarch.core.rob_size in
     let l_bar = load_fraction *. rob in
     let h_llc = llc_hit_rate *. l_bar in
-    (* Loads heading a dependence path initiate chains (f(1) of loads). *)
-    let f1 =
-      match Histogram.normalize mt.mt_load_depth with
-      | [] -> 1.0
-      | dist -> Float.max 0.05 (Option.value (List.assoc_opt 1 dist) ~default:0.05)
-    in
     let p_load = Float.max 1.0 (l_bar *. f1) in
     let lop = 1.0 /. f1 in
     (* Eq 4.7-4.9: expected longest chain of LLC hits on one path. *)

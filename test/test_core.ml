@@ -220,15 +220,17 @@ let test_llc_chain_zero_without_hits () =
   let p = profile_of "gamess" 20_000 in
   let mt = p.p_microtraces.(0) in
   Alcotest.(check (float 1e-9)) "no LLC hits, no penalty" 0.0
-    (Llc_chain.penalty ~mt ~uarch:Uarch.reference ~llc_hit_rate:0.0
-       ~load_fraction:0.25 ~effective_dispatch_rate:2.0)
+    (Llc_chain.penalty ~chain_heads:(Llc_chain.chain_heads mt) ~mt
+       ~uarch:Uarch.reference ~llc_hit_rate:0.0 ~load_fraction:0.25
+       ~effective_dispatch_rate:2.0)
 
 let test_llc_chain_grows_with_hit_rate () =
   let p = profile_of "mcf" 20_000 in
   let mt = p.p_microtraces.(1) in
   let pen rate =
-    Llc_chain.penalty ~mt ~uarch:Uarch.reference ~llc_hit_rate:rate
-      ~load_fraction:0.3 ~effective_dispatch_rate:2.0
+    Llc_chain.penalty ~chain_heads:(Llc_chain.chain_heads mt) ~mt
+      ~uarch:Uarch.reference ~llc_hit_rate:rate ~load_fraction:0.3
+      ~effective_dispatch_rate:2.0
   in
   Alcotest.(check bool) "monotone in hit rate" true (pen 0.8 >= pen 0.2);
   Alcotest.(check bool) "non-negative" true (pen 0.2 >= 0.0)
