@@ -1010,6 +1010,58 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
 let timing_key (u : Uarch.t) =
   { u with name = ""; operating_point = { freq_ghz = 0.0; vdd = 0.0 } }
 
+(* [timing_key u = timing_key v], field by field and physical first,
+   allocating nothing.  Full record patterns: a new config field fails to
+   compile here until it is compared (or, like [name], ignored). *)
+let same_level (a : Uarch.cache_level) (b : Uarch.cache_level) =
+  let { Uarch.size_bytes; assoc; line_bytes; latency } = a in
+  a == b
+  || size_bytes = b.size_bytes && assoc = b.assoc && line_bytes = b.line_bytes
+     && latency = b.latency
+
+let same_timing (u : Uarch.t) (v : Uarch.t) =
+  let { Uarch.name = _; core; caches; predictor; memory; prefetcher; operating_point = _ } =
+    u
+  in
+  let same_core (a : Uarch.core) (b : Uarch.core) =
+    let { Uarch.dispatch_width; rob_size; issue_queue_size; frontend_depth; n_ports;
+          functional_units; mshr_entries } = a
+    in
+    a == b
+    || dispatch_width = b.dispatch_width && rob_size = b.rob_size
+       && issue_queue_size = b.issue_queue_size
+       && frontend_depth = b.frontend_depth && n_ports = b.n_ports
+       && mshr_entries = b.mshr_entries
+       && same_units functional_units b.functional_units
+  in
+  let same_caches (a : Uarch.caches) (b : Uarch.caches) =
+    let { Uarch.l1i; l1d; l2; l3 } = a in
+    a == b
+    || same_level l1i b.l1i && same_level l1d b.l1d && same_level l2 b.l2
+       && same_level l3 b.l3
+  in
+  let same_predictor (a : Uarch.branch_predictor) (b : Uarch.branch_predictor) =
+    let { Uarch.kind; history_bits; table_bits } = a in
+    a == b
+    || kind == b.kind && history_bits = b.history_bits && table_bits = b.table_bits
+  in
+  let same_memory (a : Uarch.memory) (b : Uarch.memory) =
+    let { Uarch.dram_latency; bus_transfer; dram_page_bytes } = a in
+    a == b
+    || dram_latency = b.dram_latency && bus_transfer = b.bus_transfer
+       && dram_page_bytes = b.dram_page_bytes
+  in
+  let same_prefetcher (a : Uarch.prefetcher) (b : Uarch.prefetcher) =
+    let { Uarch.pf_enabled; pf_kind; pf_table_entries } = a in
+    a == b
+    || pf_enabled = b.pf_enabled && pf_kind == b.pf_kind
+       && pf_table_entries = b.pf_table_entries
+  in
+  u == v
+  || same_core core v.core && same_caches caches v.caches
+     && same_predictor predictor v.predictor && same_memory memory v.memory
+     && same_prefetcher prefetcher v.prefetcher
+
 (* A full record pattern: a new option field fails to compile here until
    it is added to the key. *)
 let options_key

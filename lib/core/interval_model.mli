@@ -103,6 +103,11 @@ val timing_key : Uarch.t -> Uarch.t
     reach the power, seconds and energy terms.  The sweep engines reuse
     one prediction across a run of configs with equal keys. *)
 
+val same_timing : Uarch.t -> Uarch.t -> bool
+(** [same_timing u v] is [timing_key u = timing_key v], compared field by
+    field (physically first) without building either key: the sweep
+    engines' per-point reuse test. *)
+
 val options_key : options -> Profile.t -> string
 (** Everything {!predict} reads from [options] when predicting for this
     profile, as a string: every data field, and [branch_missrate] at the

@@ -42,21 +42,28 @@ let name t = t.cs_name
 let size t = t.cs_size
 let axes t = t.cs_axes
 
-(* Mixed-radix decomposition, axis 0 outermost: the LAST axis varies
-   fastest, exactly like the innermost loop of a nested enumeration. *)
-let digits_of_index t i =
+let check_index t i =
   if i < 0 || i >= t.cs_size then
     invalid_arg
-      (Printf.sprintf "Config_space.digits_of_index: %d outside [0, %d)" i t.cs_size);
+      (Printf.sprintf "Config_space.digits_of_index: %d outside [0, %d)" i t.cs_size)
+
+(* Mixed-radix decomposition, axis 0 outermost: the LAST axis varies
+   fastest, exactly like the innermost loop of a nested enumeration.
+   Each slot holds the digit, or with [~values] the axis value. *)
+let decompose ~values t i =
+  check_index t i;
   let n = Array.length t.cs_axes in
-  let digits = Array.make n 0 in
+  let out = Array.make n 0 in
   let rest = ref i in
   for k = n - 1 downto 0 do
-    let radix = Array.length t.cs_axes.(k).ax_values in
-    digits.(k) <- !rest mod radix;
-    rest := !rest / radix
+    let axis = t.cs_axes.(k).ax_values in
+    let d = !rest mod Array.length axis in
+    out.(k) <- (if values then axis.(d) else d);
+    rest := !rest / Array.length axis
   done;
-  digits
+  out
+
+let digits_of_index t i = decompose ~values:false t i
 
 let index_of_digits t digits =
   if Array.length digits <> Array.length t.cs_axes then
@@ -76,7 +83,9 @@ let values_of_digits t digits =
   Array.mapi (fun k d -> t.cs_axes.(k).ax_values.(d)) digits
 
 let config_of_digits t digits = t.cs_build (values_of_digits t digits)
-let config_of_index t i = config_of_digits t (digits_of_index t i)
+
+(* One array per point: the values, straight from the index. *)
+let config_of_index t i = t.cs_build (decompose ~values:true t i)
 
 (* For tests and spaces small enough to enumerate. *)
 let materialize t = Array.init t.cs_size (fun i -> config_of_index t i)
@@ -87,6 +96,15 @@ let materialize t = Array.init t.cs_size (fun i -> config_of_index t i)
    [Printf.sprintf] there costs a visible fraction of the evaluation. *)
 let cat = String.concat ""
 let istr = string_of_int
+
+(* Position of value [v.(k)] on axis [k] of [axes]. *)
+let position axes (v : int array) k =
+  let values = axes.(k).ax_values in
+  let p = ref 0 in
+  while values.(!p) <> v.(k) do
+    incr p
+  done;
+  !p
 
 (* Point-for-point identical (values, names, order) to the
    [Uarch.design_space] list, built from the same grid and point
@@ -108,34 +126,76 @@ let dvfs_points = Array.of_list Uarch.dvfs_points
 
 (* Generation-scale space (1,451,520 points): core and cache axes widened
    and crossed with memory and DVFS axes.  The frequency axis carries
-   indices into [Uarch.dvfs_points]. *)
+   indices into [Uarch.dvfs_points].  A point allocates its record and
+   its name: the name fragments and the core, cache, memory and
+   operating-point records are built once per axis value and shared by
+   every point that has it (the records are immutable). *)
 let large =
-  make ~name:"large"
-    ~axes:
-      [|
-        { ax_name = "width"; ax_values = [| 1; 2; 3; 4; 6; 8 |] };
-        { ax_name = "rob"; ax_values = Array.init 16 (fun i -> 32 + (16 * i)) };
-        { ax_name = "l1_kb"; ax_values = [| 8; 16; 32; 64; 128 |] };
-        { ax_name = "l2_kb"; ax_values = [| 128; 256; 512; 1024 |] };
-        { ax_name = "l3_mb"; ax_values = [| 1; 2; 4; 8; 16; 32 |] };
-        { ax_name = "dram_latency"; ax_values = Array.init 7 (fun i -> 100 + (50 * i)) };
-        { ax_name = "bus_transfer"; ax_values = [| 4; 8; 16 |] };
-        { ax_name = "dvfs"; ax_values = Array.init (Array.length dvfs_points) Fun.id };
-      |]
-    ~build:(fun v ->
-      let w = v.(0) and rob = v.(1) and l1 = v.(2) and l2 = v.(3) and l3 = v.(4) in
-      let dram = v.(5) and bus = v.(6) and fidx = v.(7) in
-      let freq_ghz, vdd = dvfs_points.(fidx) in
+  let widths = [| 1; 2; 3; 4; 6; 8 |] and robs = Array.init 16 (fun i -> 32 + (16 * i)) in
+  let l1s = [| 8; 16; 32; 64; 128 |] and l2s = [| 128; 256; 512; 1024 |] in
+  let l3s = [| 1; 2; 4; 8; 16; 32 |] and drams = Array.init 7 (fun i -> 100 + (50 * i)) in
+  let buses = [| 4; 8; 16 |] and fidxs = Array.init (Array.length dvfs_points) Fun.id in
+  let axes =
+    Array.map2
+      (fun ax_name ax_values -> { ax_name; ax_values })
+      [| "width"; "rob"; "l1_kb"; "l2_kb"; "l3_mb"; "dram_latency"; "bus_transfer"; "dvfs" |]
+      [| widths; robs; l1s; l2s; l3s; drams; buses; fidxs |]
+  in
+  let fragments =
+    Array.map2
+      (fun (pre, post) values -> Array.map (fun v -> cat [ pre; istr v; post ]) values)
+      [| ("w", ""); ("-rob", ""); ("-l1_", "k"); ("-l2_", "k"); ("-l3_", "m");
+         ("-d", ""); ("-b", ""); ("-f", "") |]
+      (Array.map (fun ax -> ax.ax_values) axes)
+  in
+  let name v =
+    let len = ref 0 in
+    for k = 0 to Array.length v - 1 do
+      len := !len + String.length fragments.(k).(position axes v k)
+    done;
+    let b = Bytes.create !len in
+    let at = ref 0 in
+    for k = 0 to Array.length v - 1 do
+      let f = fragments.(k).(position axes v k) in
+      Bytes.blit_string f 0 b !at (String.length f);
+      at := !at + String.length f
+    done;
+    Bytes.unsafe_to_string b
+  in
+  let cores =
+    Array.map
+      (fun w -> Array.map (fun rob -> Uarch.make_core ~dispatch_width:w ~rob_size:rob) robs)
+      widths
+  in
+  let caches =
+    Array.map
+      (fun l1 ->
+        Array.map
+          (fun l2 -> Array.map (fun l3 -> Uarch.make_caches ~l1_kb:l1 ~l2_kb:l2 ~l3_mb:l3) l3s)
+          l2s)
+      l1s
+  in
+  let memories =
+    Array.map
+      (fun dram_latency ->
+        Array.map
+          (fun bus_transfer ->
+            { Uarch.reference.memory with dram_latency; bus_transfer })
+          buses)
+      drams
+  in
+  let points =
+    Array.map (fun fidx -> let freq_ghz, vdd = dvfs_points.(fidx) in { Uarch.freq_ghz; vdd }) fidxs
+  in
+  make ~name:"large" ~axes ~build:(fun v ->
+      let p = position axes v in
       {
         Uarch.reference with
-        name =
-          cat
-            [ "w"; istr w; "-rob"; istr rob; "-l1_"; istr l1; "k-l2_"; istr l2;
-              "k-l3_"; istr l3; "m-d"; istr dram; "-b"; istr bus; "-f"; istr fidx ];
-        core = Uarch.make_core ~dispatch_width:w ~rob_size:rob;
-        caches = Uarch.make_caches ~l1_kb:l1 ~l2_kb:l2 ~l3_mb:l3;
-        memory = { Uarch.reference.memory with dram_latency = dram; bus_transfer = bus };
-        operating_point = { freq_ghz; vdd };
+        name = name v;
+        core = cores.(p 0).(p 1);
+        caches = caches.(p 2).(p 3).(p 4);
+        memory = memories.(p 5).(p 6);
+        operating_point = points.(p 7);
       })
 
 let builtin = [ default; large ]

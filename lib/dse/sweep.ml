@@ -75,6 +75,12 @@ type adjust =
    comparisons silently misbehave on NaN. *)
 let check_numeric (e : eval) =
   let bad name v = if Float.is_finite v then None else Some (name, v) in
+  if
+    Float.is_finite e.sw_cpi && Float.is_finite e.sw_cycles
+    && Float.is_finite e.sw_watts && Float.is_finite e.sw_seconds
+    && Float.is_finite e.sw_energy_j && Float.is_finite e.sw_ed2p
+  then Ok e
+  else
   match
     List.find_map
       (fun (n, v) -> bad n v)
@@ -279,52 +285,70 @@ let sweep_configs ?jobs ?checkpoint ?block_size ?keep_going ~workload
    operating point get the same prediction, bit for bit, apart from
    [pr_uarch].  Each domain keeps its last prediction in a one-entry
    cell and reuses it while the profile, the options (both by physical
-   identity) and the timing key stay the same.  Both engines hand a
-   domain consecutive indices in ascending order, so in a space whose
-   innermost axis is the operating point every run of DVFS siblings
-   costs one [predict].  Power, seconds, energy and [adjust] still see
-   each point's own config.  The profile is held weakly: the cell never
-   keeps an evicted profile alive. *)
+   identity) and the timing stay the same ([Interval_model.same_timing],
+   which builds no key).  Both engines hand a domain consecutive indices
+   in ascending order, so in a space whose innermost axis is the
+   operating point every run of DVFS siblings costs one [predict].
+   Power, seconds, energy and [adjust] still see each point's own
+   config.  The profile is held weakly: the cell never keeps an evicted
+   profile alive. *)
 
 type last_predict = {
   lp_profile : Profile.t Weak.t;
   lp_options : Interval_model.options;
-  lp_key : Uarch.t;
+  lp_config : Uarch.t;
   lp_pred : Interval_model.prediction;
 }
 
 let last_predict : last_predict option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* The prediction for [config], possibly a timing-equivalent neighbour's:
+   its [pr_uarch] may name that neighbour. *)
 let predict_reusing ~options (config : Uarch.t) profile =
   let cell = Domain.DLS.get last_predict in
-  let key = Interval_model.timing_key config in
   match !cell with
   | Some lp
     when lp.lp_options == options
          && (match Weak.get lp.lp_profile 0 with
             | Some p -> p == profile
             | None -> false)
-         && lp.lp_key = key ->
-    { lp.lp_pred with pr_uarch = config.name }
+         && Interval_model.same_timing lp.lp_config config ->
+    lp.lp_pred
   | _ ->
     let pred = Interval_model.predict ~options config profile in
     let weak = Weak.create 1 in
     Weak.set weak 0 (Some profile);
     cell :=
-      Some { lp_profile = weak; lp_options = options; lp_key = key; lp_pred = pred };
+      Some
+        { lp_profile = weak; lp_options = options; lp_config = config; lp_pred = pred };
     pred
 
 let model_eval ?(options = Interval_model.default_options) ?adjust profile =
   let correct = Option.map (fun (_, f) -> f profile) adjust in
-  fun config ~index ->
+  fun (config : Uarch.t) ~index ->
     let pred = predict_reusing ~options config profile in
     match correct with
     | None -> (Interval_model.cpi_stack pred, of_prediction config ~index pred)
     | Some f ->
+      let pred =
+        if String.equal pred.pr_uarch config.name then pred
+        else { pred with pr_uarch = config.name }
+      in
       let stack, cpi = f config pred in
       ( stack,
         of_prediction ~cycles:(cpi *. pred.pr_instructions) config ~index pred )
+
+(* [model_eval]'s eval alone, which is all the engines keep of a point:
+   without [adjust] no stack is built. *)
+let model_point ?(options = Interval_model.default_options) ?adjust profile =
+  match adjust with
+  | Some _ ->
+    let eval = model_eval ~options ?adjust profile in
+    fun config ~index -> snd (eval config ~index)
+  | None ->
+    fun config ~index ->
+      of_prediction config ~index (predict_reusing ~options config profile)
 
 (* Validate the profile and build its config-independent structures
    once, before any fan-out: the worker domains then only read them, and
@@ -336,12 +360,12 @@ let prepared profile =
 let model_sweep_result ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?block_size ?keep_going ?adjust ~profile configs =
   Result.bind (prepared profile) (fun () ->
-      let eval = model_eval ~options ?adjust profile in
+      let eval = model_point ~options ?adjust profile in
       sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
         ~workload:
           (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
                "model" :: marshal configs :: model_inputs ~options ~adjust ~profile))
-        ~eval_point:(fun index config -> snd (eval config ~index))
+        ~eval_point:(fun index config -> eval config ~index)
         configs)
 
 let sim_sweep_result ?jobs ?checkpoint ?block_size ?keep_going ~spec ~seed
@@ -438,47 +462,43 @@ type stream_summary = {
 
 (* Evaluate the points of block [b], [start, stop), sequentially in index
    order, folding them into a stats vector and a local Pareto front.
-   Reuses [Parallel.map_result ~jobs:1] purely for its exception-capture
-   semantics, so a crashing point faults exactly as in the per-point
-   engine. *)
+   Each point is evaluated under [Parallel.capture], so a crashing point
+   faults exactly as in the per-point engine. *)
 let eval_block ~eval_point ~on_point ~b ~start ~stop =
   let stats = init_stats () in
   let first_fault = ref None in
   let pts = ref [] in
-  let idxs = List.init (stop - start) (fun k -> start + k) in
-  let results = Parallel.map_result ~jobs:1 eval_point idxs in
-  List.iter2
-    (fun i r ->
-      let r = Result.bind r check_numeric in
-      (match on_point with Some f -> f i r | None -> ());
-      match r with
-      | Error ft ->
-        stats.(s_failed) <- stats.(s_failed) +. 1.0;
-        if Option.is_none !first_fault then first_fault := Some ft
-      | Ok e ->
-        stats.(s_ok) <- stats.(s_ok) +. 1.0;
-        stats.(s_sum_cpi) <- stats.(s_sum_cpi) +. e.sw_cpi;
-        stats.(s_sum_cycles) <- stats.(s_sum_cycles) +. e.sw_cycles;
-        stats.(s_sum_watts) <- stats.(s_sum_watts) +. e.sw_watts;
-        stats.(s_sum_seconds) <- stats.(s_sum_seconds) +. e.sw_seconds;
-        stats.(s_sum_energy) <- stats.(s_sum_energy) +. e.sw_energy_j;
-        stats.(s_sum_ed2p) <- stats.(s_sum_ed2p) +. e.sw_ed2p;
-        if e.sw_seconds < stats.(s_min_seconds) then begin
-          stats.(s_min_seconds) <- e.sw_seconds;
-          stats.(s_arg_seconds) <- float_of_int i
-        end;
-        if e.sw_energy_j < stats.(s_min_energy) then begin
-          stats.(s_min_energy) <- e.sw_energy_j;
-          stats.(s_arg_energy) <- float_of_int i
-        end;
-        if e.sw_ed2p < stats.(s_min_ed2p) then begin
-          stats.(s_min_ed2p) <- e.sw_ed2p;
-          stats.(s_arg_ed2p) <- float_of_int i
-        end;
-        pts :=
-          { Pareto.pt_id = i; pt_delay = e.sw_seconds; pt_power = e.sw_watts }
-          :: !pts)
-    idxs results;
+  for i = start to stop - 1 do
+    let r = Result.bind (Parallel.capture eval_point i) check_numeric in
+    (match on_point with Some f -> f i r | None -> ());
+    match r with
+    | Error ft ->
+      stats.(s_failed) <- stats.(s_failed) +. 1.0;
+      if Option.is_none !first_fault then first_fault := Some ft
+    | Ok e ->
+      stats.(s_ok) <- stats.(s_ok) +. 1.0;
+      stats.(s_sum_cpi) <- stats.(s_sum_cpi) +. e.sw_cpi;
+      stats.(s_sum_cycles) <- stats.(s_sum_cycles) +. e.sw_cycles;
+      stats.(s_sum_watts) <- stats.(s_sum_watts) +. e.sw_watts;
+      stats.(s_sum_seconds) <- stats.(s_sum_seconds) +. e.sw_seconds;
+      stats.(s_sum_energy) <- stats.(s_sum_energy) +. e.sw_energy_j;
+      stats.(s_sum_ed2p) <- stats.(s_sum_ed2p) +. e.sw_ed2p;
+      if e.sw_seconds < stats.(s_min_seconds) then begin
+        stats.(s_min_seconds) <- e.sw_seconds;
+        stats.(s_arg_seconds) <- float_of_int i
+      end;
+      if e.sw_energy_j < stats.(s_min_energy) then begin
+        stats.(s_min_energy) <- e.sw_energy_j;
+        stats.(s_arg_energy) <- float_of_int i
+      end;
+      if e.sw_ed2p < stats.(s_min_ed2p) then begin
+        stats.(s_min_ed2p) <- e.sw_ed2p;
+        stats.(s_arg_ed2p) <- float_of_int i
+      end;
+      pts :=
+        { Pareto.pt_id = i; pt_delay = e.sw_seconds; pt_power = e.sw_watts }
+        :: !pts
+  done;
   let front =
     Pareto.frontier (List.rev !pts)
     |> List.map (fun (p : Pareto.point) -> (p.pt_id, p.pt_delay, p.pt_power))
@@ -613,7 +633,7 @@ let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?block_size ?keep_going ?on_point ?offset ?length ?adjust
     ~profile space =
   Result.bind (prepared profile) (fun () ->
-      let eval = model_eval ~options ?adjust profile in
+      let eval = model_point ~options ?adjust profile in
       run_stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
         ~workload:
           (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
@@ -621,8 +641,7 @@ let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
                :: marshal (Config_space.name space, Config_space.axes space)
                :: model_inputs ~options ~adjust ~profile))
         ~n_points:(Config_space.size space) ?offset ?length
-        ~eval_point:(fun i ->
-          snd (eval (Config_space.config_of_index space i) ~index:i))
+        ~eval_point:(fun i -> eval (Config_space.config_of_index space i) ~index:i)
         ())
 
 (* ---- Legacy raising interface ---- *)

@@ -41,13 +41,12 @@ let map ?(jobs = 1) f xs = Array.to_list (map_array ~jobs f (Array.of_list xs))
 (* Per-item fault isolation: the wrapped function never raises, so
    [map_array]'s whole-chunk failure path is never taken and every item
    gets an independent verdict, in input order. *)
-let map_result_array ?(jobs = 1) f xs =
-  map_array ~jobs
-    (fun x ->
-      try Ok (f x) with
-      | Fault.Error ft -> Error ft
-      | e -> Error (Fault.worker_crash e (Printexc.get_raw_backtrace ())))
-    xs
+let capture f x =
+  try Ok (f x) with
+  | Fault.Error ft -> Error ft
+  | e -> Error (Fault.worker_crash e (Printexc.get_raw_backtrace ()))
+
+let map_result_array ?(jobs = 1) f xs = map_array ~jobs (capture f) xs
 
 let map_result ?(jobs = 1) f xs =
   Array.to_list (map_result_array ~jobs f (Array.of_list xs))

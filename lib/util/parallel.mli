@@ -35,6 +35,10 @@ val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, Fault.t) result list
     determinism are those of [map]: the verdict for each item is
     independent of [jobs]. *)
 
+val capture : ('a -> 'b) -> 'a -> ('b, Fault.t) result
+(** [capture f x] is one item of [map_result]: [Ok (f x)], or the fault
+    an exception raised by [f x] becomes. *)
+
 val map_result_array :
   ?jobs:int -> ('a -> 'b) -> 'a array -> ('b, Fault.t) result array
 (** Array counterpart of [map_result]. *)
