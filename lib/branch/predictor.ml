@@ -11,6 +11,7 @@ type t = {
   kind : Uarch.predictor_kind;
   history_bits : int;
   mask : int;  (* table-index mask *)
+  index_bits : int;  (* bits in [mask]: [mask = 2^index_bits - 1] *)
   tables : tables;
   mutable global_history : int;
   mutable n_predictions : int;
@@ -19,10 +20,12 @@ type t = {
 
 let create (cfg : Uarch.branch_predictor) =
   let size = 1 lsl cfg.table_bits in
+  let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
   {
     kind = cfg.kind;
     history_bits = cfg.history_bits;
     mask = size - 1;
+    index_bits = bits (size - 1) 0;
     tables =
       {
         pht = Array.make size 2;
@@ -46,13 +49,8 @@ let history_mask t = (1 lsl t.history_bits) - 1
    a real GAp with 4K counters cannot give every branch a full-history
    table either. *)
 let split_index t pc history =
-  let table_bits =
-    (* number of index bits; t.mask = 2^table_bits - 1 *)
-    let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
-    bits t.mask 0
-  in
-  let pc_bits = table_bits / 2 in
-  let hist_bits = table_bits - pc_bits in
+  let pc_bits = t.index_bits / 2 in
+  let hist_bits = t.index_bits - pc_bits in
   let pc_part = hash_pc pc land ((1 lsl pc_bits) - 1) in
   let hist_part = history land ((1 lsl hist_bits) - 1) in
   ((pc_part lsl hist_bits) lor hist_part) land t.mask
@@ -65,8 +63,9 @@ let pap_index t pc =
 
 let counter_predict c = c >= 2
 
+(* Int-typed: Stdlib's [min]/[max] are polymorphic compares. *)
 let counter_update c taken =
-  if taken then min 3 (c + 1) else max 0 (c - 1)
+  if taken then (if c + 1 < 3 then c + 1 else 3) else if c - 1 > 0 then c - 1 else 0
 
 let predict_and_update t ~static_id ~taken =
   let tb = t.tables in

@@ -6,6 +6,10 @@ type entry = {
   mutable e_stamp : int;
 }
 
+(* Int-typed: Stdlib's [min]/[max] are polymorphic compares. *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
+
 type t = {
   enabled : bool;
   kind : Uarch.prefetcher_kind;
@@ -67,7 +71,7 @@ let observe t ~static_id ~addr =
     | Some e ->
       let stride = addr - e.e_last_addr in
       if stride = e.e_stride && stride <> 0 then
-        e.e_confidence <- min 3 (e.e_confidence + 1)
+        e.e_confidence <- imin 3 (e.e_confidence + 1)
       else begin
         e.e_stride <- stride;
         e.e_confidence <- 0
@@ -77,7 +81,7 @@ let observe t ~static_id ~addr =
       (* Look far enough ahead to leave the current line: small strides
          revisit their line several times, and prefetching within it is
          useless (the standard prefetch-distance refinement). *)
-      let lookahead = max 1 (64 / max 1 (abs e.e_stride)) in
+      let lookahead = imax 1 (64 / imax 1 (abs e.e_stride)) in
       let target = addr + (e.e_stride * lookahead) in
       let same_page = target / t.page = addr / t.page in
       if e.e_confidence >= confidence_threshold && e.e_stride <> 0 && same_page then begin

@@ -15,6 +15,11 @@ type reason = R_base | R_branch | R_icache | R_llc_hit | R_dram
 
 let not_done = max_int
 
+(* Int-typed [min]/[max]: Stdlib's are polymorphic compares, C calls in
+   the per-cycle paths. *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
+
 type state = {
   cfg : Uarch.t;
   idl : ideal;
@@ -198,7 +203,7 @@ let inst_fetch_penalty t level =
 (* Union-of-intervals bookkeeping for measured MLP. *)
 let record_dram_interval t ~start ~finish =
   t.dram_cycles_total <- t.dram_cycles_total + (finish - start);
-  let uncovered_start = max start t.dram_covered_end in
+  let uncovered_start = imax start t.dram_covered_end in
   if finish > uncovered_start then
     t.dram_busy_cycles <- t.dram_busy_cycles + (finish - uncovered_start);
   if finish > t.dram_covered_end then t.dram_covered_end <- finish
@@ -208,7 +213,7 @@ let record_dram_interval t ~start ~finish =
 let dram_completion t ~start =
   let m = t.cfg.Uarch.memory in
   let data_ready = start + m.dram_latency in
-  let transfer_begin = max (data_ready - m.bus_transfer) !(t.bus_free_at) in
+  let transfer_begin = imax (data_ready - m.bus_transfer) !(t.bus_free_at) in
   let finish = transfer_begin + m.bus_transfer in
   t.bus_free_at := finish;
   finish
@@ -260,7 +265,7 @@ let load_completion t s ~addr ~static_id =
     | Some ready ->
       (* The line is (or will be) in L2 courtesy of the prefetcher; pay
          any remaining fill time plus the L2 hit latency (Eq 4.13). *)
-      served t s 1 (t.cycle + max c.l1d.latency (max 0 (ready - t.cycle) + c.l2.latency))
+      served t s 1 (t.cycle + imax c.l1d.latency (imax 0 (ready - t.cycle) + c.l2.latency))
     | None -> (
       match level with
       | Hierarchy.L1 -> served t s 0 (t.cycle + c.l1d.latency)
@@ -350,7 +355,7 @@ let wake t s ready_at =
 let rec hand_over t finish link =
   if link >= 0 then begin
     let cs = link lsr 1 in
-    t.e_ready_at.(cs) <- max t.e_ready_at.(cs) finish;
+    t.e_ready_at.(cs) <- imax t.e_ready_at.(cs) finish;
     t.e_pending.(cs) <- t.e_pending.(cs) - 1;
     if t.e_pending.(cs) = 0 then wake t cs t.e_ready_at.(cs);
     hand_over t finish t.next_waiter.(link)
@@ -410,7 +415,7 @@ let issue_stage t =
 let depend t s k d =
   if d >= t.head then begin
     let ds = slot t d in
-    if t.e_issued.(ds) then t.e_ready_at.(s) <- max t.e_ready_at.(s) t.e_done.(ds)
+    if t.e_issued.(ds) then t.e_ready_at.(s) <- imax t.e_ready_at.(s) t.e_done.(ds)
     else begin
       let link = (2 * s) + k in
       t.e_pending.(s) <- t.e_pending.(s) + 1;
@@ -556,12 +561,12 @@ let next_event_cycle t =
   let best = ref max_int in
   ignore (Int_heap.pop_while_le t.completion_heap t.cycle);
   if not (Int_heap.is_empty t.completion_heap) then
-    best := min !best (Int_heap.min_elt t.completion_heap);
-  if t.fetch_resume_at > t.cycle then best := min !best t.fetch_resume_at;
+    best := imin !best (Int_heap.min_elt t.completion_heap);
+  if t.fetch_resume_at > t.cycle then best := imin !best t.fetch_resume_at;
   for c = 0 to Array.length t.fu_busy - 1 do
     let busy = t.fu_busy.(c) in
     for i = 0 to Array.length busy - 1 do
-      if busy.(i) > t.cycle then best := min !best busy.(i)
+      if busy.(i) > t.cycle then best := imin !best busy.(i)
     done
   done;
   if !best = max_int then t.cycle + 1 else !best
@@ -651,7 +656,7 @@ let simulate ideal time_series_interval cfg cur name =
     if step t then account t ~delta:1
     else
       (* Nothing moved: fast-forward to the next event. *)
-      account t ~delta:(max (t.cycle + 1) (next_event_cycle t) - t.cycle)
+      account t ~delta:(imax (t.cycle + 1) (next_event_cycle t) - t.cycle)
   done;
   build_result t name
 
@@ -708,10 +713,10 @@ let run_shared ?(ideal = real) ?(time_series_interval = 10_000) cfg workloads
         Array.iteri
           (fun i (_, t) ->
             if done_at.(i) < 0 then
-              target := min !target (max (t.cycle + 1) (next_event_cycle t)))
+              target := imin !target (imax (t.cycle + 1) (next_event_cycle t)))
           cores;
         let cycle = (snd cores.(0)).cycle in
-        max 1 (!target - cycle)
+        imax 1 (!target - cycle)
       end
     in
     Array.iteri

@@ -386,6 +386,27 @@ let test_predictions_independent_of_order () =
         (bits after_a = bits alone))
     [ ("milc", 100_000); ("mcf", 50_000); ("bzip2", 50_000) ]
 
+(* A warm predict allocates its result and a few per-call buffers: no
+   record per micro-trace and no key per memo probe.  mcf at 200k
+   instructions has 20 micro-traces; a warm predict of the reference
+   config allocates about 700 minor words (6,900 before the memo was
+   keyed per config). *)
+let warm_predict_words = 2_000.0
+
+let test_warm_predict_allocation () =
+  let p = profile_of "mcf" 200_000 in
+  Profile.prepare p;
+  List.iter
+    (fun (u : Uarch.t) ->
+      ignore (Interval_model.predict u p);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Interval_model.predict u p));
+      let words = Gc.minor_words () -. before in
+      if words > warm_predict_words then
+        Alcotest.failf "%s: warm predict allocated %.0f minor words (bound %.0f)"
+          u.name words warm_predict_words)
+    [ Uarch.reference; Uarch.low_power; Uarch.with_prefetcher Uarch.reference true ]
+
 let test_prefetch_model_reduces_dram () =
   let p = profile_of "libquantum" 30_000 in
   let pf = Uarch.with_prefetcher Uarch.reference true in
@@ -572,6 +593,8 @@ let () =
           Alcotest.test_case "prefetch model" `Quick test_prefetch_model_reduces_dram;
           Alcotest.test_case "predictions independent of order" `Quick
             test_predictions_independent_of_order;
+          Alcotest.test_case "warm predict allocation bounded" `Quick
+            test_warm_predict_allocation;
           QCheck_alcotest.to_alcotest prop_prediction_deterministic;
         ] );
       ( "components",
