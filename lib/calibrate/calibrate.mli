@@ -138,12 +138,6 @@ val adjust : t -> Sweep.adjust
 
 (** {1 Active-learning sampler} *)
 
-val disagreement :
-  t -> stats:(string * float) list -> Uarch.t -> Cpi_stack.t * float -> float
-(** Population standard deviation of the calibrated CPI across the fold
-    models — the expected-information score; 0 when the model carries
-    fewer than two fold models. *)
-
 val suggest :
   ?options:Interval_model.options ->
   t ->
@@ -151,8 +145,11 @@ val suggest :
   n:int ->
   Uarch.t list ->
   (Uarch.t * float) list
-(** Rank candidate design points by {!disagreement} on this profile and
-    return the top [n] as (point, score), ties broken by name.  Points
+(** Rank candidate design points by disagreement on this profile — the
+    population standard deviation of the calibrated CPI across the fold
+    models, the expected-information score (0 when the model carries
+    fewer than two fold models) — and return the top [n] as (point,
+    score), ties broken by name.  Points
     named in [c_holdout_names] are silently excluded (the leakage
     rule); so are candidates whose analytical prediction faults. *)
 

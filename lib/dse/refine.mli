@@ -15,20 +15,6 @@ type report = {
   rf_front_evals : Sweep.eval list;  (** full evals of [rf_front] *)
 }
 
-val run :
-  ?initial_stride:int ->
-  ?max_rounds:int ->
-  ?jobs:int ->
-  space:Config_space.t ->
-  eval_point:(int -> Sweep.eval) ->
-  unit ->
-  (report, Fault.t) result
-(** [run ~space ~eval_point ()] seeds with every [initial_stride]-th
-    digit per axis (endpoints always included; default stride 4), then
-    refines.  [eval_point] faults (raised exceptions, non-finite
-    numbers) drop that point alone.  [max_rounds] (default 12) bounds
-    the loop even if the front keeps wandering. *)
-
 val model_refine :
   ?options:Interval_model.options ->
   ?initial_stride:int ->
@@ -38,6 +24,10 @@ val model_refine :
   profile:Profile.t ->
   Config_space.t ->
   (report, Fault.t) result
-(** {!run} with {!Sweep.model_eval} as [eval_point], building each
-    config from its index on demand; [?adjust] corrects every point as
-    in {!Sweep.model_sweep_result}. *)
+(** Refine over [space] with {!Sweep.model_eval}, building each config
+    from its index on demand: seed with every [initial_stride]-th digit
+    per axis (endpoints always included; default stride 4), then refine.
+    A point whose evaluation faults (a raised exception, non-finite
+    numbers) is dropped alone.  [max_rounds] (default 12) bounds the
+    loop even if the front keeps wandering.  [?adjust] corrects every
+    point as in {!Sweep.model_sweep_result}. *)

@@ -6,15 +6,6 @@ type config = {
   degraded_cooldown_s : float;
 }
 
-let default_config =
-  {
-    workers = 2;
-    queue_capacity = 64;
-    degraded_crash_threshold = 3;
-    degraded_window_s = 10.0;
-    degraded_cooldown_s = 5.0;
-  }
-
 type stats = {
   queue_depth : int;
   inflight : int;

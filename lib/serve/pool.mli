@@ -28,8 +28,6 @@ type config = {
   degraded_cooldown_s : float;
 }
 
-val default_config : config
-
 val create : config -> t
 
 val submit : t -> heavy:bool -> (unit -> unit) -> (unit, Fault.t) result

@@ -63,4 +63,3 @@ let pop_while_le t v =
   done;
   !count
 
-let clear t = t.len <- 0

@@ -16,4 +16,3 @@ val pop_while_le : t -> int -> int
 (** [pop_while_le h v] pops every element [<= v]; returns how many were
     popped. *)
 
-val clear : t -> unit

@@ -60,7 +60,7 @@ let test_quality_rejects_mismatched_sets () =
       ignore (Pareto.quality ~truth:[ pt 0 1.0 1.0 ] ~predicted:[]))
 
 let prop_frontier_sound =
-  QCheck.Test.make ~name:"frontier points are mutually non-dominated and subset"
+  QCheck.Test.make ~name:"front non-dominated, subset"
     ~count:200
     QCheck.(small_list (pair (float_range 0.1 10.0) (float_range 0.1 10.0)))
     (fun coords ->
@@ -253,7 +253,7 @@ let test_combined_parallel_sweep_complete () =
     [ 1; 2; 3; 4; 5; 6 ]
 
 let prop_memo_stack_matches_fresh =
-  QCheck.Test.make ~name:"memoized miss ratios equal freshly built StatStack"
+  QCheck.Test.make ~name:"memo ratios equal StatStack"
     ~count:10
     QCheck.(pair (oneofl [ "gcc"; "mcf"; "milc"; "sjeng" ]) (int_range 1 1000))
     (fun (bench, seed) ->

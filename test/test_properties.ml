@@ -177,6 +177,37 @@ let prop_operating_point_invariance =
          <= 1e-9 *. Float.max 1.0 cycles
       && pu.pr_mlp >= 1.0)
 
+(* The sweep engines' reuse test compares configs field by field and
+   physically first; it must agree with equality of the timing keys on
+   generated neighbours, on deep copies that share no record, and on
+   configs that differ in one timing field. *)
+let prop_same_timing_is_key_equality =
+  let space = Config_space.large in
+  let n = Config_space.size space in
+  QCheck.Test.make ~name:"same_timing = key equality" ~count:300
+    QCheck.(triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 6))
+    (fun (i, j, variant) ->
+      let u = Config_space.config_of_index space i in
+      let map_units f (c : Uarch.t) =
+        { c with core = { c.core with functional_units = List.map f c.core.functional_units } }
+      in
+      let v =
+        match variant with
+        | 0 -> Config_space.config_of_index space j
+        | 1 -> Config_space.config_of_index space ((i / 6 * 6) + (j mod 6))
+        | 2 -> Marshal.from_string (Marshal.to_string u []) 0
+        | 3 -> Uarch.with_prefetcher u (j mod 2 = 0)
+        | 4 -> Uarch.with_predictor u (List.nth Uarch.all_predictor_kinds (j mod 5))
+        | 5 ->
+          map_units
+            (fun fu -> { fu with Uarch.unit_latency = fu.Uarch.unit_latency + (j mod 2) })
+            u
+        | _ -> map_units (fun fu -> { fu with Uarch.usable_ports = List.rev fu.Uarch.usable_ports }) u
+      in
+      let keys_equal = Interval_model.timing_key u = Interval_model.timing_key v in
+      Interval_model.same_timing u v = keys_equal
+      && Interval_model.same_timing v u = keys_equal)
+
 (* ---- Simulator conservation ---- *)
 
 let prop_sim_uops_conserved =
@@ -395,6 +426,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_faster_memory_never_slower;
           QCheck_alcotest.to_alcotest prop_component_toggles_only_reduce;
           QCheck_alcotest.to_alcotest prop_operating_point_invariance;
+          QCheck_alcotest.to_alcotest prop_same_timing_is_key_equality;
         ] );
       ( "simulator",
         [

@@ -70,7 +70,7 @@ let space_of_axes axes =
       })
 
 let prop_index_digit_bijection =
-  QCheck.Test.make ~name:"index <-> digits round-trips over random grids"
+  QCheck.Test.make ~name:"index <-> digits round-trip"
     ~count:100
     (QCheck.make random_axes_gen)
     (fun axes ->

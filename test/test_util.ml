@@ -452,7 +452,7 @@ let test_hist_sparse_footprint () =
    model after each step. *)
 let prop_hist_cached_view_equivalence =
   QCheck.Test.make
-    ~name:"sorted view / quantile / iter / fold match model under interleaving"
+    ~name:"sorted views match model"
     ~count:300
     QCheck.(
       small_list
