@@ -284,51 +284,44 @@ module Memo = struct
       cell := Some m;
       m
 
-  (* The value under the scratch [key] once the front tier missed: the
-     back tier's, or [compute ()] stored there; kept in the front tier
-     under a copy of the key.  Callers probe the front tier themselves,
-     so a hit builds no closure. *)
-  let fill m table key compute =
-    let key = Array.copy key in
-    let back = table m.shared.back in
+  (* After a front-tier miss: the back tier's value, or [compute ()]
+     stored there, and kept in the front tier too. *)
+  let fill m ~find ~add compute =
     let v =
-      match Mutex.protect m.shared.lock (fun () -> Tbl.find_opt back key) with
+      match Mutex.protect m.shared.lock (fun () -> find m.shared.back) with
       | Some v -> v
       | None ->
         let v = compute () in
-        Mutex.protect m.shared.lock (fun () -> Tbl.replace back key v);
+        Mutex.protect m.shared.lock (fun () -> add m.shared.back v);
         v
     in
-    Tbl.replace (table m.front) key v;
+    add m.front v;
     v
+
+  (* [fill] under a copy of the scratch [key].  Per-micro-trace callers
+     probe the front tier themselves, so a hit builds no closure. *)
+  let fill_key m table key compute =
+    let key = Array.copy key in
+    fill m
+      ~find:(fun t -> Tbl.find_opt (table t) key)
+      ~add:(fun t v -> Tbl.replace (table t) key v)
+      compute
 
   let find m table key compute =
     match Tbl.find (table m.front) key with
     | v -> v
-    | exception Not_found -> fill m table key compute
-
-  let rec find_disp n_ports fus = function
-    | [] -> None
-    | (p, f, d) :: rest ->
-      if p = n_ports && same_units f fus then Some d else find_disp n_ports fus rest
+    | exception Not_found -> fill_key m table key compute
 
   (* [find] for the dispatch entries, whose key is a unit list. *)
   let disps m ~n_ports ~fus compute =
-    match find_disp n_ports fus m.front.disp with
+    let find t =
+      List.find_map
+        (fun (p, f, d) -> if p = n_ports && same_units f fus then Some d else None)
+        t.disp
+    in
+    match find m.front with
     | Some d -> d
-    | None ->
-      let back = m.shared.back in
-      let d =
-        match Mutex.protect m.shared.lock (fun () -> find_disp n_ports fus back.disp) with
-        | Some d -> d
-        | None ->
-          let d = compute () in
-          Mutex.protect m.shared.lock (fun () ->
-              back.disp <- (n_ports, fus, d) :: back.disp);
-          d
-      in
-      m.front.disp <- (n_ports, fus, d) :: m.front.disp;
-      d
+    | None -> fill m ~find ~add:(fun t d -> t.disp <- (n_ports, fus, d) :: t.disp) compute
 
   let build_disp (u : Uarch.t) ~(mix : Isa.Class_counts.t) =
     let core = u.core in
@@ -471,7 +464,7 @@ let chains c =
   c.chains
 
 (* Evaluate micro-trace [mt] (the [k]th of this predict) and add its
-   terms, weighted by [scale], to the totals. *)
+   terms, weighted by the instructions it stands for, to the totals. *)
 let evaluate_microtrace c (mt : Profile.microtrace) ~k =
   let opts = c.opts and u = c.u in
   let core = u.core in
@@ -570,7 +563,7 @@ let evaluate_microtrace c (mt : Profile.microtrace) ~k =
           match Memo.Tbl.find m.front.branch key with
           | v -> v
           | exception Not_found ->
-            Memo.fill m (fun t -> t.Memo.branch) key (fun () ->
+            Memo.fill_key m (fun t -> t.Memo.branch) key (fun () ->
                 Branch_model.penalty ~chains:mt.mt_chains ~avg_latency ~core
                   ~uops_between_mispredicts:between))
       in
@@ -619,7 +612,7 @@ let evaluate_microtrace c (mt : Profile.microtrace) ~k =
           match Memo.Tbl.find m.front.stride key with
           | v -> v
           | exception Not_found ->
-            Memo.fill m (fun t -> t.Memo.stride) key (fun () ->
+            Memo.fill_key m (fun t -> t.Memo.stride) key (fun () ->
                 Mlp_model.stride ~mt ~uarch:u ~llc_lines ~llc_load_miss_rate:m3
                   ~model_prefetch))
         | _ ->
@@ -834,14 +827,18 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
     in
     [| i1; i2; i3 |]
   in
-  (* Per micro-trace m1 m2 m3 s3 from [load] and [store] ratio triples
-     (the overrides, or the stacks' through [load_stack]/[store_stack]);
-     built once per config and micro-trace set. *)
+  (* Per micro-trace m1 m2 m3 s3: each side's override, or the ratios of
+     its stack [load k] / [store k], read only for a side left to the
+     model. *)
+  let l1 = lines ca.l1d and l2 = lines ca.l2 and l3 = lines ca.l3 in
   let data_ratios n ~load ~store =
+    let side ov stack k =
+      monotone (match ov with Some r -> r | None -> miss_ratios (stack k) (l1, l2, l3))
+    in
     let r = Array.make (4 * n) 0.0 in
     for k = 0 to n - 1 do
-      let m1, m2, m3 = monotone (load k) in
-      let _, _, s3 = monotone (store k) in
+      let m1, m2, m3 = side ov.ov_load_miss_ratios load k in
+      let _, _, s3 = side ov.ov_store_miss_ratios store k in
       r.(4 * k) <- m1;
       r.((4 * k) + 1) <- m2;
       r.((4 * k) + 2) <- m3;
@@ -849,23 +846,17 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
     done;
     r
   in
-  let l1 = lines ca.l1d and l2 = lines ca.l2 and l3 = lines ca.l3 in
   let mts, ratios, disps, chain_heads, memo_opt =
     match options.combine with
     | `Separate ->
       let mts = profile.p_microtraces in
       let n = Array.length mts in
-      (* Overridden sides skip the stacks; only the plain model's ratios
-         are a function of the capacities alone, so only they memoize. *)
-      let ratios ~load ~store =
-        let from select ov k =
-          match ov with
-          | Some r -> r
-          | None -> miss_ratios (select (Profile.stacks profile)).(k) (l1, l2, l3)
-        in
+      (* The profile's own stacks.  Only the plain model's ratios are a
+         function of the capacities alone, so only they memoize. *)
+      let ratios () =
         data_ratios n
-          ~load:(from (fun s -> s.Profile.load_stacks) load)
-          ~store:(from (fun s -> s.Profile.store_stacks) store)
+          ~load:(fun k -> (Profile.stacks profile).load_stacks.(k))
+          ~store:(fun k -> (Profile.stacks profile).store_stacks.(k))
       in
       let ratios =
         match (ov.ov_load_miss_ratios, ov.ov_store_miss_ratios) with
@@ -874,9 +865,8 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
           key.(0) <- l1;
           key.(1) <- l2;
           key.(2) <- l3;
-          Memo.find memo (fun t -> t.Memo.data) key (fun () ->
-              ratios ~load:None ~store:None)
-        | load, store -> ratios ~load ~store
+          Memo.find memo (fun t -> t.Memo.data) key ratios
+        | _ -> ratios ()
       in
       let disps =
         let core = u.core in
@@ -889,23 +879,11 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
          so its stacks belong to no profile — build them directly, and
          only for the sides the overrides leave to the model. *)
       let mt = combined_microtrace profile in
-      let stack cold h = Statstack.of_reuse_histogram ~cold_fraction:cold h in
+      let stack cold h _ = Statstack.of_reuse_histogram ~cold_fraction:cold h in
       let ratios =
         data_ratios 1
-          ~load:(fun _ ->
-            match ov.ov_load_miss_ratios with
-            | Some r -> r
-            | None ->
-              miss_ratios
-                (stack (Profile.load_cold_fraction profile mt) mt.mt_reuse_load)
-                (l1, l2, l3))
-          ~store:(fun _ ->
-            match ov.ov_store_miss_ratios with
-            | Some r -> r
-            | None ->
-              miss_ratios
-                (stack (Profile.store_cold_fraction profile mt) mt.mt_reuse_store)
-                (l1, l2, l3))
+          ~load:(stack (Profile.load_cold_fraction profile mt) mt.mt_reuse_load)
+          ~store:(stack (Profile.store_cold_fraction profile mt) mt.mt_reuse_store)
       in
       ( [| mt |], ratios, [| Memo.build_disp u ~mix:mt.mt_mix |],
         [| Llc_chain.chain_heads mt |], None )
