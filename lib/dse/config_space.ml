@@ -148,15 +148,16 @@ let large =
          ("-d", ""); ("-b", ""); ("-f", "") |]
       (Array.map (fun ax -> ax.ax_values) axes)
   in
-  let name v =
+  (* [p k] is the point's position on axis [k]. *)
+  let name p =
     let len = ref 0 in
-    for k = 0 to Array.length v - 1 do
-      len := !len + String.length fragments.(k).(position axes v k)
+    for k = 0 to Array.length fragments - 1 do
+      len := !len + String.length fragments.(k).(p k)
     done;
     let b = Bytes.create !len in
     let at = ref 0 in
-    for k = 0 to Array.length v - 1 do
-      let f = fragments.(k).(position axes v k) in
+    for k = 0 to Array.length fragments - 1 do
+      let f = fragments.(k).(p k) in
       Bytes.blit_string f 0 b !at (String.length f);
       at := !at + String.length f
     done;
@@ -191,7 +192,7 @@ let large =
       let p = position axes v in
       {
         Uarch.reference with
-        name = name v;
+        name = name p;
         core = cores.(p 0).(p 1);
         caches = caches.(p 2).(p 3).(p 4);
         memory = memories.(p 5).(p 6);

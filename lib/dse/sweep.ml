@@ -73,26 +73,19 @@ type adjust =
 (* A design point whose prediction came out NaN/infinite is a fault of
    that point, not a value to rank: Pareto fronts and best-under-budget
    comparisons silently misbehave on NaN. *)
+let non_finite (e : eval) name v =
+  Error
+    (Fault.numeric
+       (Printf.sprintf "design point %d: non-finite %s (%h)" e.sw_index name v))
+
 let check_numeric (e : eval) =
-  let bad name v = if Float.is_finite v then None else Some (name, v) in
-  if
-    Float.is_finite e.sw_cpi && Float.is_finite e.sw_cycles
-    && Float.is_finite e.sw_watts && Float.is_finite e.sw_seconds
-    && Float.is_finite e.sw_energy_j && Float.is_finite e.sw_ed2p
-  then Ok e
-  else
-  match
-    List.find_map
-      (fun (n, v) -> bad n v)
-      [ ("cpi", e.sw_cpi); ("cycles", e.sw_cycles); ("watts", e.sw_watts);
-        ("seconds", e.sw_seconds); ("energy_j", e.sw_energy_j);
-        ("ed2p", e.sw_ed2p) ]
-  with
-  | None -> Ok e
-  | Some (name, v) ->
-    Error
-      (Fault.numeric
-         (Printf.sprintf "design point %d: non-finite %s (%h)" e.sw_index name v))
+  if not (Float.is_finite e.sw_cpi) then non_finite e "cpi" e.sw_cpi
+  else if not (Float.is_finite e.sw_cycles) then non_finite e "cycles" e.sw_cycles
+  else if not (Float.is_finite e.sw_watts) then non_finite e "watts" e.sw_watts
+  else if not (Float.is_finite e.sw_seconds) then non_finite e "seconds" e.sw_seconds
+  else if not (Float.is_finite e.sw_energy_j) then non_finite e "energy_j" e.sw_energy_j
+  else if not (Float.is_finite e.sw_ed2p) then non_finite e "ed2p" e.sw_ed2p
+  else Ok e
 
 (* ---- The evaluation loop ----
 
