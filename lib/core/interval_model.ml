@@ -225,12 +225,12 @@ module Memo = struct
 
   let tables () =
     {
-      data = Tbl.create 64;
-      inst = Tbl.create 64;
+      data = Tbl.create 16;
+      inst = Tbl.create 16;
       chains = Tbl.create 16;
       disp = [];
-      branch = Tbl.create 256;
-      stride = Tbl.create 256;
+      branch = Tbl.create 16;
+      stride = Tbl.create 16;
     }
 
   type shared = {
