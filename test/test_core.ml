@@ -388,9 +388,8 @@ let test_predictions_independent_of_order () =
 
 (* A warm predict allocates its result and a few per-call buffers: no
    record per micro-trace and no key per memo probe.  mcf at 200k
-   instructions has 20 micro-traces; a warm predict of the reference
-   config allocates about 700 minor words (6,900 before the memo was
-   keyed per config). *)
+   instructions has 20 micro-traces; a warm predict of these configs
+   allocates about 700-800 minor words. *)
 let warm_predict_words = 2_000.0
 
 let test_warm_predict_allocation () =
