@@ -1,18 +1,20 @@
 (** Set-associative LRU cache (functional, no timing).
 
     The reference simulator and the functional cache experiments both use
-    this structure.  Misses are classified as cold (first touch of the line
-    since the cache was created — §4.1's application-dependent category) or
-    capacity/conflict (the line was present earlier but has been evicted). *)
+    this structure.  It keeps no statistics: {!Hierarchy} counts accesses
+    and tells cold misses from capacity/conflict ones. *)
 
 type t
 
-type outcome = Hit | Miss_cold | Miss_capacity
+type outcome = Hit | Miss
 
 val create : ?name:string -> Uarch.cache_level -> t
 (** Raises [Invalid_argument], naming the level by [name], when the
     geometry gives a set count that is not a power of two (set selection
     masks the line hash with [n_sets - 1]). *)
+
+val line_of : t -> int -> int
+(** [line_of t addr]: the number of the line holding [addr]. *)
 
 val access : t -> int -> outcome
 (** [access t addr] looks the line of [addr] up and updates LRU state;
@@ -23,9 +25,5 @@ val probe : t -> int -> bool
 (** [probe t addr] checks presence without touching LRU state. *)
 
 val fill : t -> int -> unit
-(** Insert a line without classifying (prefetch fills). *)
-
-val accesses : t -> int
-val misses : t -> int
-val cold_misses : t -> int
-val reset_stats : t -> unit
+(** [fill t addr] installs the line of [addr] as most recently used, as
+    an access does, for prefetch fills. *)

@@ -8,13 +8,19 @@ type t
 
 type level = L1 | L2 | L3 | Dram
 
-val create : ?shared_l3:Cache.t -> Uarch.caches -> t
+type l3
+(** An L3 with the record of the lines ever filled into it, which tells
+    its cold misses from its capacity ones. *)
+
+val create : ?shared_l3:l3 -> Uarch.caches -> t
 (** [create caches] builds a private hierarchy; passing [shared_l3] makes
     this hierarchy use an existing L3 instead of its own — the multi-core
     configuration where cores share the LLC.  Per-level statistics stay
-    per-hierarchy (i.e. per core) either way. *)
+    per-hierarchy (i.e. per core) either way; an L3 miss is cold when no
+    core sharing the L3 has filled the line before.  Raises
+    [Invalid_argument] unless every level has the same line size. *)
 
-val make_l3 : Uarch.caches -> Cache.t
+val make_l3 : Uarch.caches -> l3
 (** A standalone L3 suitable for [shared_l3]. *)
 
 val access_data : t -> int -> write:bool -> level

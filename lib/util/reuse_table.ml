@@ -26,14 +26,15 @@ let home t key =
   let h = key * 0x9E3779B97F4A7C1 in
   (h lxor (h lsr 32)) land t.mask
 
-(* Stores [v] under [key] from slot [i] on; the replaced value, or -1. *)
-let rec probe t key v i =
+(* Stores [v] under [key] from slot [i] on, or [v lor] the old value when
+   [merge]; returns the old value, or -1. *)
+let rec probe t key v merge i =
   let page = t.pages.(i lsr page_shift) in
   let o = (i land (page_slots - 1)) lsl 1 in
   let k = page.(o) in
   if k = key then begin
     let prev = page.(o + 1) in
-    page.(o + 1) <- v;
+    page.(o + 1) <- (if merge then prev lor v else v);
     prev
   end
   else if k = empty then begin
@@ -41,7 +42,7 @@ let rec probe t key v i =
     page.(o + 1) <- v;
     -1
   end
-  else probe t key v ((i + 1) land t.mask)
+  else probe t key v merge ((i + 1) land t.mask)
 
 let grow t =
   let old = t.pages in
@@ -51,15 +52,20 @@ let grow t =
     (fun page ->
       for s = 0 to page_slots - 1 do
         let k = page.(2 * s) in
-        if k <> empty then ignore (probe t k page.((2 * s) + 1) (home t k))
+        if k <> empty then ignore (probe t k page.((2 * s) + 1) false (home t k))
       done)
     old
 
-let exchange t key v =
-  if key = empty then invalid_arg "Reuse_table.exchange: key min_int";
-  let prev = probe t key v (home t key) in
+let update name t key v merge =
+  if key = empty then invalid_arg (name ^ ": key min_int");
+  let prev = probe t key v merge (home t key) in
   if prev < 0 then begin
     t.count <- t.count + 1;
     if 2 * t.count > t.mask + 1 then grow t
   end;
   prev
+
+let exchange t key v = update "Reuse_table.exchange" t key v false
+let or_update t key bits =
+  let prev = update "Reuse_table.or_update" t key bits true in
+  if prev < 0 then 0 else prev

@@ -10,24 +10,36 @@ let test_hit_after_fill () =
   Alcotest.(check bool) "second access hits" true (Cache.access c 4096 = Cache.Hit);
   Alcotest.(check bool) "same line hits" true (Cache.access c 4100 = Cache.Hit)
 
+(* Levels small enough that a short walk evicts at every one. *)
+let small_caches : Uarch.caches =
+  {
+    l1i = small_level;
+    l1d = small_level;
+    l2 = { small_level with size_bytes = 8 * 64 };
+    l3 = { small_level with size_bytes = 16 * 64; assoc = 4 };
+  }
+
 let test_cold_vs_capacity () =
-  (* 2-way, 2-set cache: three lines mapping anywhere will eventually
-     evict; a re-touch of an evicted line must be Miss_capacity.  The
-     larger walk outgrows the cold-miss set's initial capacity. *)
+  (* Walk n lines twice through tiny levels: the first walk's misses are
+     all cold, the second's (lines evicted since) all capacity.  The
+     larger walk outgrows the fill record's initial capacity. *)
   List.iter
     (fun n ->
-      let c = Cache.create small_level in
-      let addrs = List.init n (fun i -> i * 64) in
-      List.iter (fun a -> ignore (Cache.access c a)) addrs;
-      (* all n lines seen; re-walk: misses now must be capacity, not cold *)
+      let h = Hierarchy.create small_caches in
+      let walk () =
+        for i = 0 to n - 1 do
+          ignore (Hierarchy.access_data h (i * 64) ~write:false)
+        done
+      in
+      walk ();
+      walk ();
       List.iter
-        (fun a ->
-          match Cache.access c a with
-          | Cache.Miss_cold -> Alcotest.fail "revisited line classified cold"
-          | Cache.Hit | Cache.Miss_capacity -> ())
-        addrs;
-      Alcotest.(check bool) "some capacity misses happened" true (Cache.misses c > n);
-      Alcotest.(check int) "cold misses = distinct lines" n (Cache.cold_misses c))
+        (fun level ->
+          let s = Hierarchy.data_stats h level in
+          Alcotest.(check bool) "some capacity misses happened" true
+            (s.load_misses > n);
+          Alcotest.(check int) "cold misses = distinct lines" n s.cold_load_misses)
+        Hierarchy.[ L1; L2; L3 ])
     [ 16; 20_000 ]
 
 let test_lru_eviction_order () =
@@ -45,26 +57,36 @@ let test_probe_does_not_touch () =
   let c = Cache.create small_level in
   ignore (Cache.access c 0);
   Alcotest.(check bool) "probe finds" true (Cache.probe c 0);
-  Alcotest.(check int) "probe not counted" 1 (Cache.accesses c)
+  let h = Hierarchy.create small_caches in
+  ignore (Hierarchy.access_data h 0 ~write:false);
+  Alcotest.(check bool) "probe_llc finds" true (Hierarchy.probe_llc h 0);
+  Alcotest.(check int) "probe not counted" 1
+    (Hierarchy.data_stats h Hierarchy.L1).accesses
 
 let test_fill_installs () =
   let c = Cache.create small_level in
   Cache.fill c 128;
   Alcotest.(check bool) "filled" true (Cache.probe c 128);
-  Alcotest.(check int) "fill not an access" 0 (Cache.accesses c);
-  (* A filled line was in the cache: once evicted, its miss is not cold. *)
+  let h = Hierarchy.create small_caches in
+  Hierarchy.prefetch_fill h 128;
+  Alcotest.(check bool) "prefetch filled" true (Hierarchy.probe_llc h 128);
+  List.iter
+    (fun level ->
+      Alcotest.(check int) "fill not an access" 0 (Hierarchy.data_stats h level).accesses)
+    Hierarchy.[ L1; L2; L3 ];
+  (* A filled line was in L2 and L3: once evicted, its misses there are
+     not cold. *)
   for k = 10 to 100 do
-    ignore (Cache.access c (k * 64))
+    ignore (Hierarchy.access_data h (k * 64) ~write:false)
   done;
-  Alcotest.(check bool) "evicted" false (Cache.probe c 128);
-  Alcotest.(check bool) "filled line is not cold" true (Cache.access c 128 = Cache.Miss_capacity)
-
-let test_reset_stats () =
-  let c = Cache.create small_level in
-  ignore (Cache.access c 0);
-  Cache.reset_stats c;
-  Alcotest.(check int) "accesses cleared" 0 (Cache.accesses c);
-  Alcotest.(check int) "misses cleared" 0 (Cache.misses c)
+  Alcotest.(check bool) "evicted" false (Hierarchy.probe_llc h 128);
+  let cold level = (Hierarchy.data_stats h level).cold_load_misses in
+  let before = List.map cold Hierarchy.[ L1; L2; L3 ] in
+  Alcotest.(check bool) "refetched" true
+    (Hierarchy.access_data h 128 ~write:false = Hierarchy.Dram);
+  Alcotest.(check (list int)) "filled line is not cold"
+    (List.mapi (fun i c -> if i = 0 then c + 1 else c) before)
+    (List.map cold Hierarchy.[ L1; L2; L3 ])
 
 let test_set_count_power_of_two () =
   (* 48 KB, 8-way, 64-byte lines: 96 sets, which the set mask cannot
@@ -99,8 +121,9 @@ let prop_miss_rate_monotone_in_size =
           Cache.create
             { size_bytes = size_kb * 1024; assoc = 4; line_bytes = 64; latency = 1 }
         in
-        List.iter (fun a -> ignore (Cache.access c a)) trace;
-        Cache.misses c
+        List.fold_left
+          (fun m a -> if Cache.access c a = Cache.Miss then m + 1 else m)
+          0 trace
       in
       misses 8 >= misses 16 && misses 16 >= misses 32)
 
@@ -334,7 +357,6 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction_order;
           Alcotest.test_case "probe does not touch" `Quick test_probe_does_not_touch;
           Alcotest.test_case "fill installs" `Quick test_fill_installs;
-          Alcotest.test_case "reset stats" `Quick test_reset_stats;
           Alcotest.test_case "set count must be a power of two" `Quick
             test_set_count_power_of_two;
           QCheck_alcotest.to_alcotest prop_miss_rate_monotone_in_size;
