@@ -28,8 +28,11 @@ type state = {
   predictor : Predictor.t;
   prefetcher : Stride_prefetcher.t;
   cap : int;  (* ROB capacity *)
-  (* ROB as struct-of-arrays; entry for global micro-op [g] lives in slot
-     [g mod cap]. *)
+  (* ROB as struct-of-arrays over a ring of [mask + 1 = 2^ring_bits >=
+     cap] slots; entry for global micro-op [g] lives in slot [g land
+     mask]. *)
+  mask : int;
+  ring_bits : int;
   e_cls : int array;
   e_done : int array;
   e_issued : bool array;
@@ -39,7 +42,6 @@ type state = {
      for operand [k] (0 or 1) of the micro-op in slot [cs]; -1 ends it. *)
   first_waiter : int array;
   next_waiter : int array;
-  deferred : int array;  (* select's scratch: ready globals left for next cycle *)
   e_addr : int array;
   e_static : int array;
   e_begins : bool array;
@@ -47,12 +49,13 @@ type state = {
   mutable head : int;  (* oldest in-flight global index *)
   mutable tail : int;  (* next global index to allocate *)
   (* Issue queue, as wakeup/select.  A micro-op whose producers have all
-     issued waits in [wake_heap] (key [ready_at * cap + slot]) until its
-     operands are ready, then in [ready_heap] (key: global index, i.e. age
-     order) until select finds it a port and unit. *)
+     issued waits in [wake_heap] (key [ready_at lsl ring_bits lor slot])
+     until its operands are ready, then as a bit of [ready] (slot [s] is
+     bit [s land 31] of word [s lsr 5]) until select finds it a port and
+     unit. *)
   mutable iq_count : int;
   wake_heap : Int_heap.t;
-  ready_heap : Int_heap.t;
+  ready : int array;
   (* Per-class unit and ports; per-cycle port/FU arbitration (stamp = cycle
      of last use). *)
   fu_of : Uarch.functional_unit option array;
@@ -69,7 +72,6 @@ type state = {
   mutable stall : reason;  (* what this cycle's dispatch is charged to *)
   (* Memory subsystem timing. *)
   outstanding : Int_heap.t;  (* completion times of in-flight L1D misses *)
-  completion_heap : Int_heap.t;  (* completion times of issued micro-ops *)
   pending_fills : (int, int) Hashtbl.t;  (* line -> fill-ready cycle *)
   bus_free_at : int ref;  (* shared across cores in multi-core runs *)
   (* MLP measurement. *)
@@ -103,6 +105,12 @@ let reason_index = function
 
 let create ?shared_l3 ?shared_bus cfg idl cur ~ts_interval =
   let cap = cfg.Uarch.core.rob_size in
+  (* At least one word of [ready], so words never wrap within the ring. *)
+  let ring_bits = ref 5 in
+  while 1 lsl !ring_bits < cap do
+    incr ring_bits
+  done;
+  let ring = 1 lsl !ring_bits in
   let n_class = Isa.n_classes in
   let fu_of =
     Array.map
@@ -121,23 +129,24 @@ let create ?shared_l3 ?shared_bus cfg idl cur ~ts_interval =
       Stride_prefetcher.create cfg.prefetcher
         ~dram_page_bytes:cfg.memory.dram_page_bytes;
     cap;
-    e_cls = Array.make cap 0;
-    e_done = Array.make cap not_done;
-    e_issued = Array.make cap false;
-    e_pending = Array.make cap 0;
-    e_ready_at = Array.make cap 0;
-    first_waiter = Array.make cap (-1);
-    next_waiter = Array.make (2 * cap) (-1);
-    deferred = Array.make cap 0;
-    e_addr = Array.make cap 0;
-    e_static = Array.make cap 0;
-    e_begins = Array.make cap false;
-    e_level = Array.make cap (-1);
+    mask = ring - 1;
+    ring_bits = !ring_bits;
+    e_cls = Array.make ring 0;
+    e_done = Array.make ring not_done;
+    e_issued = Array.make ring false;
+    e_pending = Array.make ring 0;
+    e_ready_at = Array.make ring 0;
+    first_waiter = Array.make ring (-1);
+    next_waiter = Array.make (2 * ring) (-1);
+    e_addr = Array.make ring 0;
+    e_static = Array.make ring 0;
+    e_begins = Array.make ring false;
+    e_level = Array.make ring (-1);
     head = 0;
     tail = 0;
     iq_count = 0;
     wake_heap = Int_heap.create ();
-    ready_heap = Int_heap.create ();
+    ready = Array.make (ring / 32) 0;
     fu_of;
     ports_of =
       Array.map
@@ -161,7 +170,6 @@ let create ?shared_l3 ?shared_bus cfg idl cur ~ts_interval =
     pending_icache_done = false;
     stall = R_base;
     outstanding = Int_heap.create ();
-    completion_heap = Int_heap.create ();
     pending_fills = Hashtbl.create 256;
     bus_free_at = (match shared_bus with Some b -> b | None -> ref 0);
     dram_cycles_total = 0;
@@ -183,10 +191,7 @@ let create ?shared_l3 ?shared_bus cfg idl cur ~ts_interval =
     ts = [];
   }
 
-let slot t g = g mod t.cap
-
-(* The global index of an in-flight slot: the one in [head, head + cap). *)
-let global_of_slot t s = t.head + ((s - slot t t.head + t.cap) mod t.cap)
+let slot t g = g land t.mask
 
 (* ---- Front-end ---- *)
 
@@ -344,13 +349,16 @@ let try_allocate_fu t cls_idx =
       end
     end
 
+let set_ready t s =
+  t.ready.(s lsr 5) <- t.ready.(s lsr 5) lor (1 lsl (s land 31))
+
 (* Slot [s]'s producers have all issued; its operands are ready at
    [ready_at].  One ready by now goes straight to select: woken during
    select it is younger than the producer being issued, so select still
    reaches it this cycle, as an age-ordered scan would. *)
 let wake t s ready_at =
-  if ready_at <= t.cycle then Int_heap.push t.ready_heap (global_of_slot t s)
-  else Int_heap.push t.wake_heap ((ready_at * t.cap) + s)
+  if ready_at <= t.cycle then set_ready t s
+  else Int_heap.push t.wake_heap ((ready_at lsl t.ring_bits) lor s)
 
 let rec hand_over t finish link =
   if link >= 0 then begin
@@ -364,49 +372,60 @@ let rec hand_over t finish link =
 (* A load's [e_level] is set by [load_completion]; every other micro-op
    keeps the -1 it was dispatched with. *)
 let issue t s finish =
+  t.ready.(s lsr 5) <- t.ready.(s lsr 5) land lnot (1 lsl (s land 31));
   t.e_issued.(s) <- true;
   t.e_done.(s) <- finish;
-  Int_heap.push t.completion_heap finish;
   t.iq_count <- t.iq_count - 1;
   hand_over t finish t.first_waiter.(s);
   t.first_waiter.(s) <- -1
 
-(* Select: every ready micro-op, oldest first, tries for a port and unit;
-   the ones that get none wait for the next cycle. *)
+(* The index of the lowest set bit of a non-zero 32-bit [w] (de Bruijn). *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let lowest_bit w = debruijn.((((w land (-w)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Select: every ready micro-op, oldest first from the head, tries for a
+   port and unit; the ones that get none stay ready for the next cycle.
+   Once every port has issued, any later try would fail with no side
+   effect, so the scan stops. *)
 let issue_stage t =
-  let ready_by = (t.cycle + 1) * t.cap in
+  let ready_by = (t.cycle + 1) lsl t.ring_bits in
   while (not (Int_heap.is_empty t.wake_heap)) && Int_heap.min_elt t.wake_heap < ready_by do
-    let s = Int_heap.pop t.wake_heap mod t.cap in
-    Int_heap.push t.ready_heap (global_of_slot t s)
+    set_ready t (Int_heap.pop t.wake_heap land t.mask)
   done;
-  let issued_any = ref false in
-  let n_deferred = ref 0 in
-  while not (Int_heap.is_empty t.ready_heap) do
-    let g = Int_heap.pop t.ready_heap in
-    let s = slot t g in
-    let cls_idx = t.e_cls.(s) in
-    let fu_latency = try_allocate_fu t cls_idx in
-    if fu_latency < 0 then begin
-      t.deferred.(!n_deferred) <- g;
-      incr n_deferred
-    end
+  let n_ports = t.cfg.Uarch.core.n_ports in
+  let issued = ref 0 in
+  let g = ref t.head in
+  while !g < t.tail && !issued < n_ports do
+    let s = slot t !g in
+    let w = t.ready.(s lsr 5) lsr (s land 31) in
+    if w = 0 then g := !g + 32 - (s land 31)
     else begin
-      let finish =
-        match classes.(cls_idx) with
-        | Isa.Load -> load_completion t s ~addr:t.e_addr.(s) ~static_id:t.e_static.(s)
-        | Isa.Store ->
-          store_side_effects t ~addr:t.e_addr.(s);
-          t.cycle + fu_latency
-        | _ -> t.cycle + fu_latency
-      in
-      issue t s finish;
-      issued_any := true
+      (* A bit past the tail is an older micro-op's, a ring lap ahead. *)
+      let g' = !g + lowest_bit w in
+      if g' < t.tail then begin
+        let s = slot t g' in
+        let cls_idx = t.e_cls.(s) in
+        let fu_latency = try_allocate_fu t cls_idx in
+        if fu_latency >= 0 then begin
+          let finish =
+            match classes.(cls_idx) with
+            | Isa.Load -> load_completion t s ~addr:t.e_addr.(s) ~static_id:t.e_static.(s)
+            | Isa.Store ->
+              store_side_effects t ~addr:t.e_addr.(s);
+              t.cycle + fu_latency
+            | _ -> t.cycle + fu_latency
+          in
+          issue t s finish;
+          incr issued
+        end
+      end;
+      g := g' + 1
     end
   done;
-  for i = 0 to !n_deferred - 1 do
-    Int_heap.push t.ready_heap t.deferred.(i)
-  done;
-  !issued_any
+  !issued > 0
 
 (* ---- Dispatch ---- *)
 
@@ -557,11 +576,24 @@ let commit_stage t =
 
 (* ---- Main loop ---- *)
 
+(* The first cycle after this one at which a step can commit, issue or
+   dispatch, or dispatch's stall reason can change, after a step that did
+   none of them: the head's completion (commit, and the ROB-full
+   reason), the blocking branch's completion, the earliest wake-up, the
+   end of a front-end stall, or a non-pipelined unit coming free.  Other
+   completions change nothing a step reads. *)
 let next_event_cycle t =
   let best = ref max_int in
-  ignore (Int_heap.pop_while_le t.completion_heap t.cycle);
-  if not (Int_heap.is_empty t.completion_heap) then
-    best := imin !best (Int_heap.min_elt t.completion_heap);
+  if t.head < t.tail then begin
+    let d = t.e_done.(slot t t.head) in
+    if d > t.cycle then best := d
+  end;
+  if t.blocking_branch >= 0 then begin
+    let d = t.e_done.(slot t t.blocking_branch) in
+    if d > t.cycle then best := imin !best d
+  end;
+  if not (Int_heap.is_empty t.wake_heap) then
+    best := imin !best (Int_heap.min_elt t.wake_heap lsr t.ring_bits);
   if t.fetch_resume_at > t.cycle then best := imin !best t.fetch_resume_at;
   for c = 0 to Array.length t.fu_busy - 1 do
     let busy = t.fu_busy.(c) in
