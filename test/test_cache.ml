@@ -211,6 +211,46 @@ let test_prefetch_fill_skips_l1 () =
   Alcotest.(check bool) "next access is L2 hit" true
     (Hierarchy.access_data h 8192 ~write:false = Hierarchy.L2)
 
+(* Two hierarchies sharing one L3: a line either core filled into the L3
+   is never an L3 cold miss again, for either core, while each core's
+   L1D and L2 misses stay its own. *)
+let test_shared_l3_cold_misses () =
+  let l3 = Hierarchy.make_l3 small_caches in
+  let a = Hierarchy.create ~shared_l3:l3 small_caches
+  and b = Hierarchy.create ~shared_l3:l3 small_caches in
+  let stats h level = Hierarchy.data_stats h level in
+  Alcotest.(check bool) "a: from DRAM" true
+    (Hierarchy.access_data a 0 ~write:false = Hierarchy.Dram);
+  Alcotest.(check bool) "b: from the shared L3" true
+    (Hierarchy.access_data b 0 ~write:false = Hierarchy.L3);
+  Alcotest.(check (list int)) "b: cold in its own L1D and L2" [ 1; 1; 0 ]
+    (List.map (fun l -> (stats b l).cold_load_misses) Hierarchy.[ L1; L2; L3 ]);
+  (* a evicts the line from the shared L3; b's next L3 miss is not cold. *)
+  for k = 1 to 200 do
+    ignore (Hierarchy.access_data a (k * 64) ~write:false)
+  done;
+  for k = 300 to 340 do
+    ignore (Hierarchy.access_data b (k * 64) ~write:false)
+  done;
+  let b_cold = (stats b Hierarchy.L3).cold_load_misses in
+  Alcotest.(check bool) "b: from DRAM again" true
+    (Hierarchy.access_data b 0 ~write:false = Hierarchy.Dram);
+  Alcotest.(check int) "b: an L3 capacity miss" b_cold
+    (stats b Hierarchy.L3).cold_load_misses;
+  Alcotest.(check int) "a: L3 cold = its distinct lines" 201
+    (stats a Hierarchy.L3).cold_load_misses
+
+let test_one_line_size () =
+  let c = Uarch.reference.caches in
+  Alcotest.check_raises "L2 with 128-byte lines"
+    (Invalid_argument
+       "Hierarchy.create: line sizes L1I 64, L1D 64, L2 128, L3 64 bytes; every \
+        level must use one line size")
+    (fun () ->
+      ignore
+        (Hierarchy.create
+           { c with l2 = { c.l2 with line_bytes = 128; size_bytes = 2 * c.l2.size_bytes } }))
+
 let test_data_latency () =
   let c = Uarch.reference.caches in
   Alcotest.(check int) "L1" c.l1d.latency (Hierarchy.data_latency c Hierarchy.L1);
@@ -372,6 +412,8 @@ let () =
           Alcotest.test_case "instruction side" `Quick test_hierarchy_inst_side;
           Alcotest.test_case "prefetch fill skips L1" `Quick test_prefetch_fill_skips_l1;
           Alcotest.test_case "data latency" `Quick test_data_latency;
+          Alcotest.test_case "shared L3 cold misses" `Quick test_shared_l3_cold_misses;
+          Alcotest.test_case "one line size" `Quick test_one_line_size;
         ] );
       ( "prefetcher",
         [

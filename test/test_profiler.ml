@@ -675,6 +675,33 @@ let prop_reuse_table_matches_model =
       done;
       !ok && Reuse_table.length t = Hashtbl.length model)
 
+(* [or_update] against a Hashtbl model of OR-ed masks, interleaved with
+   [exchange]s on the same table. *)
+let prop_or_update_matches_model =
+  QCheck.Test.make ~name:"or_update = Hashtbl model" ~count:30
+    QCheck.(pair (int_range 0 10_000) (int_range 1 5_000))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let t = Reuse_table.create 1 and model = Hashtbl.create 16 in
+      let ok = ref true in
+      for _ = 0 to n - 1 do
+        let key = Rng.int rng 512 * (1 lsl Rng.int rng 40) in
+        let old = Hashtbl.find_opt model key in
+        if Rng.int rng 8 = 0 then begin
+          let v = Rng.int rng 1000 in
+          Hashtbl.replace model key v;
+          if Reuse_table.exchange t key v <> Option.value old ~default:(-1) then
+            ok := false
+        end
+        else begin
+          let bits = 1 lsl Rng.int rng 3 in
+          let old = Option.value old ~default:0 in
+          Hashtbl.replace model key (old lor bits);
+          if Reuse_table.or_update t key bits <> old then ok := false
+        end
+      done;
+      !ok && Reuse_table.length t = Hashtbl.length model)
+
 let test_reuse_table_refuses_empty_mark () =
   Alcotest.check_raises "min_int"
     (Invalid_argument "Reuse_table.exchange: key min_int") (fun () ->
@@ -750,6 +777,7 @@ let () =
       ( "reuse_table",
         [
           QCheck_alcotest.to_alcotest prop_reuse_table_matches_model;
+          QCheck_alcotest.to_alcotest prop_or_update_matches_model;
           Alcotest.test_case "refuses min_int" `Quick
             test_reuse_table_refuses_empty_mark;
         ] );

@@ -211,7 +211,7 @@ let prop_same_timing_is_key_equality =
 (* ---- Simulator conservation ---- *)
 
 let prop_sim_uops_conserved =
-  QCheck.Test.make ~name:"simulator commits exactly the generated micro-ops"
+  QCheck.Test.make ~name:"sim commits every uop"
     ~count:10
     QCheck.(int_range 1 100)
     (fun seed ->
@@ -224,7 +224,7 @@ let prop_sim_uops_conserved =
       r.r_uops = expected && r.r_instructions = n)
 
 let prop_sim_misses_bounded_by_accesses =
-  QCheck.Test.make ~name:"simulator misses bounded by accesses at each level"
+  QCheck.Test.make ~name:"sim misses <= accesses"
     ~count:8
     QCheck.(int_range 1 50)
     (fun seed ->

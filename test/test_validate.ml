@@ -100,7 +100,7 @@ let prop_model_zero_branch =
 
 let prop_sim_zero_branch =
   QCheck.Test.make
-    ~name:"sim: ideal branch prediction yields zero branch component" ~count:5
+    ~name:"sim: ideal branch term 0" ~count:5
     QCheck.(pair bench_gen (int_range 1 100))
     (fun (bench, seed) ->
       let spec = Benchmarks.find bench in
@@ -144,7 +144,7 @@ let prop_direction_rob =
    the sign of a sub-3% delta is noise, not direction. *)
 let prop_direction_width =
   QCheck.Test.make
-    ~name:"model and sim agree on the direction of a width change" ~count:4
+    ~name:"width change: same sign" ~count:4
     QCheck.(pair bench_gen (int_range 1 100))
     (fun (bench, seed) ->
       let with_width w =
@@ -164,7 +164,7 @@ let prop_direction_width =
 (* ---- 7: keyed stacks sum to the CPI they decompose ---- *)
 
 let prop_stack_totals =
-  QCheck.Test.make ~name:"keyed stacks total to CPI (model exact, sim ~1%)"
+  QCheck.Test.make ~name:"keyed stacks total CPI"
     ~count:5
     QCheck.(pair bench_gen (int_range 1 100))
     (fun (bench, seed) ->
