@@ -18,7 +18,7 @@ let l1_bit = 1
 let l2_bit = 2
 let l3_bit = 4
 
-type l3 = { cache : Cache.t; l3_filled : Reuse_table.t }
+type l3 = { cache : Cache.t; fills : Reuse_table.t }
 
 type t = {
   l1i : Cache.t;
@@ -27,16 +27,16 @@ type t = {
   l3 : Cache.t;
   (* Line -> levels it has ever been filled into: probed once per miss
      in the L1D, to tell cold misses from capacity ones at every level
-     that missed.  With a shared L3 the L3 bit lives in [shared]'s table,
-     which holds every core's L3 fills; otherwise [shared] is [filled]. *)
+     that missed.  A shared L3 keeps the L3 bit in its own table, which
+     holds every core's L3 fills; a private one's table is [filled]. *)
   filled : Reuse_table.t;
-  shared : Reuse_table.t;
+  l3_filled : Reuse_table.t;
   data : counters array;  (* indexed 0=L1,1=L2,2=L3 *)
   inst : int array;  (* instruction misses at L1I, L2, L3 *)
 }
 
 let make_l3 (c : Uarch.caches) =
-  { cache = Cache.create ~name:"L3" c.l3; l3_filled = Reuse_table.create 2048 }
+  { cache = Cache.create ~name:"L3" c.l3; fills = Reuse_table.create 2048 }
 
 let create ?shared_l3 (c : Uarch.caches) =
   let line_bytes = c.l1d.line_bytes in
@@ -49,14 +49,18 @@ let create ?shared_l3 (c : Uarch.caches) =
           every level must use one line size"
          c.l1i.line_bytes line_bytes c.l2.line_bytes c.l3.line_bytes);
   let filled = Reuse_table.create 2048 in
-  let l3 = match shared_l3 with Some l3 -> l3 | None -> make_l3 c in
+  let l3 =
+    match shared_l3 with
+    | Some l3 -> l3
+    | None -> { cache = Cache.create ~name:"L3" c.l3; fills = filled }
+  in
   {
     l1i = Cache.create ~name:"L1I" c.l1i;
     l1d = Cache.create ~name:"L1D" c.l1d;
     l2 = Cache.create ~name:"L2" c.l2;
     l3 = l3.cache;
     filled;
-    shared = (match shared_l3 with Some l3 -> l3.l3_filled | None -> filled);
+    l3_filled = l3.fills;
     data = Array.init 3 (fun _ -> new_counters ());
     inst = Array.make 3 0;
   }
@@ -71,11 +75,11 @@ let level_index = function
    levels it had been filled into before. *)
 let record_fills t addr levels =
   let line = Cache.line_of t.l1d addr in
-  if t.shared == t.filled || levels < l3_bit then
+  if t.l3_filled == t.filled || levels < l3_bit then
     Reuse_table.or_update t.filled line levels
   else
     Reuse_table.or_update t.filled line (levels - l3_bit)
-    lor Reuse_table.or_update t.shared line l3_bit
+    lor Reuse_table.or_update t.l3_filled line l3_bit
 
 (* Counts a demand miss at level [idx], cold unless [bit] is in [before]. *)
 let record_miss t idx ~write before bit =
@@ -126,12 +130,10 @@ let access_inst t addr =
     if Cache.access t.l2 addr = Cache.Hit then L2
     else begin
       t.inst.(1) <- t.inst.(1) + 1;
-      if Cache.access t.l3 addr = Cache.Hit then begin
-        ignore (record_fills t addr l2_bit);
-        L3
-      end
+      let hit = Cache.access t.l3 addr = Cache.Hit in
+      ignore (record_fills t addr (if hit then l2_bit else l2_bit lor l3_bit));
+      if hit then L3
       else begin
-        ignore (record_fills t addr (l2_bit lor l3_bit));
         t.inst.(2) <- t.inst.(2) + 1;
         Dram
       end

@@ -66,6 +66,7 @@ let update name t key v merge =
   prev
 
 let exchange t key v = update "Reuse_table.exchange" t key v false
+
 let or_update t key bits =
   let prev = update "Reuse_table.or_update" t key bits true in
   if prev < 0 then 0 else prev
