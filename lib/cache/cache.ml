@@ -76,5 +76,3 @@ let probe t addr =
   let line = line_of t addr in
   let base = set_of t line * t.assoc in
   find_way t base line 0 <> -1
-
-let fill t addr = ignore (access t addr)

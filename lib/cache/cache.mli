@@ -23,7 +23,3 @@ val access : t -> int -> outcome
 
 val probe : t -> int -> bool
 (** [probe t addr] checks presence without touching LRU state. *)
-
-val fill : t -> int -> unit
-(** [fill t addr] installs the line of [addr] as most recently used, as
-    an access does, for prefetch fills. *)

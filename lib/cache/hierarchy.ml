@@ -141,8 +141,8 @@ let access_inst t addr =
   end
 
 let prefetch_fill t addr =
-  Cache.fill t.l2 addr;
-  Cache.fill t.l3 addr;
+  ignore (Cache.access t.l2 addr);
+  ignore (Cache.access t.l3 addr);
   ignore (record_fills t addr (l2_bit lor l3_bit))
 
 let probe_llc t addr =

@@ -56,17 +56,18 @@ let grow t =
       done)
     old
 
-let update name t key v merge =
-  if key = empty then invalid_arg (name ^ ": key min_int");
-  let prev = probe t key v merge (home t key) in
-  if prev < 0 then begin
-    t.count <- t.count + 1;
-    if 2 * t.count > t.mask + 1 then grow t
-  end;
+(* Counts the key [probe] just added, growing the table past half full. *)
+let added t =
+  t.count <- t.count + 1;
+  if 2 * t.count > t.mask + 1 then grow t
+
+let exchange t key v =
+  if key = empty then invalid_arg "Reuse_table.exchange: key min_int";
+  let prev = probe t key v false (home t key) in
+  if prev < 0 then added t;
   prev
 
-let exchange t key v = update "Reuse_table.exchange" t key v false
-
 let or_update t key bits =
-  let prev = update "Reuse_table.or_update" t key bits true in
-  if prev < 0 then 0 else prev
+  if key = empty then invalid_arg "Reuse_table.or_update: key min_int";
+  let prev = probe t key bits true (home t key) in
+  if prev < 0 then (added t; 0) else prev

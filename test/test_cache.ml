@@ -64,9 +64,6 @@ let test_probe_does_not_touch () =
     (Hierarchy.data_stats h Hierarchy.L1).accesses
 
 let test_fill_installs () =
-  let c = Cache.create small_level in
-  Cache.fill c 128;
-  Alcotest.(check bool) "filled" true (Cache.probe c 128);
   let h = Hierarchy.create small_caches in
   Hierarchy.prefetch_fill h 128;
   Alcotest.(check bool) "prefetch filled" true (Hierarchy.probe_llc h 128);
