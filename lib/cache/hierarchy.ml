@@ -33,6 +33,7 @@ type t = {
   l3_filled : Reuse_table.t;
   data : counters array;  (* indexed 0=L1,1=L2,2=L3 *)
   inst : int array;  (* instruction misses at L1I, L2, L3 *)
+  mutable l3_refetched : bool;  (* see [l3_refetched] in the .mli *)
 }
 
 let make_l3 (c : Uarch.caches) =
@@ -63,6 +64,7 @@ let create ?shared_l3 (c : Uarch.caches) =
     l3_filled = l3.fills;
     data = Array.init 3 (fun _ -> new_counters ());
     inst = Array.make 3 0;
+    l3_refetched = false;
   }
 
 let level_index = function
@@ -118,6 +120,7 @@ let access_data t addr ~write =
       if missed < l3_bit then L3
       else begin
         record_miss t 2 ~write before l3_bit;
+        if before land l3_bit <> 0 then t.l3_refetched <- true;
         Dram
       end
     end
@@ -131,10 +134,11 @@ let access_inst t addr =
     else begin
       t.inst.(1) <- t.inst.(1) + 1;
       let hit = Cache.access t.l3 addr = Cache.Hit in
-      ignore (record_fills t addr (if hit then l2_bit else l2_bit lor l3_bit));
+      let before = record_fills t addr (if hit then l2_bit else l2_bit lor l3_bit) in
       if hit then L3
       else begin
         t.inst.(2) <- t.inst.(2) + 1;
+        if before land l3_bit <> 0 then t.l3_refetched <- true;
         Dram
       end
     end
@@ -147,6 +151,9 @@ let prefetch_fill t addr =
 
 let probe_llc t addr =
   Cache.probe t.l1d addr || Cache.probe t.l2 addr || Cache.probe t.l3 addr
+  || (t.l3_refetched <- true; false)
+
+let l3_refetched t = t.l3_refetched
 
 let data_latency (c : Uarch.caches) = function
   | L1 -> c.l1d.latency

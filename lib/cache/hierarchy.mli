@@ -39,6 +39,12 @@ val probe_llc : t -> int -> bool
 (** Would this address hit somewhere on-chip? ([true] unless it would go
     to DRAM.) *)
 
+val l3_refetched : t -> bool
+(** Whether the L3 missed on a line filled into it before, or
+    {!probe_llc} found the L3 without the line.  Until then, by LRU
+    inclusion, an L3 with more (power-of-two) sets and the same ways
+    would have answered every lookup the same way. *)
+
 val data_latency : Uarch.caches -> level -> int
 (** Load-to-use latency for a data access that hits at [level]; for
     [Dram] this is only the LLC-lookup component — DRAM latency and bus

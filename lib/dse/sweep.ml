@@ -367,6 +367,7 @@ let sim_sweep_result ?jobs ?checkpoint ?block_size ?keep_going ~spec ~seed
     (Fault.protect ~context:"workload" (fun () ->
          Uop_stream.record spec ~seed ~n_instructions))
     (fun stream ->
+      let simulate = Simulator.replay stream (Array.of_list configs) in
       sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
         ~workload:
           (run_name ~checkpoint ~workload:spec.Workload_spec.wname (fun () ->
@@ -377,8 +378,7 @@ let sim_sweep_result ?jobs ?checkpoint ?block_size ?keep_going ~spec ~seed
                  string_of_int seed;
                  string_of_int n_instructions;
                ]))
-        ~eval_point:(fun index config ->
-          of_sim config ~index (Simulator.run_stream config stream))
+        ~eval_point:(fun index config -> of_sim config ~index (simulate index))
         configs)
 
 (* ---- Streaming engine ---- *)

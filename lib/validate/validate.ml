@@ -329,6 +329,7 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
      model sweep does: workers then only read them. *)
   Profile.prepare profile;
   let correct = Option.map (fun (_, f) -> f profile) adjust in
+  let simulate = Simulator.replay stream configs_a in
   Result.map
     (workload_report ~stats ~workload:spec.Workload_spec.wname)
     (Sweep.run_points ?jobs ?checkpoint ?keep_going
@@ -350,7 +351,7 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
        ~eval_point:(fun i ->
          let u = configs_a.(i) in
          let pred = Interval_model.predict ~options u profile in
-         let sim = Simulator.run_stream u stream in
+         let sim = simulate i in
          let p = point ~index:i u pred sim in
          match correct with
          | None -> p

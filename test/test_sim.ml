@@ -234,6 +234,131 @@ let test_run_stream_matches_run () =
         Uarch.with_prefetcher_kind Uarch.reference Uarch.Pf_stride );
     ]
 
+(* ---- Replaying one stream over many configs ---- *)
+
+let bits r = Marshal.to_string (r : Sim_result.t) []
+
+let workload_file name =
+  (* The tests stanza copies workloads/ beside the test directory. *)
+  Fault.or_raise (Workload_parser.load ("../workloads/" ^ name ^ ".workload"))
+
+let with_l3 (u : Uarch.t) size_bytes =
+  { u with caches = { u.caches with l3 = { u.caches.l3 with size_bytes } } }
+
+(* [Simulator.replay]'s result for every config, called in [order], each
+   checked against a fresh [run_stream]. *)
+let check_replay ?(ideal = Simulator.real) ?(order = Fun.id) label spec ~n configs =
+  let configs = Array.of_list configs in
+  let stream = Uop_stream.record spec ~seed:1 ~n_instructions:n in
+  let replay = Simulator.replay ~ideal stream configs in
+  let results = Array.make (Array.length configs) None in
+  List.iter
+    (fun i -> results.(i) <- Some (replay i))
+    (order (List.init (Array.length configs) Fun.id));
+  Array.mapi
+    (fun i r ->
+      let r = Option.get r in
+      let fresh = Simulator.run_stream ~ideal configs.(i) stream in
+      if bits r <> bits fresh then
+        Alcotest.failf "%s: %s differs from a fresh run" label configs.(i).name;
+      r)
+    results
+
+(* Each consecutive chain of [k] results: how many runs it holds. *)
+let runs ~k results =
+  List.init (Array.length results / k) (fun c ->
+      let chain = Array.sub results (c * k) k in
+      let fresh j = not (Array.exists (fun r -> r == chain.(j)) (Array.sub chain 0 j)) in
+      List.length (List.filter fresh (List.init k Fun.id)))
+
+let test_replay_full_matrix () =
+  List.iteri
+    (fun f name ->
+      (* One file replays in reverse, so larger L3s run first. *)
+      let order = if f = 1 then List.rev else Fun.id in
+      ignore
+        (check_replay ~order name (workload_file name) ~n:20_000
+           (Validate.matrix_configs `Full)))
+    [ "branchy_interpreter"; "pointer_soup"; "streaming_fp" ]
+
+(* Both benchmarks re-fetch lines in some 2 MB L3s of the matrix: those
+   chains simulate again, the rest reuse. *)
+let test_replay_falls_back () =
+  List.iter
+    (fun name ->
+      let r =
+        check_replay name (Benchmarks.find name) ~n:Validate.default_n_instructions
+          (Validate.matrix_configs `Sim)
+      in
+      let runs = runs ~k:3 r in
+      Alcotest.(check bool) (name ^ ": some chain reuses") true
+        (List.exists (fun n -> n < 3) runs);
+      Alcotest.(check bool) (name ^ ": some chain falls back") true
+        (List.exists (fun n -> n > 1) runs))
+    [ "xalancbmk"; "cactusADM" ]
+
+let test_replay_chains () =
+  let mb n = n * 1024 * 1024 and kb n = n * 1024 in
+  let chain u sizes = List.map (with_l3 u) sizes in
+  let stride = Uarch.with_prefetcher_kind Uarch.reference Uarch.Pf_stride in
+  ignore (check_replay "prefetcher" (Benchmarks.find "lbm") ~n:20_000
+            (chain stride [ mb 2; mb 4; mb 8 ]));
+  let tiny =
+    check_replay "tiny L3" (Benchmarks.find "mcf") ~n:20_000
+      (chain Uarch.reference [ kb 64; kb 128; kb 256 ])
+  in
+  Alcotest.(check (list int)) "tiny L3s re-fetch, so each simulates" [ 3 ]
+    (runs ~k:3 tiny);
+  (* With every miss idealised away, no L3 is ever looked up, so a chain
+     reuses its first run; a 512-byte 16-way L3, clamped to 8 ways, is not
+     in the chain. *)
+  let r =
+    check_replay ~ideal:Simulator.perfect "clamped L3" (Benchmarks.find "gcc")
+      ~n:20_000 (with_l3 Uarch.reference 512 :: chain Uarch.reference [ mb 2; mb 4 ])
+  in
+  Alcotest.(check bool) "the chain reuses" true (r.(2) == r.(1));
+  Alcotest.(check bool) "the clamped L3 is apart" true (r.(1) != r.(0))
+
+(* At jobs 1 every (width, ROB) chain of streaming_fp's matrix is one
+   run: its 2 MB L3 never re-fetches a line. *)
+let test_replay_reuses () =
+  let configs = Array.of_list (Validate.matrix_configs `Sim) in
+  let stream =
+    Uop_stream.record (workload_file "streaming_fp") ~seed:1
+      ~n_instructions:Validate.default_n_instructions
+  in
+  let replay = Simulator.replay stream configs in
+  let r = Array.init (Array.length configs) replay in
+  Alcotest.(check (list int)) "one run per chain" (List.init 9 (fun _ -> 1))
+    (runs ~k:3 r)
+
+let test_l3_refetched () =
+  let caches : Uarch.caches =
+    let level size_bytes assoc =
+      { Uarch.size_bytes; assoc; line_bytes = 64; latency = 1 }
+    in
+    { l1i = level 256 2; l1d = level 256 2; l2 = level 512 2; l3 = level 1024 4 }
+  in
+  let walk h n =
+    for i = 0 to n - 1 do
+      ignore (Hierarchy.access_data h (i * 64) ~write:false)
+    done
+  in
+  let h = Hierarchy.create caches in
+  walk h 64;
+  Alcotest.(check bool) "one walk: clear" false (Hierarchy.l3_refetched h);
+  walk h 64;
+  Alcotest.(check bool) "second walk past capacity: set" true (Hierarchy.l3_refetched h);
+  let h = Hierarchy.create caches in
+  walk h 8;
+  walk h 8;
+  Alcotest.(check bool) "second walk within capacity: clear" false
+    (Hierarchy.l3_refetched h);
+  ignore (Hierarchy.probe_llc h 0);
+  Alcotest.(check bool) "probe that hits: clear" false (Hierarchy.l3_refetched h);
+  ignore (Hierarchy.probe_llc h (1000 * 64));
+  Alcotest.(check bool) "probe that misses: set" true (Hierarchy.l3_refetched h)
+
 let () =
   Alcotest.run "sim"
     [
@@ -263,6 +388,14 @@ let () =
           Alcotest.test_case "llc component" `Quick test_slow_llc_shows_llc_component;
           QCheck_alcotest.to_alcotest prop_cycles_scale_with_instructions;
           Alcotest.test_case "run_stream = run" `Quick test_run_stream_matches_run;
+        ] );
+      ( "l3 chains",
+        [
+          Alcotest.test_case "full matrix = fresh runs" `Slow test_replay_full_matrix;
+          Alcotest.test_case "re-fetching L3s fall back" `Quick test_replay_falls_back;
+          Alcotest.test_case "prefetch, tiny, clamped L3s" `Quick test_replay_chains;
+          Alcotest.test_case "one run per L3 chain" `Quick test_replay_reuses;
+          Alcotest.test_case "L3 re-fetch flag" `Quick test_l3_refetched;
         ] );
       ( "multicore",
         [

@@ -42,7 +42,7 @@ let with_l3_bytes (u : Uarch.t) size_bytes =
    the real effect dwarfs the sampling noise. *)
 let prop_model_rob_base =
   QCheck.Test.make
-    ~name:"model: doubling the ROB never increases base CPI" ~count:12
+    ~name:"model: 2x ROB never raises base CPI" ~count:12
     QCheck.(triple bench_gen (int_range 2 8) (int_range 1 3))
     (fun (bench, rob16, seed) ->
       let p = profile bench seed in
@@ -60,7 +60,7 @@ let prop_model_rob_base =
 
 let prop_model_l3_misses =
   QCheck.Test.make
-    ~name:"model: larger L3 never increases L3 misses or DRAM loads" ~count:12
+    ~name:"model: larger L3, no more misses" ~count:12
     QCheck.(triple bench_gen (int_range 1 4) (int_range 1 4))
     (fun (bench, mb, extra_mb) ->
       let p = profile bench 1 in
@@ -81,7 +81,7 @@ let prop_model_l3_misses =
 
 let prop_model_zero_branch =
   QCheck.Test.make
-    ~name:"model: zero-mispredict override yields zero branch component"
+    ~name:"model: 0-mispredict zeroes branch"
     ~count:12
     QCheck.(pair bench_gen (int_range 1 3))
     (fun (bench, seed) ->
@@ -216,7 +216,7 @@ let prop_identical_stacks_zero_error =
 
 let prop_component_decomposition =
   QCheck.Test.make
-    ~name:"component signed errors sum to the total signed error" ~count:100
+    ~name:"component errors sum to the total" ~count:100
     QCheck.(pair stack_gen stack_gen)
     (fun (model, sim) ->
       let pt = synthetic_point ~model ~sim in
