@@ -697,15 +697,19 @@ let run ?(ideal = real) ?(time_series_interval = 10_000) cfg spec ~seed ~n_instr
   fst (simulate ideal time_series_interval cfg
          (Uop_stream.window spec ~seed ~n_instructions) spec.Workload_spec.wname)
 
-let run_stream ?(ideal = real) ?(time_series_interval = 10_000) cfg stream =
-  fst (simulate ideal time_series_interval cfg (Uop_stream.cursor stream)
-         (Uop_stream.name stream))
+(* [simulate] over a recorded stream, with [run_stream]'s defaults. *)
+let simulate_stream ?(ideal = real) ?(time_series_interval = 10_000) cfg stream =
+  simulate ideal time_series_interval cfg (Uop_stream.cursor stream)
+    (Uop_stream.name stream)
+
+let run_stream ?ideal ?time_series_interval cfg stream =
+  fst (simulate_stream ?ideal ?time_series_interval cfg stream)
 
 (* Configs equal but for name and L3 size form a chain, sharing a cell of
    the results whose L3 never re-fetched a line (DESIGN.md, "Simulator
    internals").  An L3 whose associativity [Cache.create] would clamp,
    or whose set count is not a power of two, runs (and faults) alone. *)
-let replay ?(ideal = real) stream configs =
+let replay stream configs =
   let chains = Hashtbl.create 16 in
   let cell (u : Uarch.t) =
     let l3 = u.caches.l3 in
@@ -729,11 +733,7 @@ let replay ?(ideal = real) stream configs =
     match List.find_opt (fun (s, _) -> s <= size) (Atomic.get cells.(i)) with
     | Some (_, r) -> r
     | None ->
-      let r, refetched =
-        (* 10_000: [run_stream]'s default trace interval. *)
-        simulate ideal 10_000 configs.(i) (Uop_stream.cursor stream)
-          (Uop_stream.name stream)
-      in
+      let r, refetched = simulate_stream configs.(i) stream in
       if not refetched then post cells.(i) (size, r);
       r
 

@@ -44,12 +44,11 @@ val run_stream :
 (** [run] over a recorded stream, bit-identical to it.  The stream is only
     read, so one recording serves any number of runs and domains. *)
 
-val replay : ?ideal:ideal -> Uop_stream.t -> Uarch.t array -> int -> Sim_result.t
-(** [replay ?ideal stream configs] is
-    [fun i -> run_stream ?ideal configs.(i) stream], field for field, for
-    calls in any order from any domains.  Configs equal but for name and
-    L3 size share one run, physically, when the smaller L3's run never
-    re-fetched a line ({!Hierarchy.l3_refetched}). *)
+val replay : Uop_stream.t -> Uarch.t array -> int -> Sim_result.t
+(** [replay stream configs] is [fun i -> run_stream configs.(i) stream],
+    field for field, for calls in any order from any domains.  Configs
+    equal but for name and L3 size share one run, physically, when the
+    smaller L3's run never re-fetched a line ({!Hierarchy.l3_refetched}). *)
 
 val run_shared :
   ?ideal:ideal ->

@@ -247,10 +247,10 @@ let with_l3 (u : Uarch.t) size_bytes =
 
 (* [Simulator.replay]'s result for every config, called in [order], each
    checked against a fresh [run_stream]. *)
-let check_replay ?(ideal = Simulator.real) ?(order = Fun.id) label spec ~n configs =
+let check_replay ?(order = Fun.id) label spec ~n configs =
   let configs = Array.of_list configs in
   let stream = Uop_stream.record spec ~seed:1 ~n_instructions:n in
-  let replay = Simulator.replay ~ideal stream configs in
+  let replay = Simulator.replay stream configs in
   let results = Array.make (Array.length configs) None in
   List.iter
     (fun i -> results.(i) <- Some (replay i))
@@ -258,7 +258,7 @@ let check_replay ?(ideal = Simulator.real) ?(order = Fun.id) label spec ~n confi
   Array.mapi
     (fun i r ->
       let r = Option.get r in
-      let fresh = Simulator.run_stream ~ideal configs.(i) stream in
+      let fresh = Simulator.run_stream configs.(i) stream in
       if bits r <> bits fresh then
         Alcotest.failf "%s: %s differs from a fresh run" label configs.(i).name;
       r)
@@ -309,13 +309,20 @@ let test_replay_chains () =
   in
   Alcotest.(check (list int)) "tiny L3s re-fetch, so each simulates" [ 3 ]
     (runs ~k:3 tiny);
-  (* With every miss idealised away, no L3 is ever looked up, so a chain
-     reuses its first run; a 512-byte 16-way L3, clamped to 8 ways, is not
-     in the chain. *)
-  let r =
-    check_replay ~ideal:Simulator.perfect "clamped L3" (Benchmarks.find "gcc")
-      ~n:20_000 (with_l3 Uarch.reference 512 :: chain Uarch.reference [ mb 2; mb 4 ])
+  (* gamess stays in L1/L2 at 20k, so it looks up each L3 line once and
+     even an 8-line L3 never re-fetches (the 512-byte and 1 KB 8-way
+     chain reuses).  A 512-byte 16-way L3, clamped to 8 ways, is still
+     not in the 16-way chain of 2 and 4 MB L3s. *)
+  let eight_way size_bytes =
+    let u = with_l3 Uarch.reference size_bytes in
+    { u with caches = { u.caches with l3 = { u.caches.l3 with assoc = 8 } } }
   in
+  let r =
+    check_replay "clamped L3" (Benchmarks.find "gamess") ~n:20_000
+      (with_l3 Uarch.reference 512 :: chain Uarch.reference [ mb 2; mb 4 ]
+       @ [ eight_way 512; eight_way 1024 ])
+  in
+  Alcotest.(check bool) "an 8-line L3 never re-fetches" true (r.(4) == r.(3));
   Alcotest.(check bool) "the chain reuses" true (r.(2) == r.(1));
   Alcotest.(check bool) "the clamped L3 is apart" true (r.(1) != r.(0))
 
