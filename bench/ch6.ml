@@ -159,18 +159,15 @@ let tab6_3 () =
      27-point width x ROB x L3 sub-space at the reference L1/L2 sizes.\n"
     (List.length Uarch.design_space)
 
-(* [f model sim] at every sim-backed design point of every benchmark. *)
-let space_pairs f =
+(* [f] of every sim-backed design point of every benchmark. *)
+let space_points f =
   List.concat_map
-    (fun b ->
-      let r = Harness.space_result b in
-      List.map2 f r.sp_model r.sp_sim)
+    (fun b -> List.map f (Harness.space_result b))
     Harness.benchmarks
 
 let design_space_errors () =
-  space_pairs (fun (m : Sweep.eval) (s : Sweep.eval) ->
-      (Stats.relative_error ~predicted:m.sw_cpi ~reference:s.sw_cpi,
-       Stats.relative_error ~predicted:m.sw_watts ~reference:s.sw_watts))
+  space_points (fun p ->
+      (Validate.signed_error p, Validate.power_signed_error p))
 
 let fig6_5 () =
   Table.section
@@ -178,10 +175,7 @@ let fig6_5 () =
      benchmarks)";
   (* Fig 6.4: separate vs combined micro-trace evaluation. *)
   let combined_opts = { (Harness.model_options ()) with combine = `Combined } in
-  let abs_cpi_error (m : Sweep.eval) (s : Sweep.eval) =
-    Float.abs (Stats.relative_error ~predicted:m.sw_cpi ~reference:s.sw_cpi)
-  in
-  let sep_errors = space_pairs abs_cpi_error in
+  let sep_errors = space_points Validate.abs_error in
   let comb_errors =
     List.concat_map
       (fun b ->
@@ -189,9 +183,12 @@ let fig6_5 () =
           Profiler.profile (Benchmarks.find b) ~seed:Harness.seed
             ~n_instructions:Harness.n_space
         in
-        List.map2 abs_cpi_error
+        List.map2
+          (fun (m : Sweep.eval) (p : Validate.point) ->
+            Float.abs
+              (Stats.relative_error ~predicted:m.sw_cpi ~reference:p.vp_sim_cpi))
           (Sweep.model_sweep ~options:combined_opts ~profile Harness.sim_subspace)
-          (Harness.space_result b).sp_sim)
+          (Harness.space_result b))
       Harness.benchmarks
   in
   Printf.printf "Fig 6.4 cumulative error distribution (separate vs combined):\n";
@@ -210,7 +207,7 @@ let fig6_5 () =
   Harness.print_box "Fig 6.5 CPI error box" (List.map fst errs);
   let model_cpis, sim_cpis =
     List.split
-      (space_pairs (fun (m : Sweep.eval) (s : Sweep.eval) -> (m.sw_cpi, s.sw_cpi)))
+      (space_points (fun (p : Validate.point) -> (p.vp_model_cpi, p.vp_sim_cpi)))
   in
   Printf.printf
     "Fig 6.6 scatter: Pearson correlation model-vs-sim CPI = %.4f over %d points\n"
@@ -256,8 +253,8 @@ let fig6_9 () =
   Harness.print_box "Fig 6.9 power error box" errs;
   let model_w, sim_w =
     List.split
-      (space_pairs (fun (m : Sweep.eval) (s : Sweep.eval) ->
-           (m.sw_watts, s.sw_watts)))
+      (space_points (fun (p : Validate.point) ->
+           (p.vp_model_watts, p.vp_sim_watts)))
   in
   Printf.printf "Fig 6.10 scatter: Pearson correlation = %.4f\n"
     (Harness.pearson model_w sim_w);

@@ -11,23 +11,24 @@ let tab7_1 () =
       (List.map
          (fun b ->
            let r = Harness.space_result b in
-           let model_pick = Sweep.best_under_power r.sp_model ~budget_watts:budget in
-           let sim_pick = Sweep.best_under_power r.sp_sim ~budget_watts:budget in
-           match (model_pick, sim_pick) with
+           let name_of id = (List.nth Harness.sim_subspace id).Uarch.name in
+           let sim = Harness.sim_pareto_points r in
+           let pick points = Sweep.best_under_power points ~budget_watts:budget in
+           match (pick (Harness.model_pareto_points r), pick sim) with
            | Some m, Some s ->
-             let validated = List.nth r.sp_sim m.sw_index in
+             let validated = List.nth sim m.pt_id in
              [
                b;
-               m.sw_config.name;
-               Table.fmt_f ~decimals:1 m.sw_watts;
-               Table.fmt_f ~decimals:1 validated.sw_watts;
-               s.sw_config.name;
-               (if m.sw_index = s.sw_index then "exact"
+               name_of m.pt_id;
+               Table.fmt_f ~decimals:1 m.pt_power;
+               Table.fmt_f ~decimals:1 validated.pt_power;
+               name_of s.pt_id;
+               (if m.pt_id = s.pt_id then "exact"
                 else
                   Printf.sprintf "%.1f%% slower"
                     (100.0
-                    *. (validated.sw_seconds -. s.sw_seconds)
-                    /. s.sw_seconds));
+                    *. (validated.pt_delay -. s.pt_delay)
+                    /. s.pt_delay));
              ]
            | _ -> [ b; "-"; "-"; "-"; "-"; "no feasible design" ])
          [ "gamess"; "bzip2"; "gcc"; "mcf"; "milc"; "povray"; "sjeng"; "wrf" ])
@@ -95,15 +96,13 @@ let fig7_4 () =
   List.iter
     (fun b ->
       let r = Harness.space_result b in
-      let name_of idx = (List.nth Harness.sim_subspace idx).Uarch.name in
-      let model_front =
-        Pareto.frontier (Sweep.pareto_points r.sp_model)
-        |> List.map (fun (p : Pareto.point) -> name_of p.pt_id)
+      let front points =
+        Pareto.frontier points
+        |> List.map (fun (p : Pareto.point) ->
+               (List.nth Harness.sim_subspace p.pt_id).Uarch.name)
       in
-      let sim_front =
-        Pareto.frontier (Sweep.pareto_points r.sp_sim)
-        |> List.map (fun (p : Pareto.point) -> name_of p.pt_id)
-      in
+      let model_front = front (Harness.model_pareto_points r) in
+      let sim_front = front (Harness.sim_pareto_points r) in
       Printf.printf "\n%s\n  model front (%d): %s\n  sim front   (%d): %s\n" b
         (List.length model_front)
         (String.concat ", " model_front)
@@ -120,8 +119,8 @@ let fig7_7 () =
         let r = Harness.space_result b in
         ( b,
           Pareto.quality
-            ~truth:(Sweep.pareto_points r.sp_sim)
-            ~predicted:(Sweep.pareto_points r.sp_model) ))
+            ~truth:(Harness.sim_pareto_points r)
+            ~predicted:(Harness.model_pareto_points r) ))
       Harness.benchmarks
   in
   Table.print
@@ -156,23 +155,21 @@ let fig7_10 () =
         (* Train the empirical model on a third of the simulated points;
            the mechanistic model gets NO simulations of this space at all. *)
         let training =
-          List.filteri (fun i _ -> i mod 3 = 0) r.sp_sim
-          |> List.map (fun (e : Sweep.eval) -> (e.sw_config, e.sw_cpi, e.sw_watts))
+          List.filteri (fun i _ -> i mod 3 = 0) r
+          |> List.map (fun (p : Validate.point) ->
+                 (p.vp_uarch, p.vp_sim_cpi, p.vp_sim_watts))
         in
         let em = Empirical.train training in
         let empirical_points =
           List.map
-            (fun (e : Sweep.eval) ->
-              let cpi, watts = Empirical.predict em e.sw_config in
-              let freq = e.sw_config.operating_point.freq_ghz *. 1e9 in
-              let instr = Harness.n_space in
-              let seconds = cpi *. float_of_int instr /. freq in
-              { Pareto.pt_id = e.sw_index; pt_delay = seconds; pt_power = watts })
-            r.sp_sim
+            (fun (p : Validate.point) ->
+              let cpi, watts = Empirical.predict em p.vp_uarch in
+              Harness.space_pareto_point p.vp_uarch ~index:p.vp_index ~cpi ~watts)
+            r
         in
-        let truth = Sweep.pareto_points r.sp_sim in
+        let truth = Harness.sim_pareto_points r in
         let q_mech =
-          Pareto.quality ~truth ~predicted:(Sweep.pareto_points r.sp_model)
+          Pareto.quality ~truth ~predicted:(Harness.model_pareto_points r)
         in
         let q_emp = Pareto.quality ~truth ~predicted:empirical_points in
         ( rows

@@ -86,31 +86,44 @@ let prediction name = Lazy.force (get name).prediction
    paper's model exists to avoid. *)
 let sim_subspace = Validate.matrix_configs `Sim
 
-type space_result = {
-  sp_bench : string;
-  sp_model : Sweep.eval list;
-  sp_sim : Sweep.eval list;
-}
+let space_cache : (string, Validate.point list) Hashtbl.t = Hashtbl.create 32
 
-let space_cache : (string, space_result) Hashtbl.t = Hashtbl.create 32
-
+(* Both engines at every point of [sim_subspace], in config order: one
+   validation run of the benchmark, which records its stream once.  A
+   faulted point fails the experiment. *)
 let space_result name =
   match Hashtbl.find_opt space_cache name with
   | Some r -> r
   | None ->
-    let spec = Benchmarks.find name in
-    let profile = Profiler.profile spec ~seed ~n_instructions:n_space in
-    let r =
-      {
-        sp_bench = name;
-        sp_model =
-          Sweep.model_sweep ~options:(model_options ()) ~jobs ~profile sim_subspace;
-        sp_sim =
-          Sweep.sim_sweep ~jobs ~spec ~seed ~n_instructions:n_space sim_subspace;
-      }
+    let wr =
+      Fault.or_raise
+        (Validate.run_workload ~options:(model_options ()) ~jobs ~seed
+           ~n_instructions:n_space ~spec:(Benchmarks.find name) sim_subspace)
     in
-    Hashtbl.replace space_cache name r;
-    r
+    List.iter (fun (_, ft) -> Fault.raise_error ft) wr.wr_faults;
+    Hashtbl.replace space_cache name wr.wr_points;
+    wr.wr_points
+
+(* Pareto coordinates of a design point from one engine's CPI and watts:
+   the delay is that CPI over the run's [n_space] instructions at the
+   point's clock. *)
+let space_pareto_point (u : Uarch.t) ~index ~cpi ~watts =
+  let freq = u.operating_point.freq_ghz *. 1e9 in
+  {
+    Pareto.pt_id = index;
+    pt_delay = cpi *. float_of_int n_space /. freq;
+    pt_power = watts;
+  }
+
+let model_pareto_points =
+  List.map (fun (p : Validate.point) ->
+      space_pareto_point p.vp_uarch ~index:p.vp_index ~cpi:p.vp_model_cpi
+        ~watts:p.vp_model_watts)
+
+let sim_pareto_points =
+  List.map (fun (p : Validate.point) ->
+      space_pareto_point p.vp_uarch ~index:p.vp_index ~cpi:p.vp_sim_cpi
+        ~watts:p.vp_sim_watts)
 
 (* ---- Small helpers ---- *)
 

@@ -32,7 +32,8 @@ let () =
     (1000.0 *. t_sweep /. float_of_int (List.length evals));
 
   (* Pareto frontier of the performance/power trade-off. *)
-  let front = Pareto.frontier (Sweep.pareto_points evals) in
+  let points = Sweep.pareto_points evals in
+  let front = Pareto.frontier points in
   Printf.printf "\nPredicted Pareto frontier (%d of %d designs):\n"
     (List.length front) (List.length evals);
   Table.print
@@ -50,7 +51,12 @@ let () =
          front);
 
   (* Best design under a power constraint (Table 7.1's question). *)
-  (match Sweep.best_under_power evals ~budget_watts:budget with
+  let best_under budget_watts =
+    Option.map
+      (fun (p : Pareto.point) -> List.nth evals p.pt_id)
+      (Sweep.best_under_power points ~budget_watts)
+  in
+  (match best_under budget with
   | Some best ->
     Printf.printf "\nFastest design under %.1f W: %s (%.2f ms, %.1f W)\n" budget
       best.sw_config.name
@@ -69,15 +75,7 @@ let () =
         && e.sw_config.caches.l1d.size_bytes = 32 * 1024)
       evals
   in
-  let best_overall =
-    List.fold_left
-      (fun acc (e : Sweep.eval) ->
-        match acc with
-        | None -> Some e
-        | Some b -> if e.sw_seconds < b.Sweep.sw_seconds then Some e else acc)
-      None evals
-    |> Option.get
-  in
+  let best_overall = Option.get (best_under infinity) in
   Printf.printf
     "Application-specific pick is %.1f%% faster than the general-purpose core.\n"
     (100.0 *. (ref_eval.sw_seconds -. best_overall.sw_seconds) /. ref_eval.sw_seconds)

@@ -9,29 +9,20 @@ type eval = {
   sw_ed2p : float;
 }
 
-let make config ~index ~cycles ~instructions ~activity =
-  let breakdown = Power.estimate config activity in
-  let seconds = Power.seconds_of_cycles config cycles in
-  let energy = Power.energy_joules config breakdown ~cycles in
+let of_prediction ?cycles config ~index (p : Interval_model.prediction) =
+  let cycles = Option.value cycles ~default:p.pr_cycles in
+  let breakdown = Power.estimate config p.pr_activity in
   {
     sw_index = index;
     sw_config = config;
-    sw_cpi = (if instructions = 0.0 then 0.0 else cycles /. instructions);
+    sw_cpi =
+      (if p.pr_instructions = 0.0 then 0.0 else cycles /. p.pr_instructions);
     sw_cycles = cycles;
     sw_watts = breakdown.total_watts;
-    sw_seconds = seconds;
-    sw_energy_j = energy;
+    sw_seconds = Power.seconds_of_cycles config cycles;
+    sw_energy_j = Power.energy_joules config breakdown ~cycles;
     sw_ed2p = Power.ed2p config breakdown ~cycles;
   }
-
-let of_prediction ?cycles config ~index (p : Interval_model.prediction) =
-  make config ~index
-    ~cycles:(Option.value cycles ~default:p.pr_cycles)
-    ~instructions:p.pr_instructions ~activity:p.pr_activity
-
-let of_sim config ~index (r : Sim_result.t) =
-  make config ~index ~cycles:(float_of_int r.r_cycles)
-    ~instructions:(float_of_int r.r_instructions) ~activity:r.r_activity
 
 (* ---- Fault-isolated engine ---- *)
 
@@ -251,26 +242,6 @@ let model_inputs ~options ~adjust ~profile =
     (match adjust with None -> "unadjusted" | Some (key, _) -> "adjusted " ^ key);
   ]
 
-(* The design-sweep instance: payload is the six [eval] numbers, configs
-   are reconstructed from the point index. *)
-let sweep_configs ?jobs ?checkpoint ?block_size ?keep_going ~workload
-    ~eval_point configs =
-  let configs = Array.of_list configs in
-  Result.map
-    (fun r ->
-      {
-        o_results = r.run_results;
-        o_ok = r.run_ok;
-        o_failed = r.run_failed;
-        o_resumed = r.run_resumed;
-      })
-    (run_points ?jobs ?checkpoint ?block_size ?keep_going ~workload
-       ~n_points:(Array.length configs) ~width:6 ~encode:vec_of_eval
-       ~decode:(fun ~index v -> eval_of_vec configs.(index) ~index v)
-       ~check:check_numeric
-       ~eval_point:(fun i -> eval_point i configs.(i))
-       ())
-
 (* ---- Model evaluation with prediction reuse ----
 
    [Interval_model.predict] depends on a config only through
@@ -354,32 +325,28 @@ let model_sweep_result ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?block_size ?keep_going ?adjust ~profile configs =
   Result.bind (prepared profile) (fun () ->
       let eval = model_point ~options ?adjust profile in
-      sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
-        ~workload:
-          (run_name ~checkpoint ~workload:profile.Profile.p_workload (fun () ->
-               "model" :: marshal configs :: model_inputs ~options ~adjust ~profile))
-        ~eval_point:(fun index config -> eval config ~index)
-        configs)
-
-let sim_sweep_result ?jobs ?checkpoint ?block_size ?keep_going ~spec ~seed
-    ~n_instructions configs =
-  Result.bind
-    (Fault.protect ~context:"workload" (fun () ->
-         Uop_stream.record spec ~seed ~n_instructions))
-    (fun stream ->
-      let simulate = Simulator.replay stream (Array.of_list configs) in
-      sweep_configs ?jobs ?checkpoint ?block_size ?keep_going
-        ~workload:
-          (run_name ~checkpoint ~workload:spec.Workload_spec.wname (fun () ->
-               [
-                 "sim";
-                 marshal configs;
-                 marshal spec;
-                 string_of_int seed;
-                 string_of_int n_instructions;
-               ]))
-        ~eval_point:(fun index config -> of_sim config ~index (simulate index))
-        configs)
+      let configs_a = Array.of_list configs in
+      (* The payload is the six [eval] numbers; configs are reconstructed
+         from the point index. *)
+      Result.map
+        (fun r ->
+          {
+            o_results = r.run_results;
+            o_ok = r.run_ok;
+            o_failed = r.run_failed;
+            o_resumed = r.run_resumed;
+          })
+        (run_points ?jobs ?checkpoint ?block_size ?keep_going
+           ~workload:
+             (run_name ~checkpoint ~workload:profile.Profile.p_workload
+                (fun () ->
+                  "model" :: marshal configs
+                  :: model_inputs ~options ~adjust ~profile))
+           ~n_points:(Array.length configs_a) ~width:6 ~encode:vec_of_eval
+           ~decode:(fun ~index v -> eval_of_vec configs_a.(index) ~index v)
+           ~check:check_numeric
+           ~eval_point:(fun i -> eval configs_a.(i) ~index:i)
+           ()))
 
 (* ---- Streaming engine ---- *)
 
@@ -642,24 +609,13 @@ let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
 (* Kept for callers that want a plain eval list and exception-on-failure
    semantics; a [Worker_crash] re-raises the original exception with its
    backtrace, so pre-isolation behavior is preserved exactly. *)
-let first_error outcome =
-  List.find_map (function Error ft -> Some ft | Ok _ -> None) outcome.o_results
-
-let evals_exn = function
-  | Error ft -> Fault.raise_error ft
-  | Ok outcome -> (
-    match first_error outcome with
-    | Some ft -> Fault.raise_error ft
-    | None ->
-      List.map
-        (function Ok e -> e | Error _ -> assert false)
-        outcome.o_results)
-
 let model_sweep ?options ?jobs ?adjust ~profile configs =
-  evals_exn (model_sweep_result ?options ?jobs ?adjust ~profile configs)
-
-let sim_sweep ?jobs ~spec ~seed ~n_instructions configs =
-  evals_exn (sim_sweep_result ?jobs ~spec ~seed ~n_instructions configs)
+  match model_sweep_result ?options ?jobs ?adjust ~profile configs with
+  | Error ft -> Fault.raise_error ft
+  | Ok outcome ->
+    List.map
+      (function Ok e -> e | Error ft -> Fault.raise_error ft)
+      outcome.o_results
 
 let pareto_points evals =
   List.map
@@ -667,12 +623,13 @@ let pareto_points evals =
       { Pareto.pt_id = e.sw_index; pt_delay = e.sw_seconds; pt_power = e.sw_watts })
     evals
 
-let best_under_power evals ~budget_watts =
+let best_under_power points ~budget_watts =
   List.fold_left
-    (fun best e ->
-      if e.sw_watts > budget_watts then best
+    (fun best (p : Pareto.point) ->
+      if p.pt_power > budget_watts then best
       else
         match best with
-        | None -> Some e
-        | Some b -> if e.sw_seconds < b.sw_seconds then Some e else best)
-    None evals
+        | None -> Some p
+        | Some (b : Pareto.point) ->
+          if p.pt_delay < b.pt_delay then Some p else best)
+    None points

@@ -2,8 +2,9 @@
 
     The whole point of the micro-architecture independent model: profile
     once, then evaluate every design point analytically.  [model_sweep]
-    does exactly that; [sim_sweep] is the detailed-simulation
-    counterpart used as ground truth (and for the speedup comparison).
+    does exactly that.  This layer runs the model only: the
+    model-vs-simulator comparison over a design matrix is
+    [Validate.run_workload], built on {!run_points}.
 
     The [_result] variants are the fault-isolated engine: a design point
     that crashes or produces non-finite numbers yields an [Error] for
@@ -107,9 +108,9 @@ val run_points :
   unit ->
   ('a run, Fault.t) result
 (** The fault-isolated, checkpointed, parallel per-point engine under
-    {!model_sweep_result} / {!sim_sweep_result}, exposed for other
-    point-matrix evaluations (the model-vs-simulator validation harness
-    in [lib/validate] is built on it).
+    {!model_sweep_result}, exposed for other point-matrix evaluations
+    (the model-vs-simulator validation harness in [lib/validate] is
+    built on it).
 
     [eval_point i] evaluates point [i] of [n_points] — a raised
     exception or a value rejected by [check] becomes a per-point
@@ -173,23 +174,6 @@ val model_sweep_result :
 
     The outer [Error] is reserved for whole-sweep failures: invalid
     profile, unreadable/mismatched checkpoint. *)
-
-val sim_sweep_result :
-  ?jobs:int ->
-  ?checkpoint:string ->
-  ?block_size:int ->
-  ?keep_going:bool ->
-  spec:Workload_spec.t ->
-  seed:int ->
-  n_instructions:int ->
-  Uarch.t list ->
-  (outcome, Fault.t) result
-(** Detailed-simulation counterpart; the workload's stream is recorded once
-    (an invalid [spec] is an outer [Error]) and every design point replays
-    it, so results are independent of [jobs].  The stream is held for
-    the whole sweep: 24 bytes per micro-op, linear in [n_instructions].
-    The checkpoint header digests the config list, [spec], [seed] and
-    [n_instructions]. *)
 
 (** {1 Streaming sweeps}
 
@@ -305,16 +289,10 @@ val model_sweep :
     other faults as [Fault.Error]).  Results are in config order and
     bit-identical for any [jobs].  Default [jobs = 1] (sequential). *)
 
-val sim_sweep :
-  ?jobs:int ->
-  spec:Workload_spec.t ->
-  seed:int ->
-  n_instructions:int ->
-  Uarch.t list ->
-  eval list
-
 val pareto_points : eval list -> Pareto.point list
 (** (delay = seconds, power = watts) points for Pareto analysis. *)
 
-val best_under_power : eval list -> budget_watts:float -> eval option
-(** Fastest design that fits the power budget (Table 7.1). *)
+val best_under_power :
+  Pareto.point list -> budget_watts:float -> Pareto.point option
+(** Fastest (least-delay) point within the power budget, the first of
+    equally fast ones (Table 7.1). *)

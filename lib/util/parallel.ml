@@ -36,8 +36,6 @@ let map_array ?(jobs = 1) f xs =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map ?(jobs = 1) f xs = Array.to_list (map_array ~jobs f (Array.of_list xs))
-
 (* Per-item fault isolation: the wrapped function never raises, so
    [map_array]'s whole-chunk failure path is never taken and every item
    gets an independent verdict, in input order. *)
@@ -50,9 +48,3 @@ let map_result_array ?(jobs = 1) f xs = map_array ~jobs (capture f) xs
 
 let map_result ?(jobs = 1) f xs =
   Array.to_list (map_result_array ~jobs f (Array.of_list xs))
-
-let mapi ?(jobs = 1) f xs =
-  Array.to_list
-    (map_array ~jobs
-       (fun (i, x) -> f i x)
-       (Array.of_list (List.mapi (fun i x -> (i, x)) xs)))

@@ -320,9 +320,14 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
     ?keep_going ?(seed = 1)
     ?(n_instructions = default_n_instructions) ?adjust ~spec configs =
   let configs_a = Array.of_list configs in
+  (* A spec the generator refuses is bad input, not a crash. *)
+  let ( let* ) = Result.bind in
+  let* stream =
+    Fault.protect ~context:"workload" (fun () ->
+        Uop_stream.record spec ~seed ~n_instructions)
+  in
   (* Profile the recorded stream the simulator replays, so the stream is
      generated once. *)
-  let stream = Uop_stream.record spec ~seed ~n_instructions in
   let profile = Profiler.profile_stream stream in
   let stats = profile_stats profile in
   (* Build the config-independent structures before the fan-out, as the

@@ -42,6 +42,9 @@ val signed_error : point -> float
 
 val abs_error : point -> float
 
+val power_signed_error : point -> float
+(** [(model_watts - sim_watts) / sim_watts]. *)
+
 val component_signed_error : point -> Cpi_stack.component -> float
 (** Per-component stack difference as a fraction of the {e total}
     simulated CPI — component errors are comparable across components
@@ -153,8 +156,9 @@ val run_workload :
     config list and the [adjust] key — so a log of any other run (a
     design sweep, another seed, another or no calibrator) is refused,
     never resumed.  The
-    outer [Error] is reserved for whole-run failures (unreadable or
-    mismatched checkpoint).
+    outer [Error] is reserved for whole-run failures: a [spec] the
+    generator refuses ([Bad_input] in context ["workload"]), an
+    unreadable or mismatched checkpoint.
 
     [?adjust] (the calibrator's {!Sweep.adjust} hook, its per-profile
     stage run once per workload) replaces each point's model stack and

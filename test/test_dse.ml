@@ -125,11 +125,21 @@ let test_model_sweep () =
   Alcotest.(check bool) "low power cooler" true (lp.sw_watts < ref_.sw_watts)
 
 let test_sim_sweep_agrees_in_direction () =
-  let spec = Benchmarks.find "gromacs" in
-  let sims = Sweep.sim_sweep ~spec ~seed:1 ~n_instructions:10_000 mini_space in
-  let lp = List.nth sims 0 and ref_ = List.nth sims 1 in
-  Alcotest.(check bool) "low power slower (sim)" true (lp.sw_seconds > ref_.sw_seconds);
-  Alcotest.(check bool) "low power cooler (sim)" true (lp.sw_watts < ref_.sw_watts)
+  let wr =
+    Fault.or_raise
+      (Validate.run_workload ~spec:(Benchmarks.find "gromacs") ~seed:1
+         ~n_instructions:10_000 mini_space)
+  in
+  (* Both points run the same instructions: time per instruction ranks
+     them as run time does. *)
+  let ns_per_instruction (p : Validate.point) =
+    p.vp_sim_cpi /. p.vp_uarch.operating_point.freq_ghz
+  in
+  let lp = List.nth wr.wr_points 0 and ref_ = List.nth wr.wr_points 1 in
+  Alcotest.(check bool) "low power slower (sim)" true
+    (ns_per_instruction lp > ns_per_instruction ref_);
+  Alcotest.(check bool) "low power cooler (sim)" true
+    (lp.vp_sim_watts < ref_.vp_sim_watts)
 
 let test_pareto_points_roundtrip () =
   let profile = Profiler.profile (Benchmarks.find "namd") ~seed:1
@@ -146,16 +156,16 @@ let test_pareto_points_roundtrip () =
 let test_best_under_power () =
   let profile = Profiler.profile (Benchmarks.find "povray") ~seed:1
       ~n_instructions:20_000 in
-  let evals = Sweep.model_sweep ~profile mini_space in
-  (match Sweep.best_under_power evals ~budget_watts:1e9 with
+  let points = Sweep.pareto_points (Sweep.model_sweep ~profile mini_space) in
+  (match Sweep.best_under_power points ~budget_watts:1e9 with
   | None -> Alcotest.fail "unconstrained pick missing"
   | Some best ->
     List.iter
-      (fun (e : Sweep.eval) ->
+      (fun (p : Pareto.point) ->
         Alcotest.(check bool) "fastest overall" true
-          (best.sw_seconds <= e.sw_seconds))
-      evals);
-  match Sweep.best_under_power evals ~budget_watts:0.0 with
+          (best.pt_delay <= p.pt_delay))
+      points);
+  match Sweep.best_under_power points ~budget_watts:0.0 with
   | None -> ()
   | Some _ -> Alcotest.fail "impossible budget should yield none"
 
@@ -174,12 +184,6 @@ let test_model_sweep_parallel_determinism () =
         true
         (compare a b = 0))
     seq par
-
-let test_sim_sweep_parallel_determinism () =
-  let spec = Benchmarks.find "gcc" in
-  let seq = Sweep.sim_sweep ~jobs:1 ~spec ~seed:1 ~n_instructions:5_000 mini_space in
-  let par = Sweep.sim_sweep ~jobs:4 ~spec ~seed:1 ~n_instructions:5_000 mini_space in
-  Alcotest.(check bool) "sim sweep independent of jobs" true (compare seq par = 0)
 
 (* A fresh, unprepared copy of a profile: decoding builds no derived
    state. *)
@@ -506,16 +510,7 @@ let test_resume_refuses_changed_inputs () =
             mini_space);
       refused "other configs" (model (List.rev mini_space));
       let again = Fault.or_raise (model mini_space ()) in
-      Alcotest.(check int) "same inputs resume" 3 again.Sweep.o_resumed);
-  with_temp_ckpt (fun path ->
-      let spec = Benchmarks.find "gcc" in
-      let sim ~seed ~n_instructions () =
-        Sweep.sim_sweep_result ~checkpoint:path ~spec ~seed ~n_instructions
-          [ Uarch.low_power ]
-      in
-      ignore (Fault.or_raise (sim ~seed:1 ~n_instructions:3_000 ()));
-      refused "sim: another seed" (sim ~seed:2 ~n_instructions:3_000);
-      refused "sim: another length" (sim ~seed:1 ~n_instructions:4_000))
+      Alcotest.(check int) "same inputs resume" 3 again.Sweep.o_resumed)
 
 let test_sweep_rejects_invalid_profile () =
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
@@ -525,13 +520,6 @@ let test_sweep_rejects_invalid_profile () =
   | Error (Fault.Bad_input _) -> ()
   | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft)
   | Ok _ -> Alcotest.fail "swept a NaN-poisoned profile"
-
-let test_sim_sweep_rejects_invalid_spec () =
-  let spec = { Workload_spec.wname = "x"; phase_length = 1; phases = [||] } in
-  match Sweep.sim_sweep_result ~spec ~seed:1 ~n_instructions:1_000 mini_space with
-  | Error (Fault.Bad_input _) -> ()
-  | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft)
-  | Ok _ -> Alcotest.fail "simulated a workload with no phases"
 
 let test_stop_on_first_fault_without_keep_going () =
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
@@ -605,8 +593,6 @@ let () =
           Alcotest.test_case "best under power" `Quick test_best_under_power;
           Alcotest.test_case "parallel determinism (model)" `Quick
             test_model_sweep_parallel_determinism;
-          Alcotest.test_case "parallel determinism (sim)" `Quick
-            test_sim_sweep_parallel_determinism;
           Alcotest.test_case "statstack built once per sweep" `Quick
             test_statstack_built_once_per_sweep;
           Alcotest.test_case "combined-mode parallel sweep complete" `Quick
@@ -635,8 +621,6 @@ let () =
             test_unterminated_record_is_torn;
           Alcotest.test_case "invalid profile rejected" `Quick
             test_sweep_rejects_invalid_profile;
-          Alcotest.test_case "invalid spec rejected (sim)" `Quick
-            test_sim_sweep_rejects_invalid_spec;
           Alcotest.test_case "stop without keep-going" `Quick
             test_stop_on_first_fault_without_keep_going;
         ] );

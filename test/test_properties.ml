@@ -355,7 +355,7 @@ let fuzz_engine ~run ~reopen ~same dmg =
         else same whole (run ~jobs:2 path))
 
 let prop_point_log_corruption =
-  QCheck.Test.make ~name:"per-point checkpoint: any damage restores a prefix, resume bit-identical"
+  QCheck.Test.make ~name:"damaged point log resumes"
     ~count:60 damage_gen
     (fun dmg ->
       let profile = Lazy.force fuzz_profile in
@@ -378,7 +378,7 @@ let prop_point_log_corruption =
           compare a.o_results b.o_results = 0))
 
 let prop_block_log_corruption =
-  QCheck.Test.make ~name:"block checkpoint: any damage restores a prefix, resume bit-identical"
+  QCheck.Test.make ~name:"damaged block log resumes"
     ~count:60 damage_gen
     (fun dmg ->
       let profile = Lazy.force fuzz_profile in

@@ -93,9 +93,7 @@ let eval_equal (a : Sweep.eval) (b : Sweep.eval) =
 
 let prop_streamed_equals_materialized =
   QCheck.Test.make
-    ~name:
-      "streamed sweep point-for-point bit-identical to materialized (any \
-       grid, jobs 1 and 4, any block size)" ~count:15
+    ~name:"streamed sweep = materialized sweep" ~count:15
     QCheck.(pair (make random_axes_gen) (int_range 1 7))
     (fun (axes, block_size) ->
       let space = space_of_axes axes in
@@ -139,7 +137,7 @@ let prop_streamed_equals_materialized =
 
 let prop_kill_and_resume_bit_identical =
   QCheck.Test.make
-    ~name:"streamed kill-and-resume bit-identical at a random cursor"
+    ~name:"random-cursor resume bit-identical"
     ~count:10
     QCheck.(triple (make random_axes_gen) (int_range 1 5) (float_range 0.05 0.95))
     (fun (axes, block_size, cut) ->
@@ -636,13 +634,13 @@ let () =
             test_stream_rejects_mismatched_checkpoint;
           Alcotest.test_case "changed inputs refused" `Quick
             test_stream_refuses_changed_inputs;
-          Alcotest.test_case "torn checkpoint header restarts the log" `Quick
+          Alcotest.test_case "torn log header restarts the log" `Quick
             test_stream_torn_header_restarts;
           Alcotest.test_case "offset/limit shards cover the space" `Quick
             test_offset_limit_shards_cover_space;
           Alcotest.test_case "bad range rejected" `Quick
             test_stream_rejects_bad_range;
-          Alcotest.test_case "reused predictions equal direct predicts" `Quick
+          Alcotest.test_case "reused predictions match predict" `Quick
             test_reuse_matches_direct_predict;
           Alcotest.test_case "adjust sees each point's own config" `Quick
             test_reuse_adjust_sees_own_config;

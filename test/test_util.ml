@@ -662,29 +662,27 @@ let test_table_formats () =
 
 (* ---- Parallel ---- *)
 
+(* [Parallel.map_array] over a list, to compare with [List.map]. *)
+let parallel_map ?jobs f xs =
+  Array.to_list (Parallel.map_array ?jobs f (Array.of_list xs))
+
 let test_parallel_map_matches_sequential () =
   let xs = List.init 100 Fun.id in
   let f x = (x * 37) + 1 in
   Alcotest.(check (list int)) "jobs=4 preserves order" (List.map f xs)
-    (Parallel.map ~jobs:4 f xs);
+    (parallel_map ~jobs:4 f xs);
   Alcotest.(check (list int)) "jobs=1 fallback" (List.map f xs)
-    (Parallel.map ~jobs:1 f xs);
+    (parallel_map ~jobs:1 f xs);
   Alcotest.(check (list int)) "default sequential" (List.map f xs)
-    (Parallel.map f xs);
+    (parallel_map f xs);
   (* more workers than elements: each worker gets at most one item *)
   Alcotest.(check (list int)) "jobs > length" (List.map f [ 1; 2; 3 ])
-    (Parallel.map ~jobs:64 f [ 1; 2; 3 ])
-
-let test_parallel_mapi_indices () =
-  let xs = [ "a"; "b"; "c"; "d"; "e" ] in
-  let got = Parallel.mapi ~jobs:3 (fun i s -> Printf.sprintf "%d%s" i s) xs in
-  Alcotest.(check (list string)) "indices in input order"
-    [ "0a"; "1b"; "2c"; "3d"; "4e" ] got
+    (parallel_map ~jobs:64 f [ 1; 2; 3 ])
 
 let test_parallel_map_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~jobs:8 Fun.id []);
+  Alcotest.(check (list int)) "empty" [] (parallel_map ~jobs:8 Fun.id []);
   Alcotest.(check (list int)) "singleton" [ 7 ]
-    (Parallel.map ~jobs:8 (fun x -> x + 1) [ 6 ])
+    (parallel_map ~jobs:8 (fun x -> x + 1) [ 6 ])
 
 let test_parallel_map_array () =
   let xs = Array.init 37 Fun.id in
@@ -696,15 +694,15 @@ exception Boom of int
 
 let test_parallel_map_propagates_exception () =
   let xs = List.init 64 Fun.id in
-  match Parallel.map ~jobs:4 (fun x -> if x = 40 then raise (Boom x) else x) xs with
+  match parallel_map ~jobs:4 (fun x -> if x = 40 then raise (Boom x) else x) xs with
   | _ -> Alcotest.fail "expected Boom to propagate"
   | exception Boom 40 -> ()
 
 let prop_parallel_map_equals_list_map =
-  QCheck.Test.make ~name:"Parallel.map = List.map for any jobs" ~count:100
+  QCheck.Test.make ~name:"map_array = Array.map for any jobs" ~count:100
     QCheck.(pair (int_range 1 9) (small_list small_int))
     (fun (jobs, xs) ->
-      Parallel.map ~jobs (fun x -> (x * x) - (3 * x)) xs
+      parallel_map ~jobs (fun x -> (x * x) - (3 * x)) xs
       = List.map (fun x -> (x * x) - (3 * x)) xs)
 
 (* ---- Minijson ---- *)
@@ -878,7 +876,6 @@ let () =
         [
           Alcotest.test_case "map matches sequential" `Quick
             test_parallel_map_matches_sequential;
-          Alcotest.test_case "mapi indices" `Quick test_parallel_mapi_indices;
           Alcotest.test_case "empty and singleton" `Quick
             test_parallel_map_empty_and_singleton;
           Alcotest.test_case "map_array" `Quick test_parallel_map_array;

@@ -424,6 +424,24 @@ let test_checkpoint_refuses_changed_inputs () =
       in
       Alcotest.(check int) "same inputs resume" 9 again.Validate.wr_resumed)
 
+(* A spec the generator refuses is a whole-run Bad_input in context
+   "workload", never an exception. *)
+let test_invalid_spec_rejected () =
+  let refused what spec =
+    match
+      Validate.run_workload ~spec ~seed:1 ~n_instructions:1_000
+        (Validate.matrix_configs `Quick)
+    with
+    | Error (Fault.Bad_input { context = "workload"; _ }) -> ()
+    | Error ft -> Alcotest.failf "%s: wrong fault: %s" what (Fault.to_string ft)
+    | Ok _ -> Alcotest.failf "%s: simulated an invalid workload" what
+  in
+  refused "no phases" { Workload_spec.wname = "x"; phase_length = 1; phases = [||] };
+  refused "empty bursts"
+    { Workload_spec.wname = "x";
+      phase_length = 1_000;
+      phases = [| { Workload_spec.default_phase with body_burst = 0 } |] }
+
 let test_gate_and_summary () =
   let near = Cpi_stack.of_values ~base:1.0 ~branch:0.5 ~icache:0.2
       ~llc_hit:0.1 ~dram:1.0 in
@@ -546,6 +564,8 @@ let () =
             test_recorded_profile_identical;
           Alcotest.test_case "checkpoint refuses changed inputs" `Slow
             test_checkpoint_refuses_changed_inputs;
+          Alcotest.test_case "invalid spec rejected" `Quick
+            test_invalid_spec_rejected;
           Alcotest.test_case "gates and summaries" `Quick test_gate_and_summary;
           Alcotest.test_case "json report" `Quick test_json_report;
         ] );
