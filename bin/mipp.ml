@@ -422,6 +422,20 @@ let refine_arg =
   in
   Arg.(value & flag & info [ "refine" ] ~doc)
 
+let print_pareto front =
+  Table.print
+    ~header:[ "Pareto design"; "time (ms)"; "power (W)"; "CPI" ]
+    ~rows:
+      (List.map
+         (fun (e : Sweep.eval) ->
+           [
+             e.sw_config.name;
+             Table.fmt_f ~decimals:2 (1000.0 *. e.sw_seconds);
+             Table.fmt_f ~decimals:1 e.sw_watts;
+             Table.fmt_f e.sw_cpi;
+           ])
+         front)
+
 let run_refine_sweep ~space ~profile:p ~jobs ~adjust =
   let t0 = Clock.now () in
   let r = or_die (Refine.model_refine ~jobs ?adjust ~profile:p space) in
@@ -432,18 +446,7 @@ let run_refine_sweep ~space ~profile:p ~jobs ~adjust =
         %.2fs)"
        p.Profile.p_workload (Config_space.name space) r.Refine.rf_evaluated
        (Config_space.size space) r.rf_rounds r.rf_failed dt);
-  Table.print
-    ~header:[ "Pareto design"; "time (ms)"; "power (W)"; "CPI" ]
-    ~rows:
-      (List.map
-         (fun (e : Sweep.eval) ->
-           [
-             e.Sweep.sw_config.name;
-             Table.fmt_f ~decimals:2 (1000.0 *. e.sw_seconds);
-             Table.fmt_f ~decimals:1 e.sw_watts;
-             Table.fmt_f e.sw_cpi;
-           ])
-         r.rf_front_evals);
+  print_pareto r.rf_front_evals;
   if r.rf_failed > 0 then exit exit_partial_failure
 
 let run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~keep_going
@@ -499,18 +502,7 @@ let run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~keep_going
     best "energy" (fun v -> Printf.sprintf "%.3f J" v) s.ss_best_energy;
     best "ED^2P" (fun v -> Printf.sprintf "%.3e Js^2" v) s.ss_best_ed2p
   end;
-  Table.print
-    ~header:[ "Pareto design"; "time (ms)"; "power (W)"; "CPI" ]
-    ~rows:
-      (List.map
-         (fun (e : Sweep.eval) ->
-           [
-             e.Sweep.sw_config.name;
-             Table.fmt_f ~decimals:2 (1000.0 *. e.sw_seconds);
-             Table.fmt_f ~decimals:1 e.sw_watts;
-             Table.fmt_f e.sw_cpi;
-           ])
-         s.ss_front_evals);
+  print_pareto s.ss_front_evals;
   if s.ss_failed > 0 || s.ss_skipped_blocks > 0 then exit exit_partial_failure
 
 let sweep_cmd =
@@ -703,7 +695,7 @@ let calib_gate_arg =
     value & opt float Calibrate.default_gate & info [ "gate" ] ~docv:"GATE" ~doc)
 
 let model_file_arg =
-  let doc = "Trained calibration model file (mipp-calib-v1)." in
+  let doc = "Trained calibration model file (mipp-calib-v2)." in
   Arg.(
     required & opt (some string) None & info [ "model" ] ~docv:"FILE" ~doc)
 
@@ -713,7 +705,7 @@ let matrix_file_arg ~doc =
 
 let calibrate_cmd =
   let model_out_arg =
-    let doc = "Write the trained model (mipp-calib-v1) to $(docv)." in
+    let doc = "Write the trained model (mipp-calib-v2) to $(docv)." in
     Arg.(
       value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in

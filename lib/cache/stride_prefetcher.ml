@@ -17,7 +17,6 @@ type t = {
   page : int;
   table : (int, entry) Hashtbl.t;
   mutable clock : int;
-  mutable n_lookups : int;
   mutable n_issued : int;
 }
 
@@ -29,7 +28,6 @@ let create (p : Uarch.prefetcher) ~dram_page_bytes =
     page = dram_page_bytes;
     table = Hashtbl.create 64;
     clock = 0;
-    n_lookups = 0;
     n_issued = 0;
   }
 
@@ -50,7 +48,6 @@ let observe t ~static_id ~addr =
   else if t.kind = Uarch.Pf_next_line then begin
     (* Baseline comparator: always fetch the adjacent line (within the
        DRAM page). *)
-    t.n_lookups <- t.n_lookups + 1;
     let target = (addr lor 63) + 1 in
     if target / t.page = addr / t.page then begin
       t.n_issued <- t.n_issued + 1;
@@ -60,7 +57,6 @@ let observe t ~static_id ~addr =
   end
   else begin
     t.clock <- t.clock + 1;
-    t.n_lookups <- t.n_lookups + 1;
     match Hashtbl.find_opt t.table static_id with
     | None ->
       if Hashtbl.length t.table >= t.capacity then evict_lru t;
@@ -91,5 +87,4 @@ let observe t ~static_id ~addr =
       else None
   end
 
-let lookups t = t.n_lookups
 let issued t = t.n_issued

@@ -18,5 +18,4 @@ val observe : t -> static_id:int -> addr:int -> int option
     stays within the DRAM page.  Always returns [None] when the prefetcher
     is disabled in the configuration. *)
 
-val lookups : t -> int
 val issued : t -> int

@@ -11,7 +11,7 @@
      come out non-finite degrade to zero and calibrated components and
      totals clamp at zero, so garbage in a model file degrades
      accuracy, never soundness (and the loader rejects structurally
-     corrupt files outright via the trailing CRC). *)
+     corrupt files outright via the model's CRC). *)
 
 type component_model = {
   cm_ridge : float array;
@@ -382,263 +382,179 @@ let suggest ?options m ~profile ~n candidates =
   in
   List.filteri (fun i _ -> i < n) ranked
 
-(* ---- Serialization: the mipp-calib-v1 format ---- *)
+(* ---- Serialization: the mipp-calib-v2 document ---- *)
 
 let context = "calibrator"
+let model_schema = "mipp-calib-v2"
 
-let write_component buf label cm =
-  let p fmt = Printf.bprintf buf fmt in
-  p "component %s\n" label;
-  p "ridge %d" (Array.length cm.cm_ridge);
-  Array.iter (fun w -> p " %h" w) cm.cm_ridge;
-  p "\n";
-  p "stumps %d\n" (List.length cm.cm_stumps);
-  List.iter
-    (fun (st : Stumps.stump) ->
-      p "stump %d %h %h %h\n" st.st_feature st.st_threshold st.st_left
-        st.st_right)
-    cm.cm_stumps
+let component_json cm =
+  let open Minijson in
+  Obj
+    [
+      ("ridge", Arr (Array.to_list (Array.map hex cm.cm_ridge)));
+      ( "stumps",
+        Arr
+          (List.map
+             (fun (st : Stumps.stump) ->
+               Obj
+                 [
+                   ("feature", int st.st_feature);
+                   ("threshold", hex st.st_threshold);
+                   ("left", hex st.st_left);
+                   ("right", hex st.st_right);
+                 ])
+             cm.cm_stumps) );
+    ]
 
-let write_components buf comps =
-  List.iter
-    (fun c ->
-      write_component buf (Cpi_stack.to_string c) comps.(Cpi_stack.index c))
-    Cpi_stack.all
+let components_json comps =
+  Minijson.Obj
+    (List.map
+       (fun c ->
+         (Cpi_stack.to_string c, component_json comps.(Cpi_stack.index c)))
+       Cpi_stack.all)
+
+let model_json m =
+  let open Minijson in
+  let names l = Arr (List.map (fun s -> Str s) l) in
+  Obj
+    [
+      ("lambda", hex m.c_lambda);
+      ("shrinkage", hex m.c_shrinkage);
+      ("rounds", int m.c_rounds);
+      ("folds", int m.c_folds);
+      ("split_seed", int m.c_split_seed);
+      ("holdout", hex m.c_holdout);
+      ("stats", names m.c_stat_names);
+      ("features", names m.c_feature_names);
+      ("holdout_points", names m.c_holdout_names);
+      ("components", components_json m.c_components);
+      ( "fold_models",
+        Arr (Array.to_list (Array.map components_json m.c_fold_models)) );
+    ]
+
+(* The model holds no plain non-integral number, so parsing and
+   printing it again gives back its bytes: any corruption that still
+   parses changes this checksum. *)
+let model_crc model = Crc32.to_hex (Crc32.string (Minijson.print model))
 
 let to_string m =
-  let buf = Buffer.create 4096 in
-  let p fmt = Printf.bprintf buf fmt in
-  p "mipp-calib 1\n";
-  p "lambda %h\n" m.c_lambda;
-  p "shrinkage %h\n" m.c_shrinkage;
-  p "rounds %d\n" m.c_rounds;
-  p "folds %d\n" m.c_folds;
-  p "split_seed %d\n" m.c_split_seed;
-  p "holdout %h\n" m.c_holdout;
-  p "stats %d\n" (List.length m.c_stat_names);
-  List.iter (fun s -> p "stat %s\n" s) m.c_stat_names;
-  p "features %d\n" (List.length m.c_feature_names);
-  List.iter (fun s -> p "feature %s\n" s) m.c_feature_names;
-  p "holdout_points %d\n" (List.length m.c_holdout_names);
-  List.iter (fun s -> p "holdout_point %s\n" s) m.c_holdout_names;
-  p "model main\n";
-  write_components buf m.c_components;
-  p "fold_models %d\n" (Array.length m.c_fold_models);
-  Array.iteri
-    (fun k comps ->
-      p "fold %d\n" k;
-      write_components buf comps)
-    m.c_fold_models;
-  p "end\n";
-  let body = Buffer.contents buf in
-  body ^ "checksum " ^ Crc32.to_hex (Crc32.string body) ^ "\n"
+  let model = model_json m in
+  Minijson.(
+    print
+      (Obj
+         [
+           ("schema", Str model_schema);
+           ("crc32", Str (model_crc model));
+           ("model", model);
+         ]))
 
-exception Parse of int * string (* 1-based line, message *)
-
-type reader = { lines : string array; mutable pos : int }
-
-let fail r msg = raise (Parse (r.pos + 1, msg))
-
-let next r =
-  if r.pos >= Array.length r.lines then fail r "unexpected end of file"
-  else begin
-    let l = r.lines.(r.pos) in
-    r.pos <- r.pos + 1;
-    l
-  end
-
-let words r l =
-  let ws = String.split_on_char ' ' l in
-  if List.exists (fun w -> w = "") ws then fail r "malformed line"
-  else ws
-
-let int_field r s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail r (Printf.sprintf "expected integer, found %S" s)
-
-let count_field r s =
-  let v = int_field r s in
-  if v < 0 then fail r (Printf.sprintf "negative count %d" v) else v
-
-let float_field r s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v -> v
-  | Some _ -> fail r (Printf.sprintf "non-finite value %S" s)
-  | None -> fail r (Printf.sprintf "expected float, found %S" s)
-
-let keyed_line r key =
-  match words r (next r) with
-  | [ k; v ] when k = key -> v
-  | _ -> fail r (Printf.sprintf "expected %S line" key)
-
-let name_list r ~count_key ~item_key =
-  let n = count_field r (keyed_line r count_key) in
-  List.init n (fun _ -> keyed_line r item_key)
-
-let read_component r ~label ~n_features =
-  (match words r (next r) with
-  | [ "component"; l ] when l = label -> ()
-  | _ -> fail r (Printf.sprintf "expected component %s" label));
-  let ridge =
-    match words r (next r) with
-    | "ridge" :: count :: values ->
-      let n = count_field r count in
-      if List.length values <> n then fail r "ridge weight count mismatch"
-      else if n <> n_features then
-        fail r
-          (Printf.sprintf "component %s has %d ridge weights, expected %d"
-             label n n_features)
-      else Array.of_list (List.map (float_field r) values)
-    | _ -> fail r "expected ridge line"
-  in
-  let n_stumps = count_field r (keyed_line r "stumps") in
-  let stumps =
-    List.init n_stumps (fun _ ->
-        match words r (next r) with
-        | [ "stump"; f; t; l; rt ] ->
-          let feature = int_field r f in
-          if feature < 0 || feature >= n_features then
-            fail r (Printf.sprintf "stump feature %d out of range" feature);
-          {
-            Stumps.st_feature = feature;
-            st_threshold = float_field r t;
-            st_left = float_field r l;
-            st_right = float_field r rt;
-          }
-        | _ -> fail r "malformed stump line")
-  in
-  { cm_ridge = ridge; cm_stumps = stumps }
-
-let read_components r ~n_features =
-  let comps = Array.make Cpi_stack.n_components zero_component in
-  List.iter
-    (fun c ->
-      comps.(Cpi_stack.index c) <-
-        read_component r ~label:(Cpi_stack.to_string c) ~n_features)
-    Cpi_stack.all;
-  comps
-
-let verify_checksum lines =
-  let n = Array.length lines in
-  let malformed line msg = raise (Parse (line, msg)) in
-  if n = 0 then malformed 1 "empty file";
-  let last = lines.(n - 1) in
-  if not (String.length last >= 9 && String.sub last 0 9 = "checksum ") then
-    malformed n "missing trailing checksum (file truncated?)";
-  let expected =
-    match Crc32.of_hex (String.sub last 9 (String.length last - 9)) with
-    | Some crc -> crc
-    | None -> malformed n "malformed checksum line"
-  in
-  let body = Array.sub lines 0 (n - 1) in
-  let crc =
-    Array.fold_left
-      (fun crc l ->
-        Crc32.update
-          (Crc32.update crc l ~pos:0 ~len:(String.length l))
-          "\n" ~pos:0 ~len:1)
-      0 body
-  in
-  if crc <> expected then
-    malformed n
+let read_model json =
+  let open Minijson in
+  let schema = field "schema" to_string json in
+  if schema <> model_schema then
+    fail (Printf.sprintf "unknown schema %S (expected %S)" schema model_schema);
+  let model = field "model" Option.some json in
+  let stored = field "crc32" to_string json and computed = model_crc model in
+  if stored <> computed then
+    fail
       (Printf.sprintf
-         "checksum mismatch (stored %s, computed %s): file corrupt or \
-          truncated"
-         (Crc32.to_hex expected) (Crc32.to_hex crc));
-  body
-
-let parse r =
-  (match words r (next r) with
-  | [ "mipp-calib"; "1" ] -> ()
-  | [ "mipp-calib"; v ] -> fail r (Printf.sprintf "unsupported version %s" v)
-  | _ -> fail r "bad header (expected \"mipp-calib 1\")");
-  let lambda = float_field r (keyed_line r "lambda") in
-  let shrinkage = float_field r (keyed_line r "shrinkage") in
-  let rounds = count_field r (keyed_line r "rounds") in
-  let folds = count_field r (keyed_line r "folds") in
-  let split_seed = int_field r (keyed_line r "split_seed") in
-  let holdout = float_field r (keyed_line r "holdout") in
-  let stat_names = name_list r ~count_key:"stats" ~item_key:"stat" in
-  let feature_names = name_list r ~count_key:"features" ~item_key:"feature" in
-  let holdout_names =
-    name_list r ~count_key:"holdout_points" ~item_key:"holdout_point"
+         "checksum mismatch (stored %s, computed %s): file corrupt"
+         stored computed);
+  let finite what v =
+    let f = need what (to_float v) in
+    if Float.is_finite f then f else fail ("non-finite " ^ what)
   in
+  let float what json = finite what (field what Option.some json) in
+  let count what =
+    let n = field what to_int model in
+    if n < 0 then fail (Printf.sprintf "negative %s %d" what n) else n
+  in
+  let names what =
+    List.map
+      (fun v -> need (what ^ " entry") (to_string v))
+      (field what to_list model)
+  in
+  let stat_names = names "stats" and feature_names = names "features" in
   (* The feature contract is code-defined: a model trained against a
      different feature or statistic set cannot be applied meaningfully,
      so reject it here instead of silently misaligning vectors. *)
   if stat_names <> Validate.stat_names then
-    fail r "statistic set does not match this build";
+    fail "statistic set does not match this build";
   if feature_names <> Features.names then
-    fail r "feature set does not match this build";
+    fail "feature set does not match this build";
   let n_features = List.length feature_names in
-  (match next r with
-  | "model main" -> ()
-  | _ -> fail r "expected \"model main\"");
-  let components = read_components r ~n_features in
-  let n_folds = count_field r (keyed_line r "fold_models") in
-  if n_folds <> folds then
-    fail r
-      (Printf.sprintf "header says %d folds but file carries %d" folds n_folds);
-  let fold_models =
-    Array.of_list
-      (List.init n_folds (fun k ->
-           (match words r (next r) with
-           | [ "fold"; kk ] when int_field r kk = k -> ()
-           | _ -> fail r (Printf.sprintf "expected fold %d" k));
-           read_components r ~n_features))
+  let component label json =
+    let ridge =
+      Array.of_list
+        (List.map (finite "ridge weight") (field "ridge" to_list json))
+    in
+    if Array.length ridge <> n_features then
+      fail
+        (Printf.sprintf "component %s has %d ridge weights, expected %d" label
+           (Array.length ridge) n_features);
+    let stump json =
+      let feature = field "feature" to_int json in
+      if feature < 0 || feature >= n_features then
+        fail (Printf.sprintf "stump feature %d out of range" feature);
+      {
+        Stumps.st_feature = feature;
+        st_threshold = float "threshold" json;
+        st_left = float "left" json;
+        st_right = float "right" json;
+      }
+    in
+    {
+      cm_ridge = ridge;
+      cm_stumps = List.map stump (field "stumps" to_list json);
+    }
   in
-  (match next r with "end" -> () | _ -> fail r "expected \"end\"");
-  if r.pos <> Array.length r.lines then fail r "trailing bytes after end";
+  let components json =
+    Array.of_list
+      (List.map
+         (fun c ->
+           let label = Cpi_stack.to_string c in
+           component label (field label Option.some json))
+         Cpi_stack.all)
+  in
+  let folds = count "folds" in
+  let fold_models =
+    Array.of_list (List.map components (field "fold_models" to_list model))
+  in
+  if Array.length fold_models <> folds then
+    fail
+      (Printf.sprintf "folds is %d but the model carries %d fold models" folds
+         (Array.length fold_models));
   {
-    c_lambda = lambda;
-    c_shrinkage = shrinkage;
-    c_rounds = rounds;
-    c_folds = n_folds;
-    c_split_seed = split_seed;
-    c_holdout = holdout;
+    c_lambda = float "lambda" model;
+    c_shrinkage = float "shrinkage" model;
+    c_rounds = count "rounds";
+    c_folds = folds;
+    c_split_seed = field "split_seed" to_int model;
+    c_holdout = float "holdout" model;
     c_stat_names = stat_names;
     c_feature_names = feature_names;
-    c_holdout_names = holdout_names;
-    c_components = components;
+    c_holdout_names = names "holdout_points";
+    c_components = components (field "components" Option.some model);
     c_fold_models = fold_models;
   }
 
 let of_string text =
-  match
-    let raw = String.split_on_char '\n' text in
-    (* A well-formed file ends with '\n': drop the final empty segment
-       only.  Any other empty line is corruption and fails parsing. *)
-    let raw =
-      match List.rev raw with "" :: rest -> List.rev rest | _ -> raw
-    in
-    let body = verify_checksum (Array.of_list raw) in
-    parse { lines = body; pos = 0 }
-  with
-  | m -> Ok m
-  | exception Parse (line, msg) ->
-    Error (Fault.bad_input ~line ~context msg)
-  | exception Fault.Error ft -> Error ft
-  | exception exn ->
-    Error (Fault.bad_input ~context (Printexc.to_string exn))
+  if String.starts_with ~prefix:"mipp-calib 1" text then
+    Error
+      (Fault.bad_input ~context
+         "\"mipp-calib 1\" is the retired line format; retrain the model with \
+          `mipp calibrate train`")
+  else Minijson.decode ~context text read_model
 
 let save path m =
   Fault.protect ~context:(context ^ " " ^ path) (fun () ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (to_string m)))
+      Out_channel.with_open_bin path (fun oc -> output_string oc (to_string m)))
 
 let load path =
-  match
-    Fault.protect ~context:(context ^ " " ^ path) (fun () ->
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic)))
-  with
-  | Error _ as e -> e
-  | Ok text -> of_string text
+  Result.bind
+    (Fault.protect ~context:(context ^ " " ^ path) (fun () ->
+         In_channel.with_open_bin path In_channel.input_all))
+    of_string
 
 (* ---- The engines' hook, keyed by the model's encoding ---- *)
 

@@ -65,14 +65,11 @@ val identity : t
 
 (** {1 Splitting} *)
 
-val in_holdout : options -> workload:string -> index:int -> bool
-(** The deterministic holdout assignment: a pure function of
-    (split seed, workload name, point index) — independent of row
-    order, matrix size, and everything else. *)
-
 val split_rows :
   options -> Validate.matrix_row list -> Validate.matrix_row list * Validate.matrix_row list
-(** (train, holdout), preserving row order. *)
+(** (train, holdout), preserving row order.  A row's side is a pure
+    function of (split seed, workload name, point index) — independent
+    of row order, matrix size, and everything else. *)
 
 (** {1 Training and evaluation} *)
 
@@ -155,11 +152,18 @@ val suggest :
 
 (** {1 Serialization}
 
-    The versioned [mipp-calib-v1] text format: a [mipp-calib 1] header,
-    every float a ["%h"] hex literal, and a trailing whole-file CRC-32
-    line exactly like the profile format — so loads reject truncated,
-    extended or bit-flipped files with a structured [Fault.Bad_input]
-    before any value is used, and save→load→save is byte-identical. *)
+    A {!Minijson} document with schema [mipp-calib-v2]:
+    [{"schema", "crc32", "model"}].  [model] holds every field of {!t},
+    each float a ["%h"] hex string and the components keyed by
+    {!Cpi_stack.to_string}; [crc32] is the CRC-32 of [Minijson.print]
+    of [model].  The model holds no plain non-integral number, so
+    parsing and printing it again gives back its bytes, and any
+    corruption that still parses fails the CRC.  Loads check the
+    schema, the CRC, the stat and feature names against this build, the
+    ridge width, the stump feature range, finite floats and the fold
+    count, each failure a structured [Fault.Bad_input]; a file in the
+    retired [mipp-calib 1] line format is refused with a message to
+    retrain.  save→load→save is byte-identical. *)
 
 val to_string : t -> string
 val of_string : string -> (t, Fault.t) result

@@ -8,7 +8,7 @@
     model's own per-component CPI stack and total CPI.  The residual
     learners only ever see this vector, so feature order is part of the
     serialized model contract ({!names} is written into the
-    [mipp-calib-v1] file and checked on load). *)
+    [mipp-calib-v2] file and checked on load). *)
 
 val names : string list
 (** Feature names, in vector order.  Workload statistics appear as

@@ -27,14 +27,6 @@ let to_string = function
   | Llc_hit -> "llc-hit"
   | Dram -> "dram"
 
-let of_string = function
-  | "base" -> Some Base
-  | "branch" -> Some Branch
-  | "icache" -> Some Icache
-  | "llc-hit" -> Some Llc_hit
-  | "dram" -> Some Dram
-  | _ -> None
-
 type t = float array (* length n_components, indexed by [index] *)
 
 let make f = Array.init n_components (fun i -> f (List.nth all i))

@@ -24,8 +24,6 @@ val to_string : component -> string
 (** Canonical label ("base", "branch", "icache", "llc-hit", "dram") —
     the single source for every printed stack. *)
 
-val of_string : string -> component option
-
 type t
 (** A CPI stack: one float (cycles, or cycles per instruction — the
     caller's choice of unit) per component. *)

@@ -43,9 +43,6 @@ val append : t -> string list -> unit
 
 val close : t -> unit
 
-val sync : t -> unit
-(** Force an fsync now, regardless of the group-commit cadence. *)
-
 val sync_all : unit -> unit
 (** Fsync every checkpoint currently open in this process.  Safe to call
     from a signal handler racing normal operation: per-handle failures

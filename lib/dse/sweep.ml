@@ -170,10 +170,9 @@ let run_points ?(jobs = 1) ?checkpoint ?(block_size = default_point_block_size)
       let skipped =
         run_blocks ~jobs ~keep_going ~log
           ~eval_block:(fun idxs ->
-            Array.map2
-              (fun i r -> (i, Result.bind r check))
-              idxs
-              (Parallel.map_result_array ~jobs:1 eval_point idxs))
+            Array.map
+              (fun i -> (i, Result.bind (Parallel.capture eval_point i) check))
+              idxs)
           ~keep:(Array.iter (fun (i, r) -> known.(i) <- Some r))
           ~records:(fun out ->
             Array.to_list

@@ -53,10 +53,3 @@ val sweep :
 
 val crash : t -> (unit, Fault.t) result
 (** Fault injection: ask the serving worker to die after replying. *)
-
-val rpc :
-  t -> ?timeout_ms:int -> Protocol.request ->
-  (Protocol.reply, Fault.t) result
-(** The generic call the typed wrappers are built on.  [Error] covers
-    transport failures and protocol-level rejections; an in-protocol
-    [Fault_reply] is returned as [Ok (Fault_reply _)]. *)

@@ -196,8 +196,6 @@ let submit t ~heavy job =
         Ok ()
       end)
 
-let degraded t = Mutex.protect t.mutex (fun () -> degraded_locked t)
-
 let stats t =
   Mutex.protect t.mutex (fun () ->
       {

@@ -35,8 +35,6 @@ val submit : t -> heavy:bool -> (unit -> unit) -> (unit, Fault.t) result
     full, the pool is draining, or [heavy] work arrives in degraded
     mode.  Never blocks. *)
 
-val degraded : t -> bool
-
 type stats = {
   queue_depth : int;
   inflight : int;

@@ -25,8 +25,6 @@
     can continue) from desynchronized garbage (bad magic / implausible
     length: the connection must close after the fault reply). *)
 
-val version : int
-
 type kind = Request | Reply
 
 (** {1 Messages} *)

@@ -204,9 +204,29 @@ let to_int = function
   | Num v when Float.is_integer v -> Some (int_of_float v)
   | _ -> None
 
+(* ---- Decoding ---- *)
+
+exception Decode of string
+
+let fail msg = raise (Decode msg)
+
+let need what = function Some v -> v | None -> fail ("missing " ^ what)
+
+let field what conv json = need what (Option.bind (member what json) conv)
+
+let decode ~context text read =
+  Result.bind (parse ~context text) (fun json ->
+      match read json with
+      | v -> Ok v
+      | exception Decode msg -> Error (Fault.bad_input ~context msg)
+      | exception Fault.Error ft -> Error ft
+      | exception e -> Error (Fault.bad_input ~context (Printexc.to_string e)))
+
 (* ---- Printer ---- *)
 
 let int n = Num (float_of_int n)
+
+let hex v = Str (Printf.sprintf "%h" v)
 
 (* Quote, backslash and the ASCII control bytes are escaped; every other
    byte, non-ASCII included, is written as it is. *)

@@ -1,8 +1,9 @@
 (** The repo's JSON value, its reader and its printer.
 
-    Every machine-readable report ([BENCH_*.json], the [mipp validate]
-    accuracy report, the calibration training matrix) is built as a
-    {!t} and written by {!print}; {!parse} reads the same subset back —
+    Every machine-readable document ([BENCH_*.json], the [mipp validate]
+    accuracy report, the calibration training matrix and the calibration
+    model) is built as a {!t} and written by {!print}; {!parse} reads the
+    same subset back —
     objects, arrays, strings (with the standard escapes), numbers,
     booleans and null — without an external dependency.  Numbers are
     [float]; object member order is preserved both ways. *)
@@ -31,10 +32,14 @@ val print : t -> string
 val int : int -> t
 (** [Num] of an integer. *)
 
+val hex : float -> t
+(** [Str] of the float's ["%h"] hex literal, which {!to_float} reads
+    back bit-exactly.  A document whose other numbers are integers
+    below 2{^53} prints back byte for byte after {!parse}. *)
+
 (** {1 Accessors}
 
-    All partial accessors return [option]; use {!member_exn} and friends
-    only inside a [Fault.protect]-style wrapper. *)
+    The partial accessors return [option]. *)
 
 val member : string -> t -> t option
 (** First member with that key of an [Obj]; [None] otherwise. *)
@@ -47,3 +52,24 @@ val to_float : t -> float option
 
 val to_string : t -> string option
 val to_int : t -> int option
+
+(** {1 Decoding}
+
+    A document's reader walks the parsed value with the raising helpers
+    below, inside {!decode}. *)
+
+val decode : context:string -> string -> (t -> 'a) -> ('a, Fault.t) result
+(** [decode ~context text read] parses [text] and applies [read] to it.
+    A parse error, a {!fail} and any other exception [read] raises
+    become [Fault.Bad_input] with [context]; a [Fault.Error] raised by
+    [read] is returned as it is. *)
+
+val fail : string -> 'a
+(** Abandon the enclosing {!decode} with this message. *)
+
+val need : string -> 'a option -> 'a
+(** [need what v]: the value, or {!fail} with ["missing " ^ what]. *)
+
+val field : string -> (t -> 'a option) -> t -> 'a
+(** [field what conv json]: member [what] of [json] through [conv], or
+    {!fail} naming it. *)

@@ -44,7 +44,5 @@ let capture f x =
   | Fault.Error ft -> Error ft
   | e -> Error (Fault.worker_crash e (Printexc.get_raw_backtrace ()))
 
-let map_result_array ?(jobs = 1) f xs = map_array ~jobs (capture f) xs
-
 let map_result ?(jobs = 1) f xs =
-  Array.to_list (map_result_array ~jobs f (Array.of_list xs))
+  Array.to_list (map_array ~jobs (capture f) (Array.of_list xs))

@@ -32,7 +32,3 @@ val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, Fault.t) result list
 val capture : ('a -> 'b) -> 'a -> ('b, Fault.t) result
 (** [capture f x] is one item of [map_result]: [Ok (f x)], or the fault
     an exception raised by [f x] becomes. *)
-
-val map_result_array :
-  ?jobs:int -> ('a -> 'b) -> 'a array -> ('b, Fault.t) result array
-(** Array counterpart of [map_result]. *)

@@ -524,27 +524,24 @@ let matrix_of_report rp =
         wr.wr_points)
     rp.rp_workloads
 
-(* Hex floats are JSON strings, so the round trip is bit-exact. *)
-let hexf v = Minijson.Str (Printf.sprintf "%h" v)
-
 let matrix_schema = "mipp-matrix-v2"
 
 let matrix_to_json rows =
   let open Minijson in
   let row { mr_workload; mr_stats; mr_point = pt } =
-    let stack s = Arr (List.map (fun (_, v) -> hexf v) (Cpi_stack.to_alist s)) in
+    let stack s = Arr (List.map (fun (_, v) -> hex v) (Cpi_stack.to_alist s)) in
     Obj
       [
         ("workload", Str mr_workload);
         ("index", int pt.vp_index);
         ("uarch", Str pt.vp_uarch.Uarch.name);
-        ("stats", Obj (List.map (fun (name, v) -> (name, hexf v)) mr_stats));
+        ("stats", Obj (List.map (fun (name, v) -> (name, hex v)) mr_stats));
         ("model_stack", stack pt.vp_model_stack);
-        ("model_cpi", hexf pt.vp_model_cpi);
+        ("model_cpi", hex pt.vp_model_cpi);
         ("sim_stack", stack pt.vp_sim_stack);
-        ("sim_cpi", hexf pt.vp_sim_cpi);
-        ("model_watts", hexf pt.vp_model_watts);
-        ("sim_watts", hexf pt.vp_sim_watts);
+        ("sim_cpi", hex pt.vp_sim_cpi);
+        ("model_watts", hex pt.vp_model_watts);
+        ("sim_watts", hex pt.vp_sim_watts);
       ]
   in
   print
@@ -553,81 +550,61 @@ let matrix_to_json rows =
 let matrix_context = "training matrix"
 
 let matrix_of_json text =
-  let ( let* ) = Result.bind in
-  let bad msg = Error (Fault.bad_input ~context:matrix_context msg) in
-  let need what = function Some v -> Ok v | None -> bad ("missing " ^ what) in
-  (* [f] over every element, or the first error from the right. *)
-  let map_all f xs =
-    List.fold_right
-      (fun x acc ->
-        let* acc = acc in
-        let* v = f x in
-        Ok (v :: acc))
-      xs (Ok [])
-  in
-  let* json = Minijson.parse ~context:matrix_context text in
-  let field what conv json =
-    need what (Option.bind (Minijson.member what json) conv)
-  in
-  let* schema = field "schema" Minijson.to_string json in
-  let* () =
-    if schema = matrix_schema then Ok ()
-    else if schema = "mipp-matrix-v1" then
-      bad
-        "schema \"mipp-matrix-v1\" carries no watts; regenerate the matrix \
-         with `mipp validate --matrix-out`"
-    else bad (Printf.sprintf "unknown schema %S" schema)
-  in
-  let* rows = field "rows" Minijson.to_list json in
-  let row_of json_row =
-    let field what conv = field what conv json_row in
-    let stack what =
-      let* items = field what Minijson.to_list in
-      let* values =
-        map_all (fun v -> need (what ^ " entry") (Minijson.to_float v)) items
+  let open Minijson in
+  decode ~context:matrix_context text (fun json ->
+      let schema = field "schema" to_string json in
+      if schema = "mipp-matrix-v1" then
+        fail
+          "schema \"mipp-matrix-v1\" carries no watts; regenerate the matrix \
+           with `mipp validate --matrix-out`";
+      if schema <> matrix_schema then
+        fail (Printf.sprintf "unknown schema %S" schema);
+      let row_of json_row =
+        let field what conv = field what conv json_row in
+        let stack what =
+          let values =
+            List.map
+              (fun v -> need (what ^ " entry") (to_float v))
+              (field what to_list)
+          in
+          if List.length values <> Cpi_stack.n_components then
+            fail
+              (Printf.sprintf "%s has %d entries, expected %d" what
+                 (List.length values) Cpi_stack.n_components);
+          let arr = Array.of_list values in
+          Cpi_stack.make (fun c -> arr.(Cpi_stack.index c))
+        in
+        let workload = field "workload" to_string in
+        let index = field "index" to_int in
+        let uarch = Fault.or_raise (Uarch.of_name (field "uarch" to_string)) in
+        let stats =
+          List.map
+            (fun (name, v) -> (name, need ("stat " ^ name) (to_float v)))
+            (field "stats" (function Obj members -> Some members | _ -> None))
+        in
+        let model_stack = stack "model_stack" in
+        let model_cpi = field "model_cpi" to_float in
+        let sim_stack = stack "sim_stack" in
+        let sim_cpi = field "sim_cpi" to_float in
+        let model_watts = field "model_watts" to_float in
+        let sim_watts = field "sim_watts" to_float in
+        {
+          mr_workload = workload;
+          mr_stats = stats;
+          mr_point =
+            {
+              vp_index = index;
+              vp_uarch = uarch;
+              vp_model_stack = model_stack;
+              vp_model_cpi = model_cpi;
+              vp_sim_stack = sim_stack;
+              vp_sim_cpi = sim_cpi;
+              vp_model_watts = model_watts;
+              vp_sim_watts = sim_watts;
+            };
+        }
       in
-      if List.length values <> Cpi_stack.n_components then
-        bad
-          (Printf.sprintf "%s has %d entries, expected %d" what
-             (List.length values) Cpi_stack.n_components)
-      else
-        let arr = Array.of_list values in
-        Ok (Cpi_stack.make (fun c -> arr.(Cpi_stack.index c)))
-    in
-    let* workload = field "workload" Minijson.to_string in
-    let* index = field "index" Minijson.to_int in
-    let* uarch = Result.bind (field "uarch" Minijson.to_string) Uarch.of_name in
-    let* stats =
-      Result.bind
-        (field "stats" (function Minijson.Obj members -> Some members | _ -> None))
-        (map_all (fun (name, v) ->
-             let* f = need ("stat " ^ name) (Minijson.to_float v) in
-             Ok (name, f)))
-    in
-    let* model_stack = stack "model_stack" in
-    let* model_cpi = field "model_cpi" Minijson.to_float in
-    let* sim_stack = stack "sim_stack" in
-    let* sim_cpi = field "sim_cpi" Minijson.to_float in
-    let* model_watts = field "model_watts" Minijson.to_float in
-    let* sim_watts = field "sim_watts" Minijson.to_float in
-    Ok
-      {
-        mr_workload = workload;
-        mr_stats = stats;
-        mr_point =
-          {
-            vp_index = index;
-            vp_uarch = uarch;
-            vp_model_stack = model_stack;
-            vp_model_cpi = model_cpi;
-            vp_sim_stack = sim_stack;
-            vp_sim_cpi = sim_cpi;
-            vp_model_watts = model_watts;
-            vp_sim_watts = sim_watts;
-          };
-      }
-  in
-  map_all row_of rows
+      List.map row_of (field "rows" to_list json))
 
 let save_matrix path rows =
   Fault.protect ~context:(matrix_context ^ " " ^ path) (fun () ->

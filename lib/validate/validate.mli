@@ -32,10 +32,6 @@ type point = {
       (** [Power.estimate] total watts of the simulated activity *)
 }
 
-val point :
-  index:int -> Uarch.t -> Interval_model.prediction -> Sim_result.t -> point
-(** Pair one prediction with one simulation of the same design point. *)
-
 val signed_error : point -> float
 (** [(model_cpi - sim_cpi) / sim_cpi]: positive when the model
     over-predicts. *)

@@ -16,7 +16,7 @@ let dot a b =
    regularization, the closed-form solve must recover the generating
    coefficients essentially exactly. *)
 let prop_ridge_exact_recovery =
-  QCheck.Test.make ~name:"ridge recovers exact coefficients (noiseless, 1e-9)"
+  QCheck.Test.make ~name:"recovers exact noiseless coefficients"
     ~count:100
     QCheck.(
       pair (int_range 1 6) (list_of_size (QCheck.Gen.return 6) (float_range (-10.0) 10.0)))
@@ -138,7 +138,7 @@ let test_split_deterministic_and_order_free () =
 
 let prop_calibrated_cpi_finite_nonnegative =
   QCheck.Test.make
-    ~name:"calibrated CPI and stack are finite and non-negative" ~count:60
+    ~name:"calibrated CPI, stack finite and >= 0" ~count:60
     QCheck.(
       triple (int_bound 10_000)
         (float_range 0.0 10.0)
@@ -246,9 +246,22 @@ let test_model_roundtrip_byte_identical () =
 let test_rejects_truncation_and_flip () =
   let m, _ = Lazy.force trained in
   let s = Calibrate.to_string m in
-  let expect_error what = function
+  let find ?(from = 0) hint text =
+    let n = String.length hint in
+    let rec at i =
+      if i + n > String.length text then None
+      else if String.sub text i n = hint then Some i
+      else at (i + 1)
+    in
+    at from
+  in
+  (* [says]: a fragment the refusal's message must contain. *)
+  let expect_error ?(says = "") what = function
     | Ok _ -> Alcotest.failf "%s: corrupt model accepted" what
-    | Error (Fault.Bad_input _) -> ()
+    | Error (Fault.Bad_input _ as f) ->
+      let msg = Fault.to_string f in
+      if find says msg = None then
+        Alcotest.failf "%s: %S does not say %S" what msg says
     | Error f ->
       Alcotest.failf "%s: wrong fault class %s" what (Fault.to_string f)
   in
@@ -257,7 +270,22 @@ let test_rejects_truncation_and_flip () =
   let b = Bytes.of_string s in
   Bytes.set b (String.length s / 3) 'Z';
   expect_error "byte flip" (Calibrate.of_string (Bytes.to_string b));
-  expect_error "empty" (Calibrate.of_string "")
+  expect_error "empty" (Calibrate.of_string "");
+  (* A retired line-format file is refused with the command that
+     replaces it, not as unparseable JSON. *)
+  expect_error ~says:"mipp calibrate train" "v1 file"
+    (Calibrate.of_string "mipp-calib 1\nlambda 0x1.a36e2eb1c432dp-14\n");
+  (* One hex digit of a ridge weight changed still parses as JSON: the
+     model's CRC must catch it. *)
+  let ridge = Option.get (find "\"ridge\": [" s) in
+  let digit = Option.get (find ~from:ridge "0x" s) + 2 in
+  let b = Bytes.of_string s in
+  Bytes.set b digit (if s.[digit] = '0' then '1' else '0');
+  let flipped = Bytes.to_string b in
+  Alcotest.(check bool) "digit flip is still JSON" true
+    (Result.is_ok (Minijson.parse ~context:"test" flipped));
+  expect_error ~says:"checksum mismatch" "digit flip"
+    (Calibrate.of_string flipped)
 
 (* Corruption fuzzer, mirroring the profile-format fuzzer: truncation
    anywhere, any single-byte overwrite, any whole line deleted — the
@@ -266,7 +294,7 @@ let test_rejects_truncation_and_flip () =
    [Error].  Never an exception. *)
 let prop_calib_corruption_total =
   let base = lazy (Calibrate.to_string (fst (Lazy.force trained))) in
-  QCheck.Test.make ~name:"corrupt calibration files never escape the result type"
+  QCheck.Test.make ~name:"corrupt model files never raise"
     ~count:120
     QCheck.(triple (int_range 0 2) (int_bound 100_000) (int_bound 255))
     (fun (mode, pos, byte) ->
