@@ -1,5 +1,5 @@
 (* The two sweep reports, over one gcc profile at the design-space run
-   length: the streaming engine at scale ([dse_sweep], BENCH_sweep.json)
+   length: the streaming sweep at scale ([dse_sweep], BENCH_sweep.json)
    and fault-isolated, checkpointed sweeps ([sweep_faults],
    BENCH_faults.json).  The 243-point sweep's own speed and its StatStack
    reuse are perfbench's `profile-suite` figures ([dse.sweep_s],
@@ -41,7 +41,7 @@ let cut_log path ~records =
         lines;
       output_string oc "0bad0bad ok 100 0x1.2p3")
 
-(* ---- dse_sweep: the streaming engine at scale ---- *)
+(* ---- dse_sweep: the streaming sweep at scale ---- *)
 
 let dse_sweep () =
   Table.section "DSE sweep engine — streaming sweep at scale, kill-and-resume";

@@ -6,13 +6,14 @@
    and the sweep simply re-evaluates what it held.
 
    Line format:    <crc32-hex8> <payload>\n
-   Header payload: checkpoint 4 <header>
-   Record payload: produced by one of the record codecs below
+   Header payload: checkpoint 5 <header>
+   Record payload: produced by the record codec below
 
    The header string is opaque here: the sweep builds it from everything
    that must match for its records to be reusable, and a reopen compares
-   it byte for byte.  Logs of earlier versions began "header <version>"
-   and are refused by that comparison like any other foreign file.
+   it byte for byte.  Logs of earlier formats (a "header <version>" line,
+   or an older "checkpoint" tag) are refused by that comparison like any
+   other foreign file.
 
    Result floats are stored as their raw IEEE-754 bit pattern, 16 hex
    digits: bit-exact by construction (including NaN payloads, which
@@ -22,7 +23,7 @@
 
 type t = { fd : Unix.file_descr; mutable last_sync : float }
 
-let format_tag = "checkpoint 4 "
+let format_tag = "checkpoint 5 "
 
 let add_framed buf payload =
   Buffer.add_string buf (Crc32.to_hex (Crc32.string payload));
@@ -171,18 +172,15 @@ let close t =
   maybe_sync t;
   Unix.close t.fd
 
-(* ---- Record codecs ----
+(* ---- Record codec ----
 
-   Point header:  points <n_points> <width> <run, OCaml-quoted>
-   Point record:  ok <index> <width floats>
-                  err <index> <fault-line>   (see Fault.to_line)
-   Block header:  blocks <n_points> <width> <block_size> <offset> <length>
-                         <run, OCaml-quoted>
-   Block record:  blk <block#> <width floats> <front#> {<id> <delay> <power>}*
+   Header:  points <n_points> <run, OCaml-quoted>
+   Record:  ok <index> <floats>
+            err <index> <fault-line>   (see Fault.to_line)
 
-   Floats are raw IEEE-754 bit patterns, 16 hex digits each.  <run> is
-   the workload name, a space and the MD5 digest of the run's inputs
-   (see [run_id]). *)
+   Floats are raw IEEE-754 bit patterns, 16 hex digits each; how many a
+   record holds is the caller's to check.  <run> is the workload name, a
+   space and the MD5 digest of the run's inputs (see [run_id]). *)
 
 (* A digest of the inputs' digests: fixed-width parts need no framing
    to keep ["ab"; "c"] apart from ["a"; "bc"], and nothing is copied. *)
@@ -203,102 +201,36 @@ let float_of_bits_hex s =
   if String.length s <> 16 then None
   else Option.map Int64.float_of_bits (Int64.of_string_opt ("0x" ^ s))
 
-(* The first [k] fields of [l] as floats, and the fields after them. *)
-let take_floats k l =
-  let rec go k acc l =
-    if k = 0 then Some (Array.of_list (List.rev acc), l)
-    else
-      match l with
-      | x :: tl -> Option.bind (float_of_bits_hex x) (fun f -> go (k - 1) (f :: acc) tl)
-      | [] -> None
-  in
-  go k [] l
+let point_header ~workload ~n_points = Printf.sprintf "points %d %S" n_points workload
 
-let point_header ~workload ~n_points ~width =
-  Printf.sprintf "points %d %d %S" n_points width workload
-
-let encode_point ~width index result =
-  let buf = Buffer.create (24 + (17 * width)) in
-  (match result with
+let encode_point index result =
+  match result with
   | Ok values ->
-    if Array.length values <> width then
-      Fault.raise_error
-        (Fault.bad_input ~context:"checkpoint"
-           (Printf.sprintf "record width %d does not match width %d"
-              (Array.length values) width));
+    let buf = Buffer.create (24 + (17 * Array.length values)) in
     Buffer.add_string buf "ok ";
     Buffer.add_string buf (string_of_int index);
     Array.iter
       (fun f ->
         Buffer.add_char buf ' ';
         add_float_bits buf f)
-      values
-  | Error ft ->
-    Buffer.add_string buf (Printf.sprintf "err %d %s" index (Fault.to_line ft)));
-  Buffer.contents buf
+      values;
+    Buffer.contents buf
+  | Error ft -> Printf.sprintf "err %d %s" index (Fault.to_line ft)
 
-let decode_point ~n_points ~width payload =
+let decode_point ~n_points payload =
   let in_range i = if i >= 0 && i < n_points then Some i else None in
+  let rec floats acc = function
+    | [] -> Some (Array.of_list (List.rev acc))
+    | x :: tl -> Option.bind (float_of_bits_hex x) (fun f -> floats (f :: acc) tl)
+  in
   match String.split_on_char ' ' payload with
   | "ok" :: index :: fields -> (
-    match (Option.bind (int_of_string_opt index) in_range, take_floats width fields) with
-    | Some i, Some (values, []) -> Some (i, Ok values)
+    match (Option.bind (int_of_string_opt index) in_range, floats [] fields) with
+    | Some i, Some values -> Some (i, Ok values)
     | _ -> None)
   | "err" :: index :: tag :: rest ->
     Option.bind (Option.bind (int_of_string_opt index) in_range) (fun i ->
         Option.map
           (fun ft -> (i, Error ft))
           (Fault.of_line ~tag (String.concat " " rest)))
-  | _ -> None
-
-type block = {
-  b_index : int;
-  b_stats : float array;
-  b_front : (int * float * float) list;
-}
-
-let block_header ~workload ~n_points ~width ~block_size ~offset ~length =
-  Printf.sprintf "blocks %d %d %d %d %d %S" n_points width block_size offset
-    length workload
-
-let encode_block b =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "blk ";
-  Buffer.add_string buf (string_of_int b.b_index);
-  Array.iter
-    (fun f ->
-      Buffer.add_char buf ' ';
-      add_float_bits buf f)
-    b.b_stats;
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (string_of_int (List.length b.b_front));
-  List.iter
-    (fun (id, delay, power) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int id);
-      Buffer.add_char buf ' ';
-      add_float_bits buf delay;
-      Buffer.add_char buf ' ';
-      add_float_bits buf power)
-    b.b_front;
-  Buffer.contents buf
-
-let decode_block ~n_blocks ~width payload =
-  let rec front k acc = function
-    | [] when k = 0 -> Some (List.rev acc)
-    | id :: d :: p :: tl when k > 0 -> (
-      match (int_of_string_opt id, float_of_bits_hex d, float_of_bits_hex p) with
-      | Some id, Some d, Some p -> front (k - 1) ((id, d, p) :: acc) tl
-      | _ -> None)
-    | _ -> None
-  in
-  match String.split_on_char ' ' payload with
-  | "blk" :: index :: fields -> (
-    match (int_of_string_opt index, take_floats width fields) with
-    | Some b, Some (stats, count :: triples) when b >= 0 && b < n_blocks ->
-      Option.bind (int_of_string_opt count) (fun k ->
-          Option.map
-            (fun f -> { b_index = b; b_stats = stats; b_front = f })
-            (front k [] triples))
-    | _ -> None)
   | _ -> None

@@ -9,11 +9,10 @@
     killed process loses at most the in-flight batch and a power failure
     at most the last second of progress.
 
-    What a record holds is up to the sweep; the two record codecs below
-    cover the per-point engine ({!encode_point}) and the streaming block
-    engine ({!encode_block}).  Both store floats as raw IEEE-754 bit
-    patterns, which makes a kill-and-resume sweep bit-identical to an
-    uninterrupted one. *)
+    What a record holds is up to the sweep: one point's index and outcome
+    as a float vector ({!encode_point}), the one record codec of every
+    sweep.  Floats are stored as raw IEEE-754 bit patterns, which makes a
+    kill-and-resume sweep bit-identical to an uninterrupted one. *)
 
 type t
 (** An open checkpoint file, ready for appending. *)
@@ -26,8 +25,8 @@ val open_ :
     already holds, in file order.
 
     On reopen the stored header must be byte-identical to [header]:
-    anything else — another sweep, the other engine, a log in an older
-    format — is refused with [Fault.Bad_input], never misparsed; its
+    anything else — another sweep, another range or block size, a log in
+    an older format — is refused with [Fault.Bad_input], never misparsed; its
     message names that cause and the remedy (delete the log or choose
     another [--checkpoint] path), then both raw headers.  A file
     holding only a prefix of [header] (a kill while the header was being
@@ -59,49 +58,22 @@ val run_id : workload:string -> string list -> string
     get different names, so the log of one is refused by the other
     rather than resumed. *)
 
-(** {1 Per-point records}
+(** {1 Point records}
 
     One record per evaluated point: its index and its outcome as a flat
-    float vector of the width declared in the header.  Failed points are
-    recorded too, so a resume under keep-going does not re-run known-bad
-    points. *)
+    float vector.  Failed points are recorded too, so a resume under
+    keep-going does not re-run known-bad points.  Every caller records
+    its points this way: a streaming sweep's point is one index block. *)
 
-val point_header : workload:string -> n_points:int -> width:int -> string
+val point_header : workload:string -> n_points:int -> string
 (** [workload] is the run's name, normally built by {!run_id}. *)
 
-val encode_point :
-  width:int -> int -> (float array, Fault.t) result -> string
-(** [encode_point ~width index result].  Raises [Fault.Error] on an [Ok]
-    vector whose length is not [width]. *)
+val encode_point : int -> (float array, Fault.t) result -> string
+(** [encode_point index result] is the record of point [index]. *)
 
 val decode_point :
-  n_points:int -> width:int -> string ->
-  (int * (float array, Fault.t) result) option
-(** Inverse of {!encode_point}; [None] for a malformed record, a vector
-    of another width or an index outside [0, n_points). *)
-
-(** {1 Block records}
-
-    A streaming sweep records one line per completed index block: the
-    block's fixed-width accumulator vector and its local Pareto front, so
-    the log stays a few hundred bytes per block however large the space
-    is. *)
-
-type block = {
-  b_index : int;  (** block number within the swept sub-range, from 0 *)
-  b_stats : float array;
-  b_front : (int * float * float) list;  (** point id, delay, power *)
-}
-
-val block_header :
-  workload:string -> n_points:int -> width:int -> block_size:int ->
-  offset:int -> length:int -> string
-(** [n_points] is the size of the whole space, [offset, offset + length)
-    the swept sub-range, [width] the stats vector length and [workload]
-    the run's name, as for {!point_header}. *)
-
-val encode_block : block -> string
-
-val decode_block : n_blocks:int -> width:int -> string -> block option
-(** Inverse of {!encode_block}; [None] for a malformed record, a stats
-    vector of another width or a block number outside [0, n_blocks). *)
+  n_points:int -> string -> (int * (float array, Fault.t) result) option
+(** Inverse of {!encode_point}; [None] for a malformed record or an index
+    outside [0, n_points).  The vector may have any length: its shape is
+    the caller's to check, inside the [decode] it hands {!open_}, so a
+    record of the wrong shape ends the trusted prefix. *)

@@ -47,16 +47,19 @@ let vec_of_eval e =
      e.sw_ed2p |]
 
 let eval_of_vec config ~index v =
-  {
-    sw_index = index;
-    sw_config = config;
-    sw_cpi = v.(0);
-    sw_cycles = v.(1);
-    sw_watts = v.(2);
-    sw_seconds = v.(3);
-    sw_energy_j = v.(4);
-    sw_ed2p = v.(5);
-  }
+  if Array.length v <> 6 then None
+  else
+    Some
+      {
+        sw_index = index;
+        sw_config = config;
+        sw_cpi = v.(0);
+        sw_cycles = v.(1);
+        sw_watts = v.(2);
+        sw_seconds = v.(3);
+        sw_energy_j = v.(4);
+        sw_ed2p = v.(5);
+      }
 
 type adjust =
   string * (Profile.t -> Uarch.t -> Interval_model.prediction -> Cpi_stack.t * float)
@@ -80,83 +83,64 @@ let check_numeric (e : eval) =
 
 (* ---- The evaluation loop ----
 
-   Both engines are the same three steps: restore the records a
-   checkpoint already holds, evaluate the pending index blocks [jobs] at
-   a time, and append each group's records before starting the next.
-   They differ only in what a block is (a run of point indices, or a
-   range of the streamed space), what it evaluates to and what record it
-   leaves in the log. *)
-
-(* Open [checkpoint] (if any) with [header], restore its records and run
-   [f] on the open log, closing it however [f] ends. *)
-let with_log checkpoint ~header ~decode f =
-  match checkpoint with
-  | None -> f None []
-  | Some path ->
-    Result.bind (Checkpoint.open_ path ~header ~decode) (fun (log, restored) ->
-        Fun.protect
-          ~finally:(fun () -> Checkpoint.close log)
-          (fun () -> f (Some log) restored))
-
-(* Evaluate [blocks] (pending, in ascending order) [jobs] at a time, one
-   block per worker domain.  Each group's results are handed to [keep]
-   and their [records] appended to [log] in block order before the next
-   group starts, so a kill loses at most the in-flight group.  Without
-   [keep_going] the group holding the first [faulted] block finishes and
-   the blocks after it are returned unevaluated. *)
-let run_blocks ~jobs ~keep_going ~log ~eval_block ~keep ~records ~faulted
-    blocks =
-  let n = Array.length blocks in
-  let rec go start =
-    if start >= n then [||]
-    else begin
-      let group = Array.sub blocks start (min (max 1 jobs) (n - start)) in
-      let out = Parallel.map_array ~jobs eval_block group in
-      Array.iter keep out;
-      Option.iter
-        (fun log ->
-          Checkpoint.append log (List.concat_map records (Array.to_list out)))
-        log;
-      let next = start + Array.length group in
-      if (not keep_going) && Array.exists faulted out then
-        Array.sub blocks next (n - next)
-      else go next
-    end
-  in
-  go 0
+   One engine walks every sweep: restore the records a checkpoint
+   already holds, evaluate the pending points in blocks, [jobs] blocks at
+   a time, and append each group's records before starting the next.  A
+   per-point sweep's point is one design point; a streaming sweep's is
+   one fixed index block of the space, folded to a summary. *)
 
 let default_point_block_size = 64
 
-(* The per-point engine: the loop plus a collector that keeps one result
-   per point and logs one record per point.  Blocks are runs of pending
-   indices, [min block_size (ceil (pending / jobs))] long, so a small
-   matrix still spreads over every domain; the records carry no block
-   structure, so a log resumes under any [jobs]. *)
-let run_points ?(jobs = 1) ?checkpoint ?(block_size = default_point_block_size)
-    ?(keep_going = true) ~workload ~n_points ~width ~encode ~decode ~check
-    ~eval_point () =
+(* [faulted] is the stop rule: without [keep_going] the group holding
+   the first point it flags finishes and the later blocks are left
+   unevaluated (and unlogged).  A per-point sweep stops on an [Error]; a
+   streaming sweep also on a block holding a failed point. *)
+let run_points_until ~faulted ?(jobs = 1) ?checkpoint
+    ?(block_size = default_point_block_size) ?(keep_going = true) ~workload
+    ~n_points ~encode ~decode ~check ~eval_point () =
   let n = n_points in
   let jobs = max 1 jobs in
-  let known = Array.make n None in
-  with_log checkpoint
-    ~header:(Checkpoint.point_header ~workload ~n_points:n ~width)
-    ~decode:(Checkpoint.decode_point ~n_points:n ~width)
-    (fun log restored ->
+  (* The caller's [decode] runs at open time, so a record of the wrong
+     shape ends the trusted prefix like a torn one. *)
+  let decode_record payload =
+    Option.bind (Checkpoint.decode_point ~n_points:n payload) (function
+      | i, Ok v -> Option.map (fun x -> (i, Ok x)) (decode ~index:i v)
+      | i, Error ft -> Some (i, Error ft))
+  in
+  let ( let* ) = Result.bind in
+  let* log, restored =
+    match checkpoint with
+    | None -> Ok (None, [])
+    | Some path ->
+      Result.map
+        (fun (log, restored) -> (Some log, restored))
+        (Checkpoint.open_ path
+           ~header:(Checkpoint.point_header ~workload ~n_points:n)
+           ~decode:decode_record)
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Checkpoint.close log)
+    (fun () ->
+      let known = Array.make n None in
       let resumed = ref 0 in
       List.iter
         (fun (i, r) ->
           if known.(i) = None then begin
             incr resumed;
-            known.(i) <- Some (Result.map (decode ~index:i) r)
+            known.(i) <- Some r
           end)
         restored;
       let pending =
         Array.of_list (List.filter (fun i -> known.(i) = None) (List.init n Fun.id))
       in
       let m = Array.length pending in
-      (* [block_size] bounds what a kill loses and how far a run goes
-         past its first fault; with neither a log nor a stop to bound,
-         each domain takes one block, in a single fan-out. *)
+      (* Blocks are runs of pending indices, [min block_size (ceil
+         (pending / jobs))] long, so a small matrix still spreads over
+         every domain; the records carry no block structure, so a log
+         resumes under any [jobs].  [block_size] bounds what a kill loses
+         and how far a run goes past its first fault; with neither a log
+         nor a stop to bound, each domain takes one block, in a single
+         fan-out. *)
       let even = max 1 ((m + jobs - 1) / jobs) in
       let size =
         if Option.is_none log && keep_going then even
@@ -167,34 +151,45 @@ let run_points ?(jobs = 1) ?checkpoint ?(block_size = default_point_block_size)
           ((m + size - 1) / size)
           (fun b -> Array.sub pending (b * size) (min size (m - (b * size))))
       in
-      let skipped =
-        run_blocks ~jobs ~keep_going ~log
-          ~eval_block:(fun idxs ->
-            Array.map
-              (fun i -> (i, Result.bind (Parallel.capture eval_point i) check))
-              idxs)
-          ~keep:(Array.iter (fun (i, r) -> known.(i) <- Some r))
-          ~records:(fun out ->
-            Array.to_list
-              (Array.map
-                 (fun (i, r) ->
-                   Checkpoint.encode_point ~width i (Result.map encode r))
-                 out))
-          ~faulted:(Array.exists (fun (_, r) -> Result.is_error r))
-          blocks
+      let eval_block =
+        Array.map (fun i -> (i, Result.bind (Parallel.capture eval_point i) check))
       in
-      Array.iter
-        (Array.iter (fun i ->
-             known.(i) <-
-               Some
-                 (Error
-                    (Fault.bad_input ~context:"sweep"
-                       (Printf.sprintf
-                          "design point %d skipped: an earlier point failed \
-                           (run with keep-going to evaluate every point)"
-                          i)))))
-        skipped;
-      let results = List.map Option.get (Array.to_list known) in
+      (* Each group's records are appended in index order before the next
+         group starts, so a kill loses at most the in-flight group. *)
+      let rec go start =
+        if start < Array.length blocks then begin
+          let group =
+            Array.sub blocks start (min jobs (Array.length blocks - start))
+          in
+          let out =
+            Array.concat (Array.to_list (Parallel.map_array ~jobs eval_block group))
+          in
+          Array.iter (fun (i, r) -> known.(i) <- Some r) out;
+          Option.iter
+            (fun log ->
+              Checkpoint.append log
+                (Array.to_list
+                   (Array.map
+                      (fun (i, r) -> Checkpoint.encode_point i (Result.map encode r))
+                      out)))
+            log;
+          if keep_going || not (Array.exists (fun (_, r) -> faulted r) out) then
+            go (start + Array.length group)
+        end
+      in
+      go 0;
+      let results =
+        List.init n (fun i ->
+            match known.(i) with
+            | Some r -> r
+            | None ->
+              Error
+                (Fault.bad_input ~context:"sweep"
+                   (Printf.sprintf
+                      "design point %d skipped: an earlier point failed (run \
+                       with keep-going to evaluate every point)"
+                      i)))
+      in
       let ok = List.length (List.filter Result.is_ok results) in
       Ok
         {
@@ -203,6 +198,11 @@ let run_points ?(jobs = 1) ?checkpoint ?(block_size = default_point_block_size)
           run_failed = n - ok;
           run_resumed = !resumed;
         })
+
+let run_points ?jobs ?checkpoint ?block_size ?keep_going ~workload ~n_points
+    ~encode ~decode ~check ~eval_point () =
+  run_points_until ~faulted:Result.is_error ?jobs ?checkpoint ?block_size
+    ?keep_going ~workload ~n_points ~encode ~decode ~check ~eval_point ()
 
 (* The name a checkpointed run carries in its log header: the workload
    and a digest of [inputs ()], everything its results depend on.  Only
@@ -249,7 +249,7 @@ let model_inputs ~options ~adjust ~profile =
    [pr_uarch].  Each domain keeps its last prediction in a one-entry
    cell and reuses it while the profile, the options (both by physical
    identity) and the timing stay the same ([Interval_model.same_timing],
-   which builds no key).  Both engines hand a domain consecutive indices
+   which builds no key).  Every sweep hands a domain consecutive indices
    in ascending order, so in a space whose innermost axis is the
    operating point every run of DVFS siblings costs one [predict].
    Power, seconds, energy and [adjust] still see each point's own
@@ -302,7 +302,7 @@ let model_eval ?(options = Interval_model.default_options) ?adjust profile =
       ( stack,
         of_prediction ~cycles:(cpi *. pred.pr_instructions) config ~index pred )
 
-(* [model_eval]'s eval alone, which is all the engines keep of a point:
+(* [model_eval]'s eval alone, which is all a sweep keeps of a point:
    without [adjust] no stack is built. *)
 let model_point ?(options = Interval_model.default_options) ?adjust profile =
   match adjust with
@@ -341,29 +341,29 @@ let model_sweep_result ?(options = Interval_model.default_options) ?jobs
                 (fun () ->
                   "model" :: marshal configs
                   :: model_inputs ~options ~adjust ~profile))
-           ~n_points:(Array.length configs_a) ~width:6 ~encode:vec_of_eval
+           ~n_points:(Array.length configs_a) ~encode:vec_of_eval
            ~decode:(fun ~index v -> eval_of_vec configs_a.(index) ~index v)
            ~check:check_numeric
            ~eval_point:(fun i -> eval configs_a.(i) ~index:i)
            ()))
 
-(* ---- Streaming engine ---- *)
+(* ---- Streaming sweeps ---- *)
 
-(* The per-point engine above keeps one result per point in memory and
+(* A per-point sweep keeps one result per point in memory and
    checkpoints one record per point — fine at 10^3 points, fatal at
-   10^6.  The streaming engine instead walks the index range in fixed
-   [block_size] blocks; each block folds its points into a fixed-width
-   accumulator vector plus a local Pareto front and is then dropped, so
-   peak RSS and checkpoint size depend on the block count, never the
-   point count.
+   10^6.  A streaming sweep instead walks the index range in fixed
+   [block_size] blocks and runs the engine over the blocks: each block
+   is one "point", folded into a fixed-width accumulator vector plus a
+   local Pareto front and then dropped, so peak RSS and checkpoint size
+   depend on the block count, never the point count.
 
    Determinism: points within a block are evaluated sequentially in
-   index order; blocks within a group run in parallel but are recorded
-   (and merged) in ascending block order; all min/argmin updates use
-   strict [<], so the lowest index wins every tie.  The merged summary
-   is therefore a pure function of (range, block_size) — independent of
-   [jobs] and of where a kill-and-resume split the run (floats
-   round-trip the checkpoint as IEEE-754 bit patterns). *)
+   index order; blocks are merged in ascending block order; all
+   min/argmin updates use strict [<], so the lowest index wins every
+   tie.  The merged summary is therefore a pure function of (range,
+   block_size) — independent of [jobs] and of where a kill-and-resume
+   split the run (floats round-trip the checkpoint as IEEE-754 bit
+   patterns). *)
 
 let stream_stats_width = 14
 
@@ -419,11 +419,19 @@ type stream_summary = {
   ss_sample_fault : Fault.t option;
 }
 
-(* Evaluate the points of block [b], [start, stop), sequentially in index
-   order, folding them into a stats vector and a local Pareto front.
-   Each point is evaluated under [Parallel.capture], so a crashing point
-   faults exactly as in the per-point engine. *)
-let eval_block ~eval_point ~on_point ~b ~start ~stop =
+(* A block's fold: its stats vector, its local front and (when this run
+   evaluated it) its first fault. *)
+type block = {
+  b_stats : float array;
+  b_front : Pareto.point list;
+  b_fault : Fault.t option;
+}
+
+(* Evaluate the points [start, stop) sequentially in index order,
+   folding them into a block.  Each point is evaluated under
+   [Parallel.capture], so a crashing point faults exactly as in a
+   per-point sweep. *)
+let eval_block ~eval_point ~on_point ~start ~stop =
   let stats = init_stats () in
   let first_fault = ref None in
   let pts = ref [] in
@@ -458,18 +466,42 @@ let eval_block ~eval_point ~on_point ~b ~start ~stop =
         { Pareto.pt_id = i; pt_delay = e.sw_seconds; pt_power = e.sw_watts }
         :: !pts
   done;
-  let front =
-    Pareto.frontier (List.rev !pts)
-    |> List.map (fun (p : Pareto.point) -> (p.pt_id, p.pt_delay, p.pt_power))
-  in
-  ({ Checkpoint.b_index = b; b_stats = stats; b_front = front }, !first_fault)
+  { b_stats = stats; b_front = Pareto.frontier (List.rev !pts); b_fault = !first_fault }
+
+(* A block's record: the stats vector, then an (id, delay, power) triple
+   per front point. *)
+let encode_block b =
+  Array.append b.b_stats
+    (Array.of_list
+       (List.concat_map
+          (fun (p : Pareto.point) -> [ float_of_int p.pt_id; p.pt_delay; p.pt_power ])
+          b.b_front))
+
+let decode_block v =
+  let extra = Array.length v - stream_stats_width in
+  if extra < 0 || extra mod 3 <> 0 then None
+  else
+    let at k = stream_stats_width + (3 * k) in
+    Some
+      {
+        b_stats = Array.sub v 0 stream_stats_width;
+        b_front =
+          List.init (extra / 3) (fun k ->
+              {
+                Pareto.pt_id = int_of_float v.(at k);
+                pt_delay = v.(at k + 1);
+                pt_power = v.(at k + 2);
+              });
+        b_fault = None;
+      }
 
 let default_block_size = 4096
 
-(* The streaming engine: the loop over fixed index ranges, each folded to
-   one block record, then the blocks merged in ascending order. *)
-let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
-    ?(keep_going = true) ?on_point ~workload ~n_points ?(offset = 0) ?length
+(* The engine over blocks, then the blocks merged in ascending order.
+   The space size, range and block size go into the run's name, so a log
+   of another range or block size is refused. *)
+let run_stream ?jobs ?checkpoint ?(block_size = default_block_size)
+    ?keep_going ?on_point ~workload ~n_points ?(offset = 0) ?length
     ~eval_point () =
   let length = match length with Some l -> l | None -> n_points - offset in
   if offset < 0 || length < 0 || offset > n_points - length then
@@ -483,75 +515,43 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
          (Printf.sprintf "block size %d, must be >= 1" block_size))
   else begin
     let n_blocks = if length = 0 then 0 else ((length - 1) / block_size) + 1 in
-    let blocks : Checkpoint.block option array = Array.make n_blocks None in
-    with_log checkpoint
-      ~header:
-        (Checkpoint.block_header ~workload ~n_points ~width:stream_stats_width
-           ~block_size ~offset ~length)
-      ~decode:(Checkpoint.decode_block ~n_blocks ~width:stream_stats_width)
-      (fun log restored ->
-        let resumed = ref 0 in
-        List.iter
-          (fun (blk : Checkpoint.block) ->
-            if blocks.(blk.b_index) = None then begin
-              blocks.(blk.b_index) <- Some blk;
-              incr resumed
-            end)
-          restored;
-        let evaluated = ref 0 in
-        let sample_fault = ref None in
-        let skipped =
-          run_blocks ~jobs ~keep_going ~log
-            ~eval_block:(fun b ->
-              eval_block ~eval_point ~on_point ~b
-                ~start:(offset + (b * block_size))
-                ~stop:(offset + min length ((b + 1) * block_size)))
-            ~keep:(fun ((blk : Checkpoint.block), ft) ->
-              blocks.(blk.b_index) <- Some blk;
-              incr evaluated;
-              if Option.is_none !sample_fault then sample_fault := ft)
-            ~records:(fun (blk, _) -> [ Checkpoint.encode_block blk ])
-            ~faulted:(fun ((blk : Checkpoint.block), _) ->
-              blk.b_stats.(s_failed) > 0.0)
-            (Array.of_list
-               (List.filter (fun b -> blocks.(b) = None) (List.init n_blocks Fun.id)))
-        in
-        (* Merge in ascending block order: blocks cover consecutive
-           ascending index ranges, so strict [<] keeps the lowest
-           index across blocks exactly as it did within them. *)
+    let evaluated = Atomic.make 0 in
+    Result.map
+      (fun (r : block run) ->
+        (* Blocks cover consecutive ascending index ranges, so strict
+           [<] keeps the lowest index across blocks exactly as it did
+           within them.  A block left [Error] was skipped (or its fold
+           raised): it adds no counts. *)
         let sums = init_stats () in
-        Array.iter
-          (function
-            | None -> ()
-            | Some (b : Checkpoint.block) ->
-              let st = b.b_stats in
-              for k = s_ok to s_sum_ed2p do
-                sums.(k) <- sums.(k) +. st.(k)
-              done;
-              let merge_min m a =
-                if st.(m) < sums.(m) then begin
-                  sums.(m) <- st.(m);
-                  sums.(a) <- st.(a)
-                end
-              in
-              merge_min s_min_seconds s_arg_seconds;
-              merge_min s_min_energy s_arg_energy;
-              merge_min s_min_ed2p s_arg_ed2p)
-          blocks;
+        let sample_fault = ref None in
         let front =
-          Array.to_list blocks
-          |> List.concat_map (function
-               | None -> []
-               | Some (b : Checkpoint.block) ->
-                 List.map
-                   (fun (id, d, p) ->
-                     { Pareto.pt_id = id; pt_delay = d; pt_power = p })
-                   b.b_front)
+          List.concat_map
+            (function
+              | Error ft ->
+                if Option.is_none !sample_fault then sample_fault := Some ft;
+                []
+              | Ok b ->
+                if Option.is_none !sample_fault then sample_fault := b.b_fault;
+                let st = b.b_stats in
+                for k = s_ok to s_sum_ed2p do
+                  sums.(k) <- sums.(k) +. st.(k)
+                done;
+                let merge_min m a =
+                  if st.(m) < sums.(m) then begin
+                    sums.(m) <- st.(m);
+                    sums.(a) <- st.(a)
+                  end
+                in
+                merge_min s_min_seconds s_arg_seconds;
+                merge_min s_min_energy s_arg_energy;
+                merge_min s_min_ed2p s_arg_ed2p;
+                b.b_front)
+            r.run_results
           |> Pareto.frontier
         in
-        (* The front is a handful of points: re-derive their full
-           evals (deterministic [eval_point]) rather than carrying
-           every eval through the stream. *)
+        (* The front is a handful of points: re-derive their full evals
+           (deterministic [eval_point]) rather than carrying every eval
+           through the stream. *)
         let front_evals =
           Parallel.map_result ~jobs:1 eval_point
             (List.map (fun (p : Pareto.point) -> p.pt_id) front)
@@ -561,31 +561,45 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
           if sums.(a) < 0.0 then None
           else Some (int_of_float sums.(a), sums.(m))
         in
-        Ok
-          {
-            ss_n_points = n_points;
-            ss_offset = offset;
-            ss_length = length;
-            ss_block_size = block_size;
-            ss_n_blocks = n_blocks;
-            ss_resumed_blocks = !resumed;
-            ss_evaluated_blocks = !evaluated;
-            ss_skipped_blocks = Array.length skipped;
-            ss_ok = int_of_float sums.(s_ok);
-            ss_failed = int_of_float sums.(s_failed);
-            ss_sum_cpi = sums.(s_sum_cpi);
-            ss_sum_cycles = sums.(s_sum_cycles);
-            ss_sum_watts = sums.(s_sum_watts);
-            ss_sum_seconds = sums.(s_sum_seconds);
-            ss_sum_energy_j = sums.(s_sum_energy);
-            ss_sum_ed2p = sums.(s_sum_ed2p);
-            ss_best_seconds = best s_min_seconds s_arg_seconds;
-            ss_best_energy = best s_min_energy s_arg_energy;
-            ss_best_ed2p = best s_min_ed2p s_arg_ed2p;
-            ss_front = front;
-            ss_front_evals = front_evals;
-            ss_sample_fault = !sample_fault;
-          })
+        {
+          ss_n_points = n_points;
+          ss_offset = offset;
+          ss_length = length;
+          ss_block_size = block_size;
+          ss_n_blocks = n_blocks;
+          ss_resumed_blocks = r.run_resumed;
+          ss_evaluated_blocks = Atomic.get evaluated;
+          ss_skipped_blocks = n_blocks - r.run_resumed - Atomic.get evaluated;
+          ss_ok = int_of_float sums.(s_ok);
+          ss_failed = int_of_float sums.(s_failed);
+          ss_sum_cpi = sums.(s_sum_cpi);
+          ss_sum_cycles = sums.(s_sum_cycles);
+          ss_sum_watts = sums.(s_sum_watts);
+          ss_sum_seconds = sums.(s_sum_seconds);
+          ss_sum_energy_j = sums.(s_sum_energy);
+          ss_sum_ed2p = sums.(s_sum_ed2p);
+          ss_best_seconds = best s_min_seconds s_arg_seconds;
+          ss_best_energy = best s_min_energy s_arg_energy;
+          ss_best_ed2p = best s_min_ed2p s_arg_ed2p;
+          ss_front = front;
+          ss_front_evals = front_evals;
+          ss_sample_fault = !sample_fault;
+        })
+      (run_points_until
+         ~faulted:(function Ok b -> b.b_stats.(s_failed) > 0.0 | Error _ -> true)
+         ?jobs ?checkpoint ~block_size:1 ?keep_going
+         ~workload:
+           (Printf.sprintf "%s, blocks of %d over [%d, %d) of %d" workload
+              block_size offset (offset + length) n_points)
+         ~n_points:n_blocks ~encode:encode_block
+         ~decode:(fun ~index:_ v -> decode_block v)
+         ~check:Result.ok
+         ~eval_point:(fun b ->
+           Atomic.incr evaluated;
+           eval_block ~eval_point ~on_point
+             ~start:(offset + (b * block_size))
+             ~stop:(offset + min length ((b + 1) * block_size)))
+         ())
   end
 
 let model_sweep_stream ?(options = Interval_model.default_options) ?jobs

@@ -6,11 +6,13 @@
     model-vs-simulator comparison over a design matrix is
     [Validate.run_workload], built on {!run_points}.
 
-    The [_result] variants are the fault-isolated engine: a design point
-    that crashes or produces non-finite numbers yields an [Error] for
-    that point alone, every other point still evaluates, and progress
-    can be checkpointed to disk and resumed bit-identically after a
-    kill. *)
+    {!run_points} is the one sweep engine: a design point that crashes
+    or produces non-finite numbers yields an [Error] for that point
+    alone, every other point still evaluates, and progress can be
+    checkpointed to disk and resumed bit-identically after a kill.  The
+    [_result] sweep runs it over design points; a streaming sweep
+    ({!run_stream}) runs it over fixed index blocks of a space, each
+    block one of its points. *)
 
 type eval = {
   sw_index : int;  (** position in the config list: the design-point id *)
@@ -65,7 +67,8 @@ val model_eval :
   index:int ->
   Cpi_stack.t * eval
 (** The one design-point evaluator of the analytical model, shared by
-    both sweep engines, {!Refine.model_refine} and the daemon.
+    the per-point and streaming sweeps, {!Refine.model_refine} and the
+    daemon.
     [model_eval ?options ?adjust profile] runs [adjust]'s per-profile
     stage once; the function it returns evaluates one point: prediction
     (reused across timing-equivalent neighbours, see
@@ -80,9 +83,9 @@ val check_numeric : eval -> (eval, Fault.t) result
     comparisons downstream. *)
 
 val default_point_block_size : int
-(** Points per block of the per-point engines (64): the unit of parallel
-    fan-out and of checkpoint appends, so a killed process loses at most
-    [jobs] blocks. *)
+(** Points per block of {!run_points} (64): the unit of parallel fan-out
+    and of checkpoint appends, so a killed process loses at most [jobs]
+    blocks. *)
 
 (** Outcome of a {!run_points} evaluation: one result per point, in
     point order, independent of [jobs]. *)
@@ -100,23 +103,24 @@ val run_points :
   ?keep_going:bool ->
   workload:string ->
   n_points:int ->
-  width:int ->
   encode:('a -> float array) ->
-  decode:(index:int -> float array -> 'a) ->
+  decode:(index:int -> float array -> 'a option) ->
   check:('a -> ('a, Fault.t) result) ->
   eval_point:(int -> 'a) ->
   unit ->
   ('a run, Fault.t) result
-(** The fault-isolated, checkpointed, parallel per-point engine under
-    {!model_sweep_result}, exposed for other point-matrix evaluations
-    (the model-vs-simulator validation harness in [lib/validate] is
-    built on it).
+(** The fault-isolated, checkpointed, parallel sweep engine under
+    {!model_sweep_result} and {!run_stream}, exposed for other
+    point-matrix evaluations (the model-vs-simulator validation harness
+    in [lib/validate] is built on it).
 
     [eval_point i] evaluates point [i] of [n_points] — a raised
     exception or a value rejected by [check] becomes a per-point
     [Error], never a dead run.  [encode]/[decode] round-trip a payload
-    through the width-[width] checkpoint vector; anything config-shaped
-    is reconstructed from the index by the caller's [decode].
+    through a checkpoint record's float vector; anything config-shaped
+    is reconstructed from the index by the caller's [decode], which
+    returns [None] for a vector of the wrong shape (its length): such a
+    record ends the log's trusted prefix like a torn one.
     [workload] names the run in the checkpoint header and must change
     with anything the results depend on: build it with
     {!Checkpoint.run_id}.
@@ -177,21 +181,19 @@ val model_sweep_result :
 
 (** {1 Streaming sweeps}
 
-    The per-point engine above holds one result per point — fine at a
-    few hundred points, fatal at a million.  The streaming engine walks
-    a (sub-)range of a generated {!Config_space.t} in fixed-size index
-    blocks, folds each block into a fixed-width accumulator vector plus
-    a local Pareto front, and drops it, so peak RSS and checkpoint size
-    scale with the block count, never the point count.
+    A per-point sweep holds one result per point — fine at a few
+    hundred points, fatal at a million.  A streaming sweep walks a
+    (sub-)range of a generated {!Config_space.t} in fixed-size index
+    blocks: it is {!run_points} over the blocks, each block a point that
+    folds into a fixed-width accumulator vector plus a local Pareto
+    front, logged as one record and dropped, so peak RSS and checkpoint
+    size scale with the block count, never the point count.
 
     Points within a block evaluate sequentially in index order; blocks
-    run [jobs]-wide but are recorded and merged in ascending block
-    order, and every min/argmin tie resolves to the lowest index — the
-    summary is a pure function of (range, block size), independent of
-    [jobs] and bit-identical across a kill-and-resume. *)
-
-val stream_stats_width : int
-(** Floats per block accumulator vector (14). *)
+    run [jobs]-wide but are merged in ascending block order, and every
+    min/argmin tie resolves to the lowest index — the summary is a pure
+    function of (range, block size), independent of [jobs] and
+    bit-identical across a kill-and-resume. *)
 
 val default_block_size : int
 (** Points per streaming block (4096). *)
@@ -244,9 +246,10 @@ val run_stream :
 
     [?checkpoint] doubles as resume: the log is created if missing,
     validated (byte-identical header: [workload], the space size, the
-    sub-range and the block size) and its completed blocks restored if
-    present, and each evaluated group of [jobs] blocks appended — a
-    killed run loses at most the in-flight group.  As in {!run_points},
+    sub-range and the block size, all in the run's name) and its
+    completed blocks restored if present, and each evaluated group of
+    [jobs] blocks appended, one record per block — a killed run loses at
+    most the in-flight group.  As in {!run_points},
     [workload] must name everything the results depend on.
 
     [?on_point] observes every freshly evaluated point (called from the

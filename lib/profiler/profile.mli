@@ -164,7 +164,10 @@ val prepare : t -> unit
     the per-static-load [sl_stack] lazies and the sorted views of the
     static loads' spacing histograms that the stride-MLP stream replays —
     so that a subsequent Domain-parallel sweep only reads them.
-    Idempotent; [Sweep.model_sweep] calls it before fanning out. *)
+    Idempotent.  Every parallel evaluation calls it before fanning out:
+    [Sweep]'s [prepared] (under [Sweep.model_sweep_result] and
+    [Sweep.model_sweep_stream]), [Refine.model_refine] and
+    [Validate.run_workload]. *)
 
 val clear_stack_memo : unit -> unit
 (** Does nothing: derived state belongs to its profile and goes with it.

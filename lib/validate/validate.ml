@@ -74,16 +74,19 @@ let encode p =
 let decode configs ~index v =
   let n = Cpi_stack.n_components in
   let stack off = Cpi_stack.make (fun c -> v.(off + Cpi_stack.index c)) in
-  {
-    vp_index = index;
-    vp_uarch = configs.(index);
-    vp_model_stack = stack 0;
-    vp_model_cpi = v.(n);
-    vp_sim_stack = stack (n + 1);
-    vp_sim_cpi = v.((2 * n) + 1);
-    vp_model_watts = v.((2 * n) + 2);
-    vp_sim_watts = v.((2 * n) + 3);
-  }
+  if Array.length v <> payload_width then None
+  else
+    Some
+      {
+        vp_index = index;
+        vp_uarch = configs.(index);
+        vp_model_stack = stack 0;
+        vp_model_cpi = v.(n);
+        vp_sim_stack = stack (n + 1);
+        vp_sim_cpi = v.((2 * n) + 1);
+        vp_model_watts = v.((2 * n) + 2);
+        vp_sim_watts = v.((2 * n) + 3);
+      }
 
 let check p =
   let values = Array.to_list (encode p) in
@@ -350,7 +353,7 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
               | None -> "uncalibrated"
               | Some (key, _) -> "calibrated " ^ key);
             ])
-       ~n_points:(Array.length configs_a) ~width:payload_width ~encode
+       ~n_points:(Array.length configs_a) ~encode
        ~decode:(fun ~index v -> decode configs_a ~index v)
        ~check
        ~eval_point:(fun i ->

@@ -444,6 +444,62 @@ let test_unterminated_record_is_torn () =
       Alcotest.(check bool) "results identical" true
         (compare whole (evals_of third) = 0))
 
+(* Replace record [k] (0-based, after the header) with its payload minus
+   the last float, re-framed under a valid CRC, keeping every line after
+   it. *)
+let drop_last_float path k =
+  let lines = In_channel.with_open_bin path In_channel.input_lines in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iteri
+        (fun i l ->
+          let l =
+            if i <> k + 1 then l
+            else
+              let payload = String.sub l 9 (String.length l - 9) in
+              let payload =
+                String.sub payload 0 (String.rindex payload ' ')
+              in
+              Crc32.to_hex (Crc32.string payload) ^ " " ^ payload
+          in
+          output_string oc (l ^ "\n"))
+        lines)
+
+let test_wrong_shape_record_ends_prefix () =
+  (* A record whose CRC checks out but whose payload has the wrong shape
+     ends the trusted prefix: the records before it resume, it and every
+     later one are re-evaluated. *)
+  let profile, space = Lazy.force gcc_27 in
+  with_temp_ckpt (fun path ->
+      let run () =
+        Fault.or_raise
+          (Sweep.model_sweep_result ~jobs:1 ~checkpoint:path ~block_size:4
+             ~profile space)
+      in
+      let whole = evals_of (run ()) in
+      drop_last_float path 5;
+      let resumed = run () in
+      Alcotest.(check int) "points before the bad record" 5 resumed.o_resumed;
+      Alcotest.(check bool) "point results identical" true
+        (compare whole (evals_of resumed) = 0));
+  with_temp_ckpt (fun path ->
+      let run () =
+        Fault.or_raise
+          (Sweep.model_sweep_stream ~jobs:1 ~checkpoint:path ~block_size:16
+             ~profile Config_space.default)
+      in
+      let strip (s : Sweep.stream_summary) =
+        { s with ss_resumed_blocks = 0; ss_evaluated_blocks = 0 }
+      in
+      let whole = run () in
+      (* the block's front part is no longer whole (id, delay, power)
+         triples *)
+      drop_last_float path 3;
+      let resumed = run () in
+      Alcotest.(check int) "blocks before the bad record" 3
+        resumed.ss_resumed_blocks;
+      Alcotest.(check bool) "stream summary identical" true
+        (compare (strip whole) (strip resumed) = 0))
+
 let test_resume_rejects_other_sweep () =
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
       ~n_instructions:20_000 in
@@ -619,6 +675,8 @@ let () =
             test_torn_header_restarts;
           Alcotest.test_case "unterminated last record is re-evaluated" `Quick
             test_unterminated_record_is_torn;
+          Alcotest.test_case "wrong-shape record ends the prefix" `Quick
+            test_wrong_shape_record_ends_prefix;
           Alcotest.test_case "invalid profile rejected" `Quick
             test_sweep_rejects_invalid_profile;
           Alcotest.test_case "stop without keep-going" `Quick

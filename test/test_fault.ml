@@ -147,9 +147,9 @@ let with_temp f =
 let vec i = [| 1.0 +. (0.125 *. float_of_int i); float_of_int (1000 * i); 3.5;
                 1e-6; 1e-5; 1e-17 |]
 
-let header = Checkpoint.point_header ~workload:"gcc" ~n_points:5 ~width:6
-let decode = Checkpoint.decode_point ~n_points:5 ~width:6
-let record i r = Checkpoint.encode_point ~width:6 i r
+let header = Checkpoint.point_header ~workload:"gcc" ~n_points:5
+let decode = Checkpoint.decode_point ~n_points:5
+let record i r = Checkpoint.encode_point i r
 
 let open_log path = Fault.or_raise (Checkpoint.open_ path ~header ~decode)
 
@@ -191,23 +191,17 @@ let test_checkpoint_roundtrip () =
             Alcotest.(check string) "fault tag" (Fault.tag x) (Fault.tag y)
           | _ -> Alcotest.fail "Ok/Error mismatch")
         records back;
-      (* block records, through the same log *)
+      (* a stream block's record, through the same codec: a stats vector
+         and a variable-length front of (id, delay, power) triples *)
       Sys.remove path;
       let blk =
-        { Checkpoint.b_index = 2; b_stats = vec 7;
-          b_front = [ (17, 1e-3, 4.5); (18, 2e-3, 3.25) ] }
+        Array.append (vec 7) [| 17.0; 1e-3; 4.5; 18.0; 2e-3; 3.25 |]
       in
-      let header =
-        Checkpoint.block_header ~workload:"gcc" ~n_points:100 ~width:6
-          ~block_size:16 ~offset:0 ~length:100
-      in
-      let decode = Checkpoint.decode_block ~n_blocks:7 ~width:6 in
-      let t, _ = Fault.or_raise (Checkpoint.open_ path ~header ~decode) in
-      Checkpoint.append t [ Checkpoint.encode_block blk ];
+      append_records path [ (2, Ok blk); (3, Ok [||]) ];
+      let t, back = open_log path in
       Checkpoint.close t;
-      let t, back = Fault.or_raise (Checkpoint.open_ path ~header ~decode) in
-      Checkpoint.close t;
-      Alcotest.(check bool) "block round-trips" true (back = [ blk ]))
+      Alcotest.(check bool) "block round-trips" true
+        (back = [ (2, Ok blk); (3, Ok [||]) ]))
 
 let test_checkpoint_torn_tail () =
   with_temp (fun path ->
@@ -262,13 +256,14 @@ let test_checkpoint_header_mismatch () =
       in
       append_records path [ (0, Ok (vec 0)) ];
       let before = In_channel.with_open_bin path In_channel.input_all in
-      let other = Checkpoint.point_header ~workload:"gcc" ~n_points:7 ~width:6 in
+      let other = Checkpoint.point_header ~workload:"gcc" ~n_points:7 in
       (* the raw headers follow the explanation *)
       refused "a checkpoint from a different sweep" other
         ~says:(mismatch @ [ String.escaped header; String.escaped other ]);
+      (* a streaming sweep names its range and block size in its run *)
       refused "a per-point log as a block log" ~says:mismatch
-        (Checkpoint.block_header ~workload:"gcc" ~n_points:5 ~width:6
-           ~block_size:5 ~offset:0 ~length:5);
+        (Checkpoint.point_header ~workload:"gcc, blocks of 5 over [0, 5) of 5"
+           ~n_points:1);
       Alcotest.(check string) "refused file untouched" before
         (In_channel.with_open_bin path In_channel.input_all);
       (* a version-2 log, as earlier releases wrote it *)

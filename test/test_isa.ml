@@ -63,7 +63,7 @@ let test_class_counts_to_list () =
   Alcotest.(check int) "fp_mul entry" 4 (List.assoc Isa.Fp_mul l)
 
 let prop_fraction_sums_to_one =
-  QCheck.Test.make ~name:"class fractions sum to 1 when non-empty" ~count:100
+  QCheck.Test.make ~name:"class fractions sum to one" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 50) (int_range 0 9))
     (fun idxs ->
       let c = Isa.Class_counts.create () in

@@ -105,7 +105,7 @@ let prop_power_positive =
    average dynamic power — and with static untouched by frequency,
    total power — can only go up. *)
 let prop_power_monotone_in_frequency =
-  QCheck.Test.make ~name:"power is monotone in frequency (fixed activity)"
+  QCheck.Test.make ~name:"power monotone in frequency"
     ~count:100
     QCheck.(pair (float_range 0.5 4.0) (float_range 0.01 2.0))
     (fun (f_lo, df) ->
@@ -119,7 +119,7 @@ let prop_power_monotone_in_frequency =
          <= 1e-9 *. Float.max 1.0 lo.static_watts)
 
 let prop_power_monotone_in_vdd =
-  QCheck.Test.make ~name:"power is monotone in Vdd (static and dynamic)"
+  QCheck.Test.make ~name:"power monotone in Vdd"
     ~count:100
     QCheck.(pair (float_range 0.5 1.2) (float_range 0.01 0.4))
     (fun (v_lo, dv) ->
@@ -133,7 +133,7 @@ let prop_power_monotone_in_vdd =
 
 let prop_breakdown_sums_everywhere =
   QCheck.Test.make
-    ~name:"stacked components sum to total across the design space" ~count:100
+    ~name:"component stack sums to total" ~count:100
     QCheck.(pair (int_range 0 242) (float_range 0.1 10.0))
     (fun (i, scale) ->
       let u = List.nth Uarch.design_space i in
@@ -158,7 +158,7 @@ let model_activity =
 
 let prop_predicted_activity_factors_physical =
   QCheck.Test.make
-    ~name:"predicted activity factors lie in [0,1] down the hierarchy"
+    ~name:"activity factors lie in [0,1]"
     ~count:30
     QCheck.(int_range 0 242)
     (fun i ->

@@ -336,16 +336,25 @@ let run_name path =
   let q = String.index line '"' in
   Scanf.sscanf (String.sub line q (String.length line - q)) "%S" Fun.id
 
-(* [reopen ~workload path] opens the damaged log with the engine's own
-   header (run name [workload]) and codec, returning the re-encoded
-   records it restores. *)
-let fuzz_engine ~run ~reopen ~same dmg =
+(* Reopen the damaged log with the engine's header (run name read from
+   the log, [n_points] records at most) and record codec, returning the
+   re-encoded records it restores. *)
+let reopen ~workload ~n_points path =
+  Result.map
+    (fun (t, records) ->
+      Checkpoint.close t;
+      List.map (fun (i, r) -> Checkpoint.encode_point i r) records)
+    (Checkpoint.open_ path
+       ~header:(Checkpoint.point_header ~workload ~n_points)
+       ~decode:(Checkpoint.decode_point ~n_points))
+
+let fuzz_engine ~run ~n_points ~same dmg =
   with_log_file (fun path ->
       let whole = run ~jobs:1 path in
       let written = payloads path in
       let workload = run_name path in
       let in_header = damage path dmg in
-      match reopen ~workload path with
+      match reopen ~workload ~n_points path with
       | exception e -> QCheck.Test.fail_reportf "reopen raised %s" (Printexc.to_string e)
       | Error (Fault.Bad_input _) when in_header -> true
       | Error ft -> QCheck.Test.fail_reportf "reopen refused: %s" (Fault.to_string ft)
@@ -360,23 +369,16 @@ let prop_point_log_corruption =
     (fun dmg ->
       let profile = Lazy.force fuzz_profile in
       let configs = List.filteri (fun i _ -> i mod 9 = 0) Uarch.design_space in
-      let n = List.length configs in
-      fuzz_engine dmg
+      fuzz_engine dmg ~n_points:(List.length configs)
         ~run:(fun ~jobs path ->
           Fault.or_raise
             (Sweep.model_sweep_result ~jobs ~checkpoint:path ~block_size:4
                ~profile configs))
-        ~reopen:(fun ~workload path ->
-          Result.map
-            (fun (t, records) ->
-              Checkpoint.close t;
-              List.map (fun (i, r) -> Checkpoint.encode_point ~width:6 i r) records)
-            (Checkpoint.open_ path
-               ~header:(Checkpoint.point_header ~workload ~n_points:n ~width:6)
-               ~decode:(Checkpoint.decode_point ~n_points:n ~width:6)))
         ~same:(fun (a : Sweep.outcome) (b : Sweep.outcome) ->
           compare a.o_results b.o_results = 0))
 
+(* A streaming sweep logs one record per block: its stats vector and
+   local front, through the same codec. *)
 let prop_block_log_corruption =
   QCheck.Test.make ~name:"damaged block log resumes"
     ~count:60 damage_gen
@@ -389,25 +391,11 @@ let prop_block_log_corruption =
           { s with ss_resumed_blocks = 0; ss_evaluated_blocks = 0 }
           [ Marshal.No_sharing ]
       in
-      fuzz_engine dmg
+      fuzz_engine dmg ~n_points:((n + block_size - 1) / block_size)
         ~run:(fun ~jobs path ->
           Fault.or_raise
             (Sweep.model_sweep_stream ~jobs ~checkpoint:path ~block_size ~profile
                space))
-        ~reopen:(fun ~workload path ->
-          Result.map
-            (fun (t, blocks) ->
-              Checkpoint.close t;
-              List.map Checkpoint.encode_block blocks)
-            (Checkpoint.open_ path
-               ~header:
-                 (Checkpoint.block_header ~workload ~n_points:n
-                    ~width:Sweep.stream_stats_width ~block_size
-                    ~offset:0 ~length:n)
-               ~decode:
-                 (Checkpoint.decode_block
-                    ~n_blocks:((n + block_size - 1) / block_size)
-                    ~width:Sweep.stream_stats_width)))
         ~same:(fun a b -> strip a = strip b))
 
 let () =

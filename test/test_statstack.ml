@@ -151,7 +151,7 @@ let test_against_lru_simulation_random () =
     [ 32; 64; 128; 300 ]
 
 let prop_sd_monotone_and_bounded =
-  QCheck.Test.make ~name:"expected stack distance is monotone and <= rd" ~count:100
+  QCheck.Test.make ~name:"stack distance monotone and <= rd" ~count:100
     QCheck.(small_list (pair (int_range 0 500) (int_range 1 50)))
     (fun entries ->
       let ss = Statstack.of_reuse_histogram (hist entries) in

@@ -236,7 +236,7 @@ let prop_vec_checkpoint_roundtrip =
       pair (int_range 1 8)
         (small_list (small_list (float_range (-1e6) 1e6))))
     (fun (width, rows) ->
-      (* Rows are padded/truncated to the declared width; a NaN and an
+      (* Rows are padded/truncated to a common width; a NaN and an
          infinity are injected to exercise the raw-bits encoding. *)
       let rows =
         List.mapi
@@ -255,13 +255,11 @@ let prop_vec_checkpoint_roundtrip =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Sys.remove path;
-          let header =
-            Checkpoint.point_header ~workload:"prop" ~n_points:n ~width
-          in
-          let decode = Checkpoint.decode_point ~n_points:n ~width in
+          let header = Checkpoint.point_header ~workload:"prop" ~n_points:n in
+          let decode = Checkpoint.decode_point ~n_points:n in
           let t, _ = Result.get_ok (Checkpoint.open_ path ~header ~decode) in
           Checkpoint.append t
-            (List.mapi (fun i row -> Checkpoint.encode_point ~width i (Ok row)) rows);
+            (List.mapi (fun i row -> Checkpoint.encode_point i (Ok row)) rows);
           Checkpoint.close t;
           match Checkpoint.open_ path ~header ~decode with
           | Error _ -> false
